@@ -130,8 +130,8 @@ def _make_u0(graph: Graph, args) -> tuple[np.ndarray, dict]:
         elif kind == "random-uniform":
             low, high = float(spec["low"]), float(spec["high"])
             seed = int(spec.get("seed", 0))
-            if low <= 0:
-                raise UsageError("random-uniform u0 bounds must be positive")
+            if not (0.0 < low < np.inf and 0.0 < high < np.inf):
+                raise UsageError("random-uniform u0 bounds must be positive and finite")
             rng = np.random.Generator(np.random.Philox(seed))
             u0 = rng.uniform(low, high, size=graph.n)
             meta = {"kind": "random-uniform", "low": low, "high": high,
@@ -142,6 +142,8 @@ def _make_u0(graph: Graph, args) -> tuple[np.ndarray, dict]:
         raise UsageError("u0 must be a vector or a generator spec")
     if len(u0) != graph.n:
         raise UsageError(f"u0 has length {len(u0)}, graph has {graph.n} vertices")
+    if not np.isfinite(u0).all():
+        raise UsageError("u0 must be finite")
     if np.min(u0) <= 0:
         raise UsageError("u0 must be strictly positive")
     return u0, meta

@@ -18,6 +18,7 @@ min u_0 <= u(x,t) <= max u_0 up to solver tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,19 +87,22 @@ class FlowConfig:
     picard_max: int = 100
 
     def __post_init__(self):
+        # every check is written so that NaN fails it; `< inf` rejects inf
         if not 0.0 < self.s < 1.0:
             raise ExponentOutOfRange(f"s = {self.s}, need 0 < s < 1")
-        if self.p <= 1.0:
-            raise ExponentOutOfRange(f"p = {self.p}, need p > 1")
-        if self.q <= 0.0:
-            raise ExponentOutOfRange(f"q = {self.q}, need q > 0")
-        if self.T <= 0.0:
-            raise DomainError(f"T = {self.T}, need T > 0")
+        if not 1.0 < self.p < math.inf:
+            raise ExponentOutOfRange(f"p = {self.p}, need finite p > 1")
+        if not 0.0 < self.q < math.inf:
+            raise ExponentOutOfRange(f"q = {self.q}, need finite q > 0")
+        if not 0.0 < self.T < math.inf:
+            raise DomainError(f"T = {self.T}, need finite T > 0")
         if self.dt_out is None:
             object.__setattr__(self, "dt_out", self.T / 200.0)
-        if self.dt_out <= 0 or self.atol <= 0 or self.rtol < 0:
-            raise DomainError("dt_out and atol must be positive, rtol nonnegative")
-        if self.eps_reg < 0 or self.picard_tol <= 0 or self.picard_max < 1:
+        if not (0.0 < self.dt_out < math.inf and 0.0 < self.atol < math.inf
+                and 0.0 <= self.rtol < math.inf):
+            raise DomainError("dt_out and atol must be positive, rtol nonnegative, all finite")
+        if not (0.0 <= self.eps_reg < math.inf and 0.0 < self.picard_tol < math.inf
+                and 1 <= self.picard_max < math.inf):
             raise DomainError("bad regularization or Picard parameters")
 
     def output_times(self) -> np.ndarray:
@@ -170,6 +174,16 @@ class FrozenCoefficient:
         k = int(np.searchsorted(times, t) - 1)
         frac = (t - times[k]) / (times[k + 1] - times[k])
         return (1.0 - frac) * self.values[k] + frac * self.values[k + 1]
+
+
+def _check_state(graph: Graph, u: np.ndarray, name: str) -> np.ndarray:
+    """A state the flow can start from: right length, finite, positive."""
+    u = _check_length(graph, u, name)
+    if not np.isfinite(u).all():
+        raise DomainError(f"{name} has non-finite entries")
+    if np.min(u) <= 0.0:
+        raise NonPositiveState(f"min {name} = {np.min(u)}")
+    return u
 
 
 def rhs_direct(
@@ -271,6 +285,8 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
             else:
                 stats.rejected += 1
             factor = _SAFETY * err_norm ** -_ORDER_EXP if err_norm > 0 else _GROW
+            if not math.isfinite(err_norm):  # a NaN state must end in StepSizeUnderflow
+                factor = _SHRINK
             h *= min(_GROW, max(_SHRINK, factor))
         out[k] = u
     return out, stats
@@ -289,14 +305,12 @@ def step(
     positivity loss and shrunk on error-test failure until acceptance.
     """
     f = _make_rhs(kernel, config, frozen)
-    t, u = state.t, np.asarray(state.u, dtype=float)
-    if np.min(u) <= 0.0:
-        raise NonPositiveState(f"min u = {np.min(u)}")
+    t, u = state.t, _check_state(kernel.graph, state.u, "u")
     f_cur = f(t, u)
     h = dt
     h_floor = 1e-14 * max(config.T, dt)
     while True:
-        if h < h_floor:
+        if not h >= h_floor:  # a NaN dt fails too
             raise StepSizeUnderflow(f"dt = {h:.3e} at t = {t:.6g}")
         try:
             u_new, err, _ = _trial_step(f, t, u, h, f_cur)
@@ -335,9 +349,7 @@ def _check_bounds(values: np.ndarray, u0: np.ndarray, slack: float = 1e-9):
 
 def evolve_direct(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig) -> Trajectory:
     """Integrate the nonlinear flow directly; enforces the max-principle band."""
-    u0 = _check_length(kernel.graph, u0, "u0")
-    if np.min(u0) <= 0.0:
-        raise NonPositiveState(f"min u0 = {np.min(u0)}")
+    u0 = _check_state(kernel.graph, u0, "u0")
     times = config.output_times()
     values, stats = _integrate(_make_rhs(kernel, config, None), u0, times, config, kernel.graph)
     _check_bounds(values, u0)
@@ -351,9 +363,7 @@ def solve_frozen(
     config: FlowConfig,
 ) -> Trajectory:
     """Integrate the frozen-coefficient flow  a(x,t) du/dt + (-Delta)_p^s u = 0."""
-    u0 = _check_length(kernel.graph, u0, "u0")
-    if np.min(u0) <= 0.0:
-        raise NonPositiveState(f"min u0 = {np.min(u0)}")
+    u0 = _check_state(kernel.graph, u0, "u0")
     if np.min(a.values) <= 0.0:
         raise NonPositiveState(f"min a = {np.min(a.values)}")
     times = config.output_times()
@@ -373,7 +383,7 @@ def picard_solve(
     sweep freezes the coefficient at the initial datum; at q = 1 the
     coefficient does not depend on the iterate, so one sweep is exact.
     """
-    u0 = _check_length(kernel.graph, u0, "u0")
+    u0 = _check_state(kernel.graph, u0, "u0")
     times = config.output_times()
     prev = Trajectory(times=times, values=np.tile(u0, (len(times), 1)))
     history: list[float] = []
@@ -394,9 +404,7 @@ def steady_state(graph: Graph, u0: np.ndarray, q: float) -> float:
     Mass int u^q dmu is conserved, and the only zeros of (-Delta)_p^s on a
     connected graph are constants, which pins the limit.
     """
-    u0 = _check_length(graph, u0, "u0")
-    if np.min(u0) <= 0.0:
-        raise NonPositiveState(f"min u0 = {np.min(u0)}")
-    if q <= 0.0:
-        raise ExponentOutOfRange(f"q = {q}, need q > 0")
+    u0 = _check_state(graph, u0, "u0")
+    if not 0.0 < q < math.inf:
+        raise ExponentOutOfRange(f"q = {q}, need finite q > 0")
     return (integrate(graph, u0**q) / graph.volume()) ** (1.0 / q)

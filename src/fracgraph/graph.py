@@ -111,11 +111,18 @@ def validate(graph: Graph) -> list[Violation]:
         report.append(Violation("BadShape", f"weights shape {w.shape} != ({n},{n})"))
         return report
 
-    bad_mu = np.flatnonzero(~(mu > 0))
-    for i in bad_mu:
+    for i in np.flatnonzero(~np.isfinite(mu)):
+        report.append(Violation("NonFiniteMeasure", f"mu({graph.labels[i]}) = {mu[i]}"))
+    for i in np.flatnonzero(mu <= 0):
         report.append(Violation("NonPositiveMeasure", f"mu({graph.labels[i]}) = {mu[i]}"))
 
-    asym = np.argwhere(~np.isclose(w, w.T, rtol=0.0, atol=0.0))
+    finite = np.isfinite(w)
+    for i, j in np.argwhere(~finite):
+        report.append(
+            Violation("NonFiniteWeight", f"w({graph.labels[i]},{graph.labels[j]}) = {w[i, j]}")
+        )
+
+    asym = np.argwhere(finite & finite.T & (w != w.T))
     for i, j in asym:
         if i < j:
             report.append(

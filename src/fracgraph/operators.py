@@ -13,11 +13,28 @@ derivative of (1/p) * int |grad^s u|^p dmu:
         (g(y)^(p-2) + g(x)^(p-2)) W_s(x,y) (u(x) - u(y)),
 
 with g the (optionally regularized) gradient length.
+
+No pairwise-difference matrix is formed.  With the row sums r = W 1, cached
+on the kernel, each pairwise sum expands into products of W with vertex
+functions, taken together as one product of W with a stack of vectors:
+
+    sum_y W(x,y) (v(x)-v(y))^2          = r v^2 - 2 v (W v) + W(v^2)
+    sum_y W(x,y) (v(x)-v(y))            = r v - W v
+    sum_y (a(x)+a(y)) W(x,y) (v(x)-v(y)) = a (r v - W v) + v (W a) - W(a v)
+    sum_y W(x,y) (u(x)-u(y)) (v(x)-v(y)) = r u v - u (W v) - v (W u) + W(u v)
+
+The sums do not change when a constant is added to u or v, so they are taken
+of the centred v = u - u(x_0), x_0 the first vertex.  This keeps each term at
+the size of the spread of u, not of its level: near a steady state terms of
+size r u^2 would cancel down to the tiny spread and lose its digits.  The
+shift is exact for values within a factor two of each other, and makes v = 0
+on a constant u, so every operator returns exactly 0 there.  Round-off can
+leave a sum of squares slightly negative; it is clamped at 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,15 +57,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FractionalKernel:
-    """Exponent s with its dense symmetric kernel matrix W (zero diagonal)."""
+    """Exponent s with its dense symmetric kernel matrix W (zero diagonal) and row sums W 1."""
 
     graph: Graph
     s: float
     w: np.ndarray
     dec: SpectralDecomposition | None = None
+    row_sums: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.w.setflags(write=False)
+        object.__setattr__(self, "row_sums", self.w.sum(axis=1))
+        self.row_sums.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -61,16 +81,38 @@ def build_kernel(graph: Graph, s: float) -> FractionalKernel:
     return FractionalKernel(graph=graph, s=s, w=kernel_weights(dec, s), dec=dec)
 
 
-def _diff_matrix(u: np.ndarray) -> np.ndarray:
-    """Pairwise differences d[x,y] = u(x) - u(y)."""
-    return u[:, None] - u[None, :]
+def _apply(kernel: FractionalKernel, *fs: np.ndarray) -> np.ndarray:
+    """Rows W f for each vertex function f, as one matrix product."""
+    return np.array(fs) @ kernel.w.T
+
+
+def _centred(u: np.ndarray) -> np.ndarray:
+    return u - u[0]
+
+
+def _squared_gradients(kernel: FractionalKernel, v: np.ndarray):
+    """(|grad^s v|^2, sum_y W(x,y) (v(x) - v(y))) for a centred v."""
+    wv, wv2 = _apply(kernel, v, v * v)
+    diffusion = kernel.row_sums * v - wv
+    sq = v * (diffusion - wv) + wv2
+    return np.maximum(sq, 0.0) / (2.0 * kernel.graph.mu), diffusion
+
+
+def _p_laplacian(kernel: FractionalKernel, v: np.ndarray, p: float, eps_reg: float):
+    """((-Delta)_p^s v, g^(p-2)) for a centred v; p = 2 skips the gradients."""
+    if p == 2.0:
+        return (kernel.row_sums * v - _apply(kernel, v)[0]) / kernel.graph.mu, 1.0
+    g2, diffusion = _squared_gradients(kernel, v)
+    gp = _regularized_power(g2, p, eps_reg)
+    wgp, wgpv = _apply(kernel, gp, gp * v)
+    out = gp * diffusion + v * wgp - wgpv
+    return out / (2.0 * kernel.graph.mu), gp
 
 
 def frac_gradient_norms(kernel: FractionalKernel, u: np.ndarray) -> np.ndarray:
     """|grad^s u|(x) = sqrt( 1/(2 mu(x)) * sum_y W(x,y) (u(x)-u(y))^2 ), all x."""
     u = _check_length(kernel.graph, u, "u")
-    d = _diff_matrix(u)
-    return np.sqrt((kernel.w * d**2).sum(axis=1) / (2.0 * kernel.graph.mu))
+    return np.sqrt(_squared_gradients(kernel, _centred(u))[0])
 
 
 def frac_gradient_norm(kernel: FractionalKernel, u: np.ndarray, x: int) -> float:
@@ -81,12 +123,11 @@ def frac_gradient_norm(kernel: FractionalKernel, u: np.ndarray, x: int) -> float
 def frac_laplacian(kernel: FractionalKernel, u: np.ndarray) -> np.ndarray:
     """(-Delta)^s u via the kernel form."""
     u = _check_length(kernel.graph, u, "u")
-    d = _diff_matrix(u)
-    return (kernel.w * d).sum(axis=1) / kernel.graph.mu
+    return _p_laplacian(kernel, _centred(u), 2.0, 0.0)[0]
 
 
-def _regularized_power(g: np.ndarray, p: float, eps_reg: float) -> np.ndarray:
-    """g^(p-2) with (g^2 + eps^2)^((p-2)/2) regularization inside the power.
+def _regularized_power(g2: np.ndarray, p: float, eps_reg: float) -> np.ndarray:
+    """g^(p-2) from g2 = g^2, with (g^2 + eps^2)^((p-2)/2) regularization.
 
     At eps_reg = 0 and p < 2 a zero gradient would give an infinite factor;
     its paired differences are then all zero (W > 0 everywhere forces
@@ -94,10 +135,10 @@ def _regularized_power(g: np.ndarray, p: float, eps_reg: float) -> np.ndarray:
     zeroing the factor.
     """
     if eps_reg > 0:
-        return (g**2 + eps_reg**2) ** ((p - 2.0) / 2.0)
-    out = np.zeros_like(g)
-    pos = g > 0
-    out[pos] = g[pos] ** (p - 2.0)
+        return (g2 + eps_reg**2) ** ((p - 2.0) / 2.0)
+    out = np.zeros_like(g2)
+    pos = g2 > 0
+    out[pos] = g2[pos] ** ((p - 2.0) / 2.0)
     return out
 
 
@@ -108,34 +149,28 @@ def frac_p_laplacian(
     eps_reg: float = 0.0,
 ) -> np.ndarray:
     """Fractional p-Laplacian; reduces exactly to frac_laplacian at p = 2."""
-    if p <= 1.0:
+    if not p > 1.0:
         raise ExponentOutOfRange(f"p = {p}, need p > 1")
-    if p == 2.0:
-        # exact reduction, bypassing the power computation entirely
-        return frac_laplacian(kernel, u)
-    u = _check_length(kernel.graph, u, "u")
-    g = frac_gradient_norms(kernel, u)
-    gp = _regularized_power(g, p, eps_reg)
-    factor = 0.5 * (gp[:, None] + gp[None, :])
-    d = _diff_matrix(u)
-    return (factor * kernel.w * d).sum(axis=1) / kernel.graph.mu
+    v = _centred(_check_length(kernel.graph, u, "u"))
+    return _p_laplacian(kernel, v, p, eps_reg)[0]
 
 
 def dirichlet_p_energy(kernel: FractionalKernel, u: np.ndarray, p: float) -> float:
     """int_V |grad^s u|^p dmu."""
-    if p < 1.0:
+    if not p >= 1.0:
         raise ExponentOutOfRange(f"p = {p}, need p >= 1")
-    g = frac_gradient_norms(kernel, u)
-    return float(np.dot(g**p, kernel.graph.mu))
+    u = _check_length(kernel.graph, u, "u")
+    g2 = _squared_gradients(kernel, _centred(u))[0]
+    return float(np.dot(g2 ** (p / 2.0), kernel.graph.mu))
 
 
 def sobolev_norm(kernel: FractionalKernel, u: np.ndarray, p: float) -> float:
     """Fractional Sobolev norm ( ||grad^s u||_p^p + ||u||_p^p )^(1/p)."""
-    if p < 1.0:
+    if not p >= 1.0:
         raise ExponentOutOfRange(f"p = {p}, need p >= 1")
     u = _check_length(kernel.graph, u, "u")
-    lp = float(np.dot(np.abs(u) ** p, kernel.graph.mu))
-    return (dirichlet_p_energy(kernel, u, p) + lp) ** (1.0 / p)
+    g2 = _squared_gradients(kernel, _centred(u))[0]
+    return float(np.dot(g2 ** (p / 2.0) + np.abs(u) ** p, kernel.graph.mu)) ** (1.0 / p)
 
 
 def ibp_residual(
@@ -152,20 +187,17 @@ def ibp_residual(
 
     with the same gradient regularization applied on both sides.
     """
-    if p <= 1.0:
+    if not p > 1.0:
         raise ExponentOutOfRange(f"p = {p}, need p > 1")
     u = _check_length(kernel.graph, u, "u")
     v = _check_length(kernel.graph, v, "v")
-    mu = kernel.graph.mu
+    cu, cv = _centred(u), _centred(v)
+    lu, gp = _p_laplacian(kernel, cu, p, eps_reg)
+    # int c (-Delta)_p^s u dmu = 0 for a constant c, so centring v here too
+    # changes nothing but the round-off
+    lhs = float(np.dot(cv * lu, kernel.graph.mu))
 
-    if p == 2.0:
-        lhs = float(np.dot(v * frac_laplacian(kernel, u), mu))
-        gp = np.ones(kernel.n)
-    else:
-        lhs = float(np.dot(v * frac_p_laplacian(kernel, u, p, eps_reg), mu))
-        gp = _regularized_power(frac_gradient_norms(kernel, u), p, eps_reg)
-
-    du, dv = _diff_matrix(u), _diff_matrix(v)
-    inner = (kernel.w * du * dv).sum(axis=1) / (2.0 * mu)
-    rhs = float(np.dot(gp * inner, mu))
+    wu, wv, wuv = _apply(kernel, cu, cv, cu * cv)
+    bilinear = (kernel.row_sums * cu - wu) * cv - cu * wv + wuv
+    rhs = 0.5 * float(np.sum(gp * bilinear))
     return abs(lhs - rhs)

@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -39,3 +42,19 @@ def make_random_graph(seed, n=None, weight_range=(0.2, 5.0), mu_range=(0.2, 5.0)
     if n is None:
         n = int(rng.integers(2, 13))
     return random_connected_graph(rng, n, weight_range, mu_range)
+
+
+@contextmanager
+def wall_clock_limit(seconds):
+    """Fail with TimeoutError instead of hanging when the block overruns."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

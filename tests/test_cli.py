@@ -5,6 +5,7 @@ import pytest
 
 import fracgraph as fg
 from fracgraph.cli import main
+from conftest import wall_clock_limit
 
 K2_DOC = {
     "vertices": [{"id": "a", "mu": 1.0}, {"id": "b", "mu": 1.0}],
@@ -147,6 +148,32 @@ class TestEvolveCommand:
         cfg.write_text(json.dumps({"u0": [1.0, -2.0]}))
         code = main(["evolve", k2_path, "--config", str(cfg),
                      "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--u0-constant", "nan"],
+            ["--u0-constant", "inf"],
+            ["--u0-random", "0.5", "inf"],
+            ["--u0-random", "nan", "2.0"],
+            ["--p", "nan"],
+            ["--T", "nan"],
+            ["--atol", "inf"],
+        ],
+    )
+    def test_nonfinite_input_is_usage_error(self, k2_path, tmp_path, flags):
+        with wall_clock_limit(20):
+            code = main(["evolve", k2_path, "--output-dir", str(tmp_path / "o")] + flags)
+        assert code == 2
+
+    def test_nonfinite_u0_in_config_is_usage_error(self, k2_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"u0": [1.0, float("nan")]}))
+        with wall_clock_limit(20):
+            code = main(["evolve", k2_path, "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "o")])
         assert code == 2
 
 

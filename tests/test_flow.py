@@ -3,7 +3,7 @@ import pytest
 
 import fracgraph as fg
 from fracgraph.flow import _integrate
-from conftest import make_random_graph
+from conftest import make_random_graph, wall_clock_limit
 
 
 def reference_solve(kernel, u0, p, q, T, dt, eps_reg=1e-12):
@@ -261,8 +261,46 @@ class TestFlowConfig:
             {"s": 0.5, "p": 0.9, "q": 1.0, "T": 1.0},
             {"s": 0.5, "p": 2.0, "q": -1.0, "T": 1.0},
             {"s": 0.5, "p": 2.0, "q": 1.0, "T": 0.0},
+            {"s": float("nan"), "p": 2.0, "q": 1.0, "T": 1.0},
+            {"s": 0.5, "p": float("nan"), "q": 1.0, "T": 1.0},
+            {"s": 0.5, "p": float("inf"), "q": 1.0, "T": 1.0},
+            {"s": 0.5, "p": 2.0, "q": float("nan"), "T": 1.0},
+            {"s": 0.5, "p": 2.0, "q": float("inf"), "T": 1.0},
+            {"s": 0.5, "p": 2.0, "q": 1.0, "T": float("nan")},
+            {"s": 0.5, "p": 2.0, "q": 1.0, "T": float("inf")},
+            {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "dt_out": float("nan")},
+            {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "atol": float("nan")},
+            {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "rtol": float("inf")},
+            {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "eps_reg": float("nan")},
+            {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "picard_tol": float("nan")},
+            {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "picard_max": float("inf")},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises((fg.ExponentOutOfRange, fg.DomainError)):
             fg.FlowConfig(**kwargs)
+
+
+class TestNonFiniteState:
+    """A NaN or inf state ends in a typed error within a few seconds."""
+
+    def test_integrate_nan_state_underflows(self, k2):
+        # a NaN error estimate used to grow h, which the output grid clamped
+        # back, so the loop never ended
+        cfg = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0)
+        with wall_clock_limit(10), pytest.raises(fg.StepSizeUnderflow):
+            _integrate(lambda t, u: -u, np.array([1.0, np.nan]), cfg.output_times(), cfg, k2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("solver", ["direct", "frozen", "picard"])
+    def test_solvers_reject_nonfinite_u0(self, k2_kernel, solver, bad):
+        cfg = fg.FlowConfig(s=0.5, p=2.5, q=2.0, T=1.0)
+        u0 = np.array([1.0, bad])
+        with wall_clock_limit(10), pytest.raises(fg.DomainError):
+            if solver == "direct":
+                fg.evolve_direct(k2_kernel, u0, cfg)
+            elif solver == "frozen":
+                a = fg.FrozenCoefficient.constant(cfg.output_times(), np.ones(2), 2.0)
+                fg.solve_frozen(k2_kernel, a, u0, cfg)
+            else:
+                fg.picard_solve(k2_kernel, u0, cfg)

@@ -40,6 +40,20 @@ class TestValidate:
         g = fg.Graph(mu=np.ones(2), weights=w)
         assert "AsymmetricWeight" in {v.code for v in fg.validate(g)}
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_weight(self, bad):
+        g = fg.Graph(mu=np.ones(2), weights=np.array([[0.0, bad], [bad, 0.0]]))
+        codes = {v.code for v in fg.validate(g)}
+        assert "NonFiniteWeight" in codes
+        assert "AsymmetricWeight" not in codes
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_measure(self, bad):
+        g = fg.Graph(mu=np.array([1.0, bad]), weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        codes = {v.code for v in fg.validate(g)}
+        assert "NonFiniteMeasure" in codes
+        assert "NonPositiveMeasure" not in codes
+
     def test_require_valid_raises(self):
         g = fg.Graph(mu=np.ones(2), weights=np.array([[0.0, -1.0], [-1.0, 0.0]]))
         with pytest.raises(fg.InvalidGraph):

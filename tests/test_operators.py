@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dense_reference as dense
 import fracgraph as fg
 from conftest import make_random_graph
 
@@ -197,3 +198,56 @@ class TestIntegrationByParts:
         mu = kern.graph.mu
         lhs = abs(fg.mu_inner(kern.graph, fg.frac_p_laplacian(kern, u, p, 1e-12), v))
         assert fg.ibp_residual(kern, u, v, p, 1e-12) <= 1e-10 * (2.0 * lhs + 1.0)
+
+
+kernels = st.builds(
+    lambda seed, n, s: fg.build_kernel(
+        fg.random_connected_graph(np.random.default_rng(seed), n), s
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    s=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+exponents = st.floats(1.0, 4.0, exclude_min=True, exclude_max=True)
+regularizations = st.sampled_from([0.0, 1e-12])
+
+
+class TestDenseReference:
+    """The kernel-product operators against the pairwise sums in dense_reference."""
+
+    @given(kern=kernels, p=exponents, eps_reg=regularizations,
+           level=st.floats(-2.0, 2.0), log_spread=st.floats(-8.0, 0.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_pairwise_sums(self, kern, p, eps_reg, level, log_spread, seed):
+        # near-constant states (spread down to 1e-8) are where the expanded
+        # products cancel; the bound is relative to the pairwise result
+        rng = np.random.default_rng(seed)
+        u = level + 10.0**log_spread * rng.uniform(-1.0, 1.0, kern.n)
+        v = level + 10.0**log_spread * rng.uniform(-1.0, 1.0, kern.n)
+
+        def assert_close(out, ref):
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        assert_close(fg.frac_gradient_norms(kern, u), dense.gradient_norms(kern, u))
+        assert_close(fg.frac_laplacian(kern, u), dense.laplacian(kern, u))
+        assert_close(fg.frac_p_laplacian(kern, u, p, eps_reg),
+                     dense.p_laplacian(kern, u, p, eps_reg))
+        assert_close(fg.dirichlet_p_energy(kern, u, p), dense.dirichlet_p_energy(kern, u, p))
+        # the pairwise residual carries the round-off of its uncentred sides
+        # (~1e-6 of their size at spread 1e-8), so the identity is held to
+        # the size of the pairwise sides instead
+        lhs, rhs = dense.ibp_sides(kern, u, v, p, eps_reg)
+        assert fg.ibp_residual(kern, u, v, p, eps_reg) <= 1e-12 * (abs(lhs) + abs(rhs))
+
+    @given(kern=kernels, p=exponents, eps_reg=regularizations,
+           level=st.floats(-1e6, 1e6))
+    @example(kern=fg.build_kernel(make_random_graph(0, n=7), 0.5), p=1.5, eps_reg=0.0,
+             level=0.1)
+    @settings(max_examples=50, deadline=None)
+    def test_constant_state_is_exactly_zero(self, kern, p, eps_reg, level):
+        u = np.full(kern.n, level)
+        np.testing.assert_array_equal(fg.frac_gradient_norms(kern, u), 0.0)
+        np.testing.assert_array_equal(fg.frac_laplacian(kern, u), 0.0)
+        np.testing.assert_array_equal(fg.frac_p_laplacian(kern, u, p, eps_reg), 0.0)
+        assert fg.dirichlet_p_energy(kern, u, p) == 0.0
