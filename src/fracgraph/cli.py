@@ -118,7 +118,20 @@ def _svg_lineplot(path: Path, times: np.ndarray, series: dict[str, np.ndarray], 
 
 
 def _make_u0(graph: Graph, args) -> tuple[np.ndarray, dict]:
-    spec = args.u0
+    try:
+        u0, meta = _parse_u0(graph, args.u0)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise UsageError(f"bad u0 {args.u0!r}: {exc}") from exc
+    if u0.shape != (graph.n,):
+        raise UsageError(f"u0 has shape {u0.shape}, graph has {graph.n} vertices")
+    if not np.isfinite(u0).all():
+        raise UsageError("u0 must be finite")
+    if np.min(u0) <= 0:
+        raise UsageError("u0 must be strictly positive")
+    return u0, meta
+
+
+def _parse_u0(graph: Graph, spec) -> tuple[np.ndarray, dict]:
     if isinstance(spec, list):
         u0 = np.asarray(spec, dtype=float)
         meta = {"kind": "explicit"}
@@ -140,12 +153,6 @@ def _make_u0(graph: Graph, args) -> tuple[np.ndarray, dict]:
             raise UsageError(f"unknown u0 generator kind: {kind!r}")
     else:
         raise UsageError("u0 must be a vector or a generator spec")
-    if len(u0) != graph.n:
-        raise UsageError(f"u0 has length {len(u0)}, graph has {graph.n} vertices")
-    if not np.isfinite(u0).all():
-        raise UsageError("u0 must be finite")
-    if np.min(u0) <= 0:
-        raise UsageError("u0 must be strictly positive")
     return u0, meta
 
 
@@ -168,15 +175,12 @@ def _apply_config_file(args):
         data = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad config file: {exc}") from exc
-    mapping = {
-        "s": "s", "p": "p", "q": "q", "T": "T", "dt_out": "dt_out",
-        "atol": "atol", "rtol": "rtol", "eps_reg": "eps_reg",
-        "picard_tol": "picard_tol", "picard_max": "picard_max",
-        "solver": "solver", "u0": "u0",
-    }
-    for key, attr in mapping.items():
-        if key in data and getattr(args, attr, None) in (None, _UNSET):
-            setattr(args, attr, data[key])
+    if not isinstance(data, dict):
+        raise UsageError("config file must hold a JSON object")
+    for key in ("s", "p", "q", "T", "dt_out", "atol", "rtol", "eps_reg",
+                "picard_tol", "picard_max", "solver", "u0"):
+        if key in data and getattr(args, key, None) in (None, _UNSET):
+            setattr(args, key, data[key])
 
 
 _UNSET = object()
@@ -240,14 +244,32 @@ def _run_solver(graph: Graph, kernel: FractionalKernel, u0: np.ndarray,
     return traj, iters, history
 
 
-def cmd_evolve(args) -> int:
+def _setup(args, cache: dict | None = None):
+    """Set-up shared by every solve: graph, config, u0, output dir and kernel.
+
+    The graph and the kernel come from ``cache``; without one, the solve loads
+    the graph and decomposes it.  A sweep worker passes the same dict to each
+    of its solves (all on one graph), so the graph is loaded, validated and
+    decomposed once and a kernel is rebuilt only when s changes.
+    """
+    cache = {} if cache is None else cache
     _apply_config_file(args)
     _fill_defaults(args)
-    graph = _load_graph(args.graph)
+    if "graph" not in cache:
+        cache["graph"] = _load_graph(args.graph)
+    graph = cache["graph"]
     config = _flow_config(args)
     u0, u0_meta = _make_u0(graph, args)
     out = _output_dir(args)
-    kernel = build_kernel(graph, config.s)
+    if "kernel" not in cache or cache["kernel"].s != config.s:
+        cache.pop("kernel", None)  # hold one kernel at a time
+        cache["kernel"] = build_kernel(graph, config.s, cache.get("dec"))
+        cache["dec"] = cache["kernel"].dec
+    return graph, config, u0, u0_meta, out, cache["kernel"]
+
+
+def cmd_evolve(args, cache: dict | None = None) -> int:
+    graph, config, u0, u0_meta, out, kernel = _setup(args, cache)
 
     summary = {
         "solver": args.solver,
@@ -291,13 +313,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _apply_config_file(args)
-    _fill_defaults(args)
-    graph = _load_graph(args.graph)
-    config = _flow_config(args)
-    u0, u0_meta = _make_u0(graph, args)
-    out = _output_dir(args)
-    kernel = build_kernel(graph, config.s)
+    graph, config, u0, u0_meta, out, kernel = _setup(args)
 
     try:
         traj, iters, _ = _run_solver(graph, kernel, u0, config, args.solver)
@@ -325,16 +341,26 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
 
 
+# The graph, decomposition and current kernel of this worker's sweep.  Each
+# sweep starts its own pool, whose initializer only empties the dict, so the
+# state never outlives one sweep.  The loading happens in the first solve, so
+# an unreadable graph fails that solve's tag like any other input error.
+_worker_cache: dict = {}
+
+
+def _clear_worker_cache():
+    _worker_cache.clear()
+
+
 def _sweep_worker(payload) -> tuple[str, int]:
     graph_path, outdir, base, s, p, q = payload
+    tag = f"s{s}_p{p}_q{q}"
     args = argparse.Namespace(
-        graph=graph_path, config=None, output_dir=outdir,
+        graph=graph_path, config=None, output_dir=str(Path(outdir) / tag),
         emit_plots=False, **{**base, "s": s, "p": p, "q": q},
     )
-    tag = f"s{s}_p{p}_q{q}"
-    args.output_dir = str(Path(outdir) / tag)
     try:
-        code = cmd_evolve(args)
+        code = cmd_evolve(args, _worker_cache)
     except UsageError as exc:
         print(f"sweep {tag}: {exc}", file=sys.stderr)
         code = EXIT_USAGE
@@ -353,7 +379,8 @@ def cmd_sweep(args) -> int:
     combos = list(product(args.s_list, args.p_list, args.q_list))
     payloads = [(args.graph, str(out), base, s, p, q) for s, p, q in combos]
     worst = EXIT_OK
-    with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    with ProcessPoolExecutor(max_workers=args.workers,
+                             initializer=_clear_worker_cache) as pool:
         for tag, code in pool.map(_sweep_worker, payloads):
             print(f"{'ok' if code == 0 else 'FAIL'} {tag}")
             worst = max(worst, code)

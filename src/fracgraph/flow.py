@@ -19,7 +19,8 @@ min u_0 <= u(x,t) <= max u_0 up to solver tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -65,6 +66,9 @@ _DP_B4 = np.array(
 )
 _DP_E = _DP_B5 - _DP_B4
 
+# Largest number of output intervals T/dt_out; each sample stores a state.
+MAX_OUTPUT_INTERVALS = 10**7
+
 _SAFETY = 0.9
 _SHRINK = 0.2
 _GROW = 5.0
@@ -87,6 +91,10 @@ class FlowConfig:
     picard_max: int = 100
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, numbers.Real) or f.name == "dt_out" and value is None):
+                raise DomainError(f"{f.name} = {value!r} is not a number")
         # every check is written so that NaN fails it; `< inf` rejects inf
         if not 0.0 < self.s < 1.0:
             raise ExponentOutOfRange(f"s = {self.s}, need 0 < s < 1")
@@ -104,6 +112,10 @@ class FlowConfig:
         if not (0.0 <= self.eps_reg < math.inf and 0.0 < self.picard_tol < math.inf
                 and 1 <= self.picard_max < math.inf):
             raise DomainError("bad regularization or Picard parameters")
+        intervals = self.T / self.dt_out
+        if not intervals < math.inf or round(intervals) > MAX_OUTPUT_INTERVALS:
+            raise DomainError(f"T/dt_out = {intervals:g} output intervals, "
+                              f"at most {MAX_OUTPUT_INTERVALS} allowed")
 
     def output_times(self) -> np.ndarray:
         n_out = max(1, round(self.T / self.dt_out))

@@ -55,15 +55,19 @@ class Graph:
     weights : (n, n) symmetric matrix of edge weights; 0 means "no edge",
         the diagonal is 0 (no self-loops).
     labels : optional per-vertex identifiers, defaults to "v0", "v1", ...
+
+    The graph keeps read-only copies of mu and weights, so a graph that has
+    passed validation stays valid and ``require_valid`` checks it only once.
     """
 
     mu: np.ndarray
     weights: np.ndarray
     labels: tuple[str, ...] = field(default=())
+    _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        mu = np.array(self.mu, dtype=float)
+        w = np.array(self.weights, dtype=float)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "weights", w)
         if not self.labels:
@@ -85,9 +89,11 @@ class Graph:
         return math.fsum(self.mu)
 
     def require_valid(self) -> "Graph":
-        report = validate(self)
-        if report:
-            raise InvalidGraph(report)
+        if not self._valid:
+            report = validate(self)
+            if report:
+                raise InvalidGraph(report)
+            object.__setattr__(self, "_valid", True)
         return self
 
 
@@ -248,11 +254,7 @@ def graph_from_json(text: str) -> Graph:
             raise ValueError(f"duplicate edge {labels[i]}-{labels[j]}")
         w[i, j] = w[j, i] = float(e["w"])
 
-    graph = Graph(mu=mu, weights=w, labels=tuple(labels))
-    report = validate(graph)
-    if report:
-        raise InvalidGraph(report)
-    return graph
+    return Graph(mu=mu, weights=w, labels=tuple(labels)).require_valid()
 
 
 def graph_to_json(graph: Graph) -> str:

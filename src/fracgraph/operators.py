@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExponentOutOfRange
+from .errors import DomainError, ExponentOutOfRange
 from .graph import Graph, _check_length
 from .spectral import SpectralDecomposition, decompose, kernel_weights
 
@@ -75,9 +75,17 @@ class FractionalKernel:
         return self.graph.n
 
 
-def build_kernel(graph: Graph, s: float) -> FractionalKernel:
-    """Decompose -Delta and assemble the fractional kernel for exponent s."""
-    dec = decompose(graph)
+def build_kernel(graph: Graph, s: float,
+                 dec: SpectralDecomposition | None = None) -> FractionalKernel:
+    """Assemble the fractional kernel for exponent s.
+
+    ``dec`` is a decomposition of the same graph to reuse; without one, -Delta
+    is decomposed here.
+    """
+    if dec is None:
+        dec = decompose(graph)
+    elif dec.graph is not graph:
+        raise DomainError("dec is a decomposition of another graph")
     return FractionalKernel(graph=graph, s=s, w=kernel_weights(dec, s), dec=dec)
 
 

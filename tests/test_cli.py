@@ -1,9 +1,12 @@
 import json
+from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import fracgraph as fg
+from fracgraph import cli
 from fracgraph.cli import main
 from conftest import wall_clock_limit
 
@@ -176,6 +179,26 @@ class TestEvolveCommand:
                          "--output-dir", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"u0": ["x", 1.0]}, {"p": "2.5"}, {"u0": [[1.0], [2.0]]},
+         {"u0": {"kind": "constant"}}, 3],
+        ids=["u0", "p", "u0-nested", "u0-no-value", "not-an-object"])
+    def test_non_numeric_config_is_usage_error(self, k2_path, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["evolve", k2_path, "--config", str(cfg),
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_output_grid_bound_is_usage_error(self, k2_path, tmp_path, capsys):
+        with wall_clock_limit(20):
+            code = main(["evolve", k2_path, "--T", "1", "--dt-out", "1e-300",
+                         "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "output intervals" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_all_checks_pass(self, k5_path, tmp_path, capsys):
@@ -214,6 +237,53 @@ class TestSweepCommand:
                     "s0.7_p2.0_q1.0", "s0.7_p2.0_q2.0"):
             assert (out / tag / "trajectory.csv").exists()
             assert (out / tag / "summary.json").exists()
+
+    def test_matches_separate_evolve_runs(self, k5_path, tmp_path):
+        common = ["--T", "0.2", "--u0-random", "0.5", "2.0", "--seed", "3"]
+        out = tmp_path / "sweep"
+        code = main(["sweep", k5_path, "--s-list", "0.3,0.7", "--p-list", "1.5,2.5",
+                     "--q-list", "1", "--workers", "2", "--output-dir", str(out)]
+                    + common)
+        assert code == 0
+        for s, p in product((0.3, 0.7), (1.5, 2.5)):
+            single = tmp_path / f"single-{s}-{p}"
+            assert main(["evolve", k5_path, "--s", str(s), "--p", str(p), "--q", "1",
+                         "--output-dir", str(single)] + common) == 0
+            for name in ("trajectory.csv", "summary.json"):
+                swept = (out / f"s{s}_p{p}_q1.0" / name).read_bytes()
+                assert swept == (single / name).read_bytes()
+
+    def test_invalid_s_fails_only_its_tags(self, k2_path, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep", k2_path, "--s-list", "0.5,1.5", "--p-list", "2,3",
+                     "--q-list", "1", "--T", "0.2", "--workers", "2",
+                     "--output-dir", str(out)])
+        assert code == 2
+        status = dict(line.split()[::-1] for line in capsys.readouterr().out.splitlines())
+        assert status == {"s0.5_p2.0_q1.0": "ok", "s0.5_p3.0_q1.0": "ok",
+                          "s1.5_p2.0_q1.0": "FAIL", "s1.5_p3.0_q1.0": "FAIL"}
+        for tag in ("s0.5_p2.0_q1.0", "s0.5_p3.0_q1.0"):
+            assert (out / tag / "trajectory.csv").exists()
+            assert (out / tag / "summary.json").exists()
+        assert not (out / "s1.5_p2.0_q1.0").exists()
+
+    def test_worker_decomposes_once(self, k5_path, tmp_path, monkeypatch):
+        spies = {name: mock.Mock(wraps=getattr(fg.operators, name))
+                 for name in ("decompose", "kernel_weights")}
+        for name, spy in spies.items():
+            monkeypatch.setattr(fg.operators, name, spy)
+        base = {"T": 0.1, "dt_out": None, "atol": 1e-9, "rtol": 1e-9, "eps_reg": 1e-12,
+                "picard_tol": 1e-10, "picard_max": 100, "solver": "direct",
+                "u0": {"kind": "constant", "value": 1.5}}
+        cli._clear_worker_cache()
+        try:
+            codes = [cli._sweep_worker((k5_path, str(tmp_path), base, s, p, 1.0))
+                     for s, p in product((0.3, 0.7), (2.0, 2.5))]
+        finally:
+            cli._clear_worker_cache()
+        assert [code for _, code in codes] == [0, 0, 0, 0]
+        assert spies["decompose"].call_count == 1
+        assert spies["kernel_weights"].call_count == 2
 
 
 class TestMisc:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fracgraph as fg
-from fracgraph.flow import _integrate
+from fracgraph.flow import MAX_OUTPUT_INTERVALS, _integrate
 from conftest import make_random_graph, wall_clock_limit
 
 
@@ -279,6 +279,21 @@ class TestFlowConfig:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises((fg.ExponentOutOfRange, fg.DomainError)):
             fg.FlowConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["s", "p", "q", "T", "dt_out", "atol", "picard_max"])
+    def test_non_numeric_parameter_is_domain_error(self, field):
+        kwargs = {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, field: "0.5"}
+        with pytest.raises(fg.DomainError, match="not a number"):
+            fg.FlowConfig(**kwargs)
+
+    def test_output_grid_is_bounded(self):
+        limit = MAX_OUTPUT_INTERVALS
+        assert limit > 1_280_000  # test_08 samples ~1.28M output intervals
+        cfg = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0, dt_out=1.0 / limit)
+        assert round(cfg.T / cfg.dt_out) == limit
+        for dt_out in (1.0 / (limit + 1), 1e-300, 5e-324):
+            with pytest.raises(fg.DomainError, match="output intervals"):
+                fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0, dt_out=dt_out)
 
 
 class TestNonFiniteState:

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -58,6 +59,25 @@ class TestValidate:
         g = fg.Graph(mu=np.ones(2), weights=np.array([[0.0, -1.0], [-1.0, 0.0]]))
         with pytest.raises(fg.InvalidGraph):
             g.require_valid()
+
+    def test_require_valid_checks_once(self, k2, monkeypatch):
+        g = fg.graph_from_json(fg.graph_to_json(k2))  # validated while parsed
+        spy = mock.Mock(return_value=[])
+        monkeypatch.setattr(fg.graph, "validate", spy)
+        assert g.require_valid() is g
+        fg.decompose(g)
+        assert spy.call_count == 0
+
+    def test_owns_read_only_copies(self):
+        mu, w = np.ones(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+        g = fg.Graph(mu=mu, weights=w).require_valid()
+        w[0, 1] = -1.0
+        mu[0] = 0.0
+        assert g.weights[0, 1] == 1.0 and g.mu[0] == 1.0
+        with pytest.raises(ValueError):
+            g.weights[0, 1] = -1.0
+        with pytest.raises(ValueError):
+            g.mu[0] = 0.0
 
 
 class TestIntegrate:

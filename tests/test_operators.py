@@ -13,6 +13,19 @@ def random_kernel(seed, n=None, s=0.5):
     return fg.build_kernel(g, s)
 
 
+class TestBuildKernel:
+    def test_reused_decomposition_gives_identical_kernel(self, k5):
+        dec = fg.decompose(k5)
+        for s in (0.3, 0.7):
+            reused = fg.build_kernel(k5, s, dec)
+            assert reused.dec is dec
+            np.testing.assert_array_equal(reused.w, fg.build_kernel(k5, s).w)
+
+    def test_decomposition_of_another_graph_is_rejected(self, k2, k5):
+        with pytest.raises(fg.DomainError):
+            fg.build_kernel(k5, 0.5, fg.decompose(k2))
+
+
 class TestGradientNorm:
     def test_constant_vanishes(self, k2_kernel):
         g = fg.frac_gradient_norms(k2_kernel, np.full(2, 3.3))
