@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import build_report, mass
+from .diagnostics import _by_blocks, build_report, mass
 from .errors import FracGraphError, PositivityViolation
 from .flow import FlowConfig, Trajectory, evolve_direct, picard_solve, steady_state
 from .graph import Graph, graph_from_json
@@ -64,20 +64,15 @@ def _write_kernel_csv(path: Path, graph: Graph, w: np.ndarray):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_trajectory_csv(path: Path, graph: Graph, traj: Trajectory,
-                          kernel: FractionalKernel, p: float, q: float):
-    n = graph.n
-    header = ["t"] + [f"u_{i+1}" for i in range(n)] + [
+def _write_trajectory_csv(path: Path, traj: Trajectory, masses: np.ndarray,
+                          energies: np.ndarray):
+    values = traj.values
+    header = ["t"] + [f"u_{i+1}" for i in range(values.shape[1])] + [
         "min_u", "max_u", "mass", "dirichlet_p_energy"]
-    lines = [",".join(header)]
-    for t, u in zip(traj.times, traj.values):
-        row = [_fmt(t)] + [_fmt(v) for v in u] + [
-            _fmt(float(np.min(u))),
-            _fmt(float(np.max(u))),
-            _fmt(mass(graph, u, q)),
-            _fmt(dirichlet_p_energy(kernel, u, p)),
-        ]
-        lines.append(",".join(row))
+    table = np.column_stack([traj.times, values, values.min(axis=1),
+                             values.max(axis=1), masses, energies])
+    row = ",".join([_FMT] * table.shape[1])
+    lines = [",".join(header)] + [row % tuple(r) for r in table.tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -287,22 +282,20 @@ def cmd_evolve(args, cache: dict | None = None) -> int:
         print(f"FAIL solver: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
-    _write_trajectory_csv(out / "trajectory.csv", graph, traj, kernel, config.p, config.q)
+    masses = np.array([mass(graph, u, config.q) for u in traj.values])
+    energies = _by_blocks(lambda u: dirichlet_p_energy(kernel, u, config.p), traj.values)
+    _write_trajectory_csv(out / "trajectory.csv", traj, masses, energies)
     c = steady_state(graph, u0, config.q)
     summary.update({
         "steady_state": c,
         "steady_state_error": float(np.max(np.abs(traj.final - c))),
         "picard_iterations": iters,
         "picard_history": history,
-        "steps_accepted": traj.stats.accepted,
-        "steps_rejected": traj.stats.rejected,
+        **traj.stats.telemetry(),
     })
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
     if args.emit_plots:
-        masses = np.array([mass(graph, u, config.q) for u in traj.values])
-        energies = np.array(
-            [dirichlet_p_energy(kernel, u, config.p) for u in traj.values])
         _svg_lineplot(out / "flow.svg", traj.times, {
             "min_u": traj.values.min(axis=1),
             "max_u": traj.values.max(axis=1),
@@ -334,7 +327,7 @@ def cmd_verify(args) -> int:
     }
     (out / "report.json").write_text(
         report.to_json(checks=checks, u0=u0_meta, solver=args.solver,
-                       picard_iterations=iters) + "\n"
+                       picard_iterations=iters, **traj.stats.telemetry()) + "\n"
     )
     for name, ok in checks.items():
         print(f"{'PASS' if ok else 'FAIL'} {name}")

@@ -4,13 +4,16 @@ Two solvers:
 
 * evolve_direct: reduce to the ordinary differential system
       du/dt(x) = -(1/(q u(x)^(q-1))) (-Delta)_p^s u(x)
-  and integrate with an embedded Dormand-Prince 5(4) pair.
+  and integrate with an embedded Dormand-Prince 5(4) pair.  The error test
+  alone sets the step size; the samples on the output grid come from the
+  pair's continuous extension inside each accepted step.
 
 * picard_solve: frozen-coefficient iteration.  Each sweep solves the linear-
   in-coefficient flow  a(x,t) du/dt + (-Delta)_p^s u = 0  with
   a = q u_prev^(q-1) built from the previous iterate's trajectory (the first
   sweep freezes at the initial datum); sweeps stop when consecutive
-  trajectories agree in the sup norm.
+  trajectories agree in the sup norm.  The coefficient is piecewise linear in
+  time, so no step crosses an output time, where its kinks are.
 
 Both preserve mass int u^q dmu and obey the maximum principle
 min u_0 <= u(x,t) <= max u_0 up to solver tolerance.
@@ -49,22 +52,39 @@ __all__ = [
     "steady_state",
 ]
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau.  Row i of _DP_A combines stages 0..i-1 into
+# the argument of stage i; its last row is the 5th-order weights, so the
+# last stage is the derivative at the new state (FSAL).
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
-_DP_E = _DP_B5 - _DP_B4
+_DP_E = _DP_A[6] - _DP_B4
+# Free 4th-order continuous extension (Shampine 1986; Hairer-Norsett-Wanner I,
+# II.6): u(t + x h) = u(t) + h * sum_ij _DP_P[i, j] x^(j+1) k_i, from the seven
+# stages k_i of the step.
+_DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 # Largest number of output intervals T/dt_out; each sample stores a state.
 MAX_OUTPUT_INTERVALS = 10**7
@@ -132,14 +152,48 @@ class FlowState:
 
 @dataclass
 class StepStats:
+    """What one integration did.
+
+    ``rejected`` counts both kinds of rejection: a failed error test, and a
+    lost positivity (a trial state or a stage argument not positive).
+    ``state_min`` and ``state_max`` bound every accepted state, samples or
+    not, for the maximum-principle check.
+    """
+
     accepted: int = 0
     rejected: int = 0
     max_error: float = 0.0
+    rejected_error: int = 0
+    rejected_positivity: int = 0
+    rhs_evals: int = 0
+    h_min: float = math.inf
+    h_max: float = 0.0
+    snap_time: float | None = None
+    state_min: float = math.inf
+    state_max: float = -math.inf
+
+    def telemetry(self) -> dict:
+        """The run's counts as JSON fields; step sizes are null without a step."""
+        stepped = self.accepted > 0
+        return {
+            "steps_accepted": self.accepted,
+            "steps_rejected": self.rejected,
+            "steps_rejected_error": self.rejected_error,
+            "steps_rejected_positivity": self.rejected_positivity,
+            "rhs_evaluations": self.rhs_evals,
+            "h_min": self.h_min if stepped else None,
+            "h_max": self.h_max if stepped else None,
+            "snap_time": self.snap_time,
+        }
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Solution sampled on the uniform output grid."""
+    """Solution sampled on the uniform output grid.
+
+    A sample is the accepted state when a step ends on its time, and the
+    stepper's continuous extension inside the step otherwise.
+    """
 
     times: np.ndarray
     values: np.ndarray  # shape (len(times), n)
@@ -205,26 +259,33 @@ def rhs_direct(
     q: float,
     eps_reg: float = 0.0,
 ) -> np.ndarray:
-    """Right-hand side of the ODE reduction: -(-Delta)_p^s u / (q u^(q-1))."""
-    u = _check_length(kernel.graph, u, "u")
+    """Right-hand side of the ODE reduction: -(-Delta)_p^s u / (q u^(q-1)).
+
+    A stack u (m, n) gives the right-hand side at each of its rows.
+    """
+    u = _check_length(kernel.graph, u, "u", stack=True)
     if np.min(u) <= 0.0:
         raise NonPositiveState(f"min u = {np.min(u)}")
     return -frac_p_laplacian(kernel, u, p, eps_reg) / (q * u ** (q - 1.0))
 
 
 def _trial_step(f, t: float, u: np.ndarray, h: float, f0: np.ndarray):
-    """One Dormand-Prince 5(4) attempt; returns (u5, err_vec, f_new).
+    """One Dormand-Prince 5(4) attempt; returns (u5, err_vec, stages).
 
-    FSAL: the last stage evaluation is the derivative at the accepted point.
+    The stages form a (7, n) array; the last one is the derivative at u5.
     """
-    k = [f0]
-    for i in range(1, 6):
-        ui = u + h * sum(a * ki for a, ki in zip(_DP_A[i], k))
-        k.append(f(t + _DP_C[i] * h, ui))
-    u5 = u + h * sum(a * ki for a, ki in zip(_DP_A[6], k))
-    k.append(f(t + h, u5))
-    err = h * sum(e * ki for e, ki in zip(_DP_E, k))
-    return u5, err, k[6]
+    k = np.empty((7, len(u)))
+    k[0] = f0
+    for i in range(1, 7):
+        ui = u + h * (_DP_A[i, :i] @ k[:i])
+        k[i] = f(t + _DP_C[i] * h, ui)
+    return ui, h * (_DP_E @ k), k
+
+
+def _dense_output(u: np.ndarray, h: float, k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """States at the fractions x in [0, 1] of the step of size h from u."""
+    powers = x[:, None] ** np.arange(1, 5)  # x, x^2, x^3, x^4
+    return u + h * (powers @ _DP_P.T @ k)
 
 
 def _initial_step(f0: np.ndarray, u0: np.ndarray, atol: float, rtol: float, h_max: float) -> float:
@@ -239,13 +300,16 @@ def _steady_constant(graph: Graph, u: np.ndarray, q: float) -> float:
     return (integrate(graph, u**q) / graph.volume()) ** (1.0 / q)
 
 
-def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: Graph):
-    """Adaptive integration hitting every output time exactly.
+def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: Graph,
+               stops: np.ndarray | tuple = ()):
+    """Adaptive integration; returns the states at the output times and the stats.
 
-    Steps are clamped to output-grid boundaries, so grid samples are accepted
-    Runge-Kutta states rather than interpolants.  A step is rejected (and dt
-    halved) if the trial state loses positivity, or if a stage evaluation
-    raises NonPositiveState.
+    The error test alone sets the step size, except that no step passes a
+    stop: a time in ``stops`` or the horizon times[-1], which a step then
+    ends on exactly.  An output time inside an accepted step is sampled from
+    the pair's continuous extension; one that a step ends on gets the
+    accepted state.  A step is rejected (and h halved) if the trial state
+    loses positivity, or if a stage evaluation raises NonPositiveState.
 
     Steady-state snap: once max(u) - min(u) falls below 1000x the local step
     tolerance, the state is replaced by its mass-consistent constant and held
@@ -255,52 +319,71 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
     tolerance.  Without the snap, the regularized degenerate factor (p < 2)
     makes the post-collapse phase artificially stiff for an explicit pair.
     """
-    atol, rtol, horizon = config.atol, config.rtol, float(times[-1])
+    atol, rtol = config.atol, config.rtol
+    t, horizon = float(times[0]), float(times[-1])
+    stops = np.asarray(stops, dtype=float)
+    stops = np.append(stops[(stops > t) & (stops < horizon)], horizon)
     h_floor = 1e-14 * horizon
     stats = StepStats()
+
+    def counted(ti, ui):
+        stats.rhs_evals += 1
+        return f(ti, ui)
+
     out = np.empty((len(times), len(u0)))
     out[0] = u0
-
-    t, u = float(times[0]), u0.copy()
-    f_cur = f(t, u)
+    filled, next_stop = 1, 0  # samples out[:filled] are done
+    u = u0.copy()
+    stats.state_min, stats.state_max = float(np.min(u)), float(np.max(u))
+    f_cur = counted(t, u)
     h = _initial_step(f_cur, u, atol, rtol, config.dt_out)
 
-    for k in range(1, len(times)):
-        t_target = float(times[k])
-        while t < t_target:
-            snap_tol = 1e3 * (atol + rtol * float(np.max(np.abs(u))))
-            if float(np.max(u)) - float(np.min(u)) <= snap_tol:
-                out[k:] = _steady_constant(graph, u, config.q)
-                return out, stats
-            h = min(h, t_target - t)
-            if h < h_floor:
-                raise StepSizeUnderflow(f"dt = {h:.3e} at t = {t:.6g}")
-            try:
-                u_new, err, f_new = _trial_step(f, t, u, h, f_cur)
-                reject_positivity = bool(np.min(u_new) <= 0.0)
-            except NonPositiveState:
-                u_new, err, f_new = None, None, None
-                reject_positivity = True
-            if reject_positivity:
-                stats.rejected += 1
-                h *= 0.5
-                continue
-            tol = atol + rtol * float(np.max(np.abs(u)))
-            err_norm = float(np.max(np.abs(err))) / tol
-            if err_norm <= 1.0:
-                stats.accepted += 1
-                stats.max_error = max(stats.max_error, err_norm * tol)
-                t_new = t + h
-                # land exactly on the grid point when this step reaches it
-                t = t_target if t_target - t_new <= 1e-12 * horizon else t_new
-                u, f_cur = u_new, f_new
-            else:
-                stats.rejected += 1
-            factor = _SAFETY * err_norm ** -_ORDER_EXP if err_norm > 0 else _GROW
-            if not math.isfinite(err_norm):  # a NaN state must end in StepSizeUnderflow
-                factor = _SHRINK
-            h *= min(_GROW, max(_SHRINK, factor))
-        out[k] = u
+    while t < horizon:
+        snap_tol = 1e3 * (atol + rtol * float(np.max(np.abs(u))))
+        if float(np.max(u)) - float(np.min(u)) <= snap_tol:
+            out[filled:] = _steady_constant(graph, u, config.q)
+            stats.snap_time = t
+            break
+        t_stop = float(stops[next_stop])
+        h = min(h, t_stop - t)
+        if h < h_floor:
+            raise StepSizeUnderflow(f"dt = {h:.3e} at t = {t:.6g}")
+        try:
+            u_new, err, k = _trial_step(counted, t, u, h, f_cur)
+            reject_positivity = bool(np.min(u_new) <= 0.0)
+        except NonPositiveState:
+            reject_positivity = True
+        if reject_positivity:
+            stats.rejected += 1
+            stats.rejected_positivity += 1
+            h *= 0.5
+            continue
+        tol = atol + rtol * float(np.max(np.abs(u)))
+        err_norm = float(np.max(np.abs(err))) / tol
+        if err_norm <= 1.0:
+            stats.accepted += 1
+            stats.max_error = max(stats.max_error, err_norm * tol)
+            stats.h_min, stats.h_max = min(stats.h_min, h), max(stats.h_max, h)
+            stats.state_min = min(stats.state_min, float(np.min(u_new)))
+            stats.state_max = max(stats.state_max, float(np.max(u_new)))
+            t_new = t + h
+            if t_stop - t_new <= 1e-12 * horizon:  # land exactly on the stop
+                t_new = t_stop
+                next_stop += 1
+            end = int(np.searchsorted(times, t_new, side="right"))
+            if end > filled:
+                out[filled:end] = _dense_output(u, h, k, (times[filled:end] - t) / h)
+                if times[end - 1] == t_new:
+                    out[end - 1] = u_new
+                filled = end
+            t, u, f_cur = t_new, u_new, k[6]
+        else:
+            stats.rejected += 1
+            stats.rejected_error += 1
+        factor = _SAFETY * err_norm ** -_ORDER_EXP if err_norm > 0 else _GROW
+        if not math.isfinite(err_norm):  # a NaN state must end in StepSizeUnderflow
+            factor = _SHRINK
+        h *= min(_GROW, max(_SHRINK, factor))
     return out, stats
 
 
@@ -350,9 +433,12 @@ def _make_rhs(kernel: FractionalKernel, config: FlowConfig, frozen: FrozenCoeffi
     return f
 
 
-def _check_bounds(values: np.ndarray, u0: np.ndarray, slack: float = 1e-9):
+def _check_bounds(values: np.ndarray, u0: np.ndarray, stats: StepStats, slack: float = 1e-9):
+    """Maximum principle on the samples and on every accepted state."""
     lo, hi = float(np.min(u0)), float(np.max(u0))
-    excess = max(float(np.max(values)) - hi, lo - float(np.min(values)))
+    top = max(float(np.max(values)), stats.state_max)
+    bottom = min(float(np.min(values)), stats.state_min)
+    excess = max(top - hi, lo - bottom)
     if excess > slack:
         raise BoundViolation(
             f"trajectory leaves [{lo:.6g}, {hi:.6g}] by {excess:.3e}"
@@ -364,7 +450,7 @@ def evolve_direct(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig) 
     u0 = _check_state(kernel.graph, u0, "u0")
     times = config.output_times()
     values, stats = _integrate(_make_rhs(kernel, config, None), u0, times, config, kernel.graph)
-    _check_bounds(values, u0)
+    _check_bounds(values, u0, stats)
     return Trajectory(times=times, values=values, stats=stats)
 
 
@@ -374,13 +460,19 @@ def solve_frozen(
     u0: np.ndarray,
     config: FlowConfig,
 ) -> Trajectory:
-    """Integrate the frozen-coefficient flow  a(x,t) du/dt + (-Delta)_p^s u = 0."""
+    """Integrate the frozen-coefficient flow  a(x,t) du/dt + (-Delta)_p^s u = 0.
+
+    Unless a is constant in time, every step ends on one of its sample
+    times, so none crosses a kink of its linear interpolation.
+    """
     u0 = _check_state(kernel.graph, u0, "u0")
     if np.min(a.values) <= 0.0:
         raise NonPositiveState(f"min a = {np.min(a.values)}")
     times = config.output_times()
-    values, stats = _integrate(_make_rhs(kernel, config, a), u0, times, config, kernel.graph)
-    _check_bounds(values, u0)
+    kinks = () if np.all(a.values == a.values[0]) else a.times
+    values, stats = _integrate(_make_rhs(kernel, config, a), u0, times, config, kernel.graph,
+                               stops=kinks)
+    _check_bounds(values, u0, stats)
     return Trajectory(times=times, values=values, stats=stats)
 
 

@@ -97,12 +97,13 @@ class Graph:
         return self
 
 
-def _check_length(graph: Graph, f: np.ndarray, name: str = "f") -> np.ndarray:
+def _check_length(graph: Graph, f: np.ndarray, name: str = "f",
+                  stack: bool = False) -> np.ndarray:
+    """f as floats of shape (n,); with ``stack``, a stack (m, n) of them too."""
     f = np.asarray(f, dtype=float)
-    if f.shape != (graph.n,):
-        raise LengthMismatch(
-            f"{name} has shape {f.shape}, expected ({graph.n},)"
-        )
+    if f.shape[-1:] != (graph.n,) or f.ndim > (2 if stack else 1):
+        expected = f"({graph.n},)" + (f" or (m, {graph.n})" if stack else "")
+        raise LengthMismatch(f"{name} has shape {f.shape}, expected {expected}")
     return f
 
 

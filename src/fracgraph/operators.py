@@ -30,6 +30,10 @@ size r u^2 would cancel down to the tiny spread and lose its digits.  The
 shift is exact for values within a factor two of each other, and makes v = 0
 on a constant u, so every operator returns exactly 0 there.  Round-off can
 leave a sum of squares slightly negative; it is clamped at 0.
+
+frac_p_laplacian and dirichlet_p_energy also take a stack of states, an
+(m, n) array with one state per row; each row is centred by its own first
+entry, and the products with W become one matrix product for the stack.
 """
 
 from __future__ import annotations
@@ -90,12 +94,13 @@ def build_kernel(graph: Graph, s: float,
 
 
 def _apply(kernel: FractionalKernel, *fs: np.ndarray) -> np.ndarray:
-    """Rows W f for each vertex function f, as one matrix product."""
-    return np.array(fs) @ kernel.w.T
+    """W f for each vertex function (or stack of them) f, as one matrix product."""
+    stack = np.array(fs)
+    return (stack.reshape(-1, kernel.n) @ kernel.w.T).reshape(stack.shape)
 
 
 def _centred(u: np.ndarray) -> np.ndarray:
-    return u - u[0]
+    return u - u[..., :1]
 
 
 def _squared_gradients(kernel: FractionalKernel, v: np.ndarray):
@@ -156,20 +161,24 @@ def frac_p_laplacian(
     p: float,
     eps_reg: float = 0.0,
 ) -> np.ndarray:
-    """Fractional p-Laplacian; reduces exactly to frac_laplacian at p = 2."""
+    """Fractional p-Laplacian of u, or of each row of a stack u (m, n).
+
+    Reduces exactly to frac_laplacian at p = 2.
+    """
     if not p > 1.0:
         raise ExponentOutOfRange(f"p = {p}, need p > 1")
-    v = _centred(_check_length(kernel.graph, u, "u"))
+    v = _centred(_check_length(kernel.graph, u, "u", stack=True))
     return _p_laplacian(kernel, v, p, eps_reg)[0]
 
 
-def dirichlet_p_energy(kernel: FractionalKernel, u: np.ndarray, p: float) -> float:
-    """int_V |grad^s u|^p dmu."""
+def dirichlet_p_energy(kernel: FractionalKernel, u: np.ndarray, p: float) -> float | np.ndarray:
+    """int_V |grad^s u|^p dmu; for a stack u (m, n), the m energies of its rows."""
     if not p >= 1.0:
         raise ExponentOutOfRange(f"p = {p}, need p >= 1")
-    u = _check_length(kernel.graph, u, "u")
+    u = _check_length(kernel.graph, u, "u", stack=True)
     g2 = _squared_gradients(kernel, _centred(u))[0]
-    return float(np.dot(g2 ** (p / 2.0), kernel.graph.mu))
+    energy = g2 ** (p / 2.0) @ kernel.graph.mu
+    return float(energy) if u.ndim == 1 else energy
 
 
 def sobolev_norm(kernel: FractionalKernel, u: np.ndarray, p: float) -> float:

@@ -215,6 +215,23 @@ class TestVerifyCommand:
         report = json.loads((out / "report.json").read_text())
         assert all(report["checks"].values())
 
+    def test_report_and_summary_record_run_telemetry(self, k5_path, tmp_path):
+        flags = ["--T", "0.5", "--u0-random", "0.5", "2.0"]
+        assert main(["verify", k5_path, *flags, "--output-dir", str(tmp_path / "v")]) == 0
+        assert main(["evolve", k5_path, *flags, "--output-dir", str(tmp_path / "e")]) == 0
+        report = json.loads((tmp_path / "v" / "report.json").read_text())
+        summary = json.loads((tmp_path / "e" / "summary.json").read_text())
+        for doc in (report, summary):
+            assert doc["steps_rejected"] == (doc["steps_rejected_error"]
+                                             + doc["steps_rejected_positivity"])
+            assert doc["rhs_evaluations"] > 6 * doc["steps_accepted"] > 0
+            assert 0.0 < doc["h_min"] <= doc["h_max"]
+            assert doc["snap_time"] is None
+        # the same solve, so the same telemetry in both files
+        fields = ("steps_accepted", "steps_rejected", "steps_rejected_error",
+                  "steps_rejected_positivity", "rhs_evaluations", "h_min", "h_max")
+        assert [report[k] for k in fields] == [summary[k] for k in fields]
+
     def test_sloppy_tolerances_fail(self, k5_path, tmp_path):
         # with atol = rtol = 1 the integrator cannot conserve mass to 1e-8
         code = main(

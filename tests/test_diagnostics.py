@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fracgraph as fg
+from fracgraph import diagnostics
 from fracgraph.flow import StepStats, Trajectory
 
 
@@ -123,6 +124,22 @@ class TestGradientDecay:
     def test_final_derivative_small_after_decay(self, k2_kernel):
         traj, _ = run_flow(k2_kernel, [1.5, 0.5], s=0.5, p=2.0, q=1.0, T=30.0)
         assert fg.time_derivative_sup(traj, k2_kernel, 2.0, 1.0) <= 1e-9
+
+
+class TestBlocks:
+    def test_blocks_match_a_loop_over_samples(self, k5_kernel, monkeypatch):
+        # blocks of 4 rows over 11 samples: two full blocks and a short one
+        monkeypatch.setattr(diagnostics, "_BLOCK_ROWS", 4)
+        u0 = np.random.default_rng(8).uniform(0.5, 2.0, 5)
+        p, q = 2.5, 1.5
+        traj, _ = run_flow(k5_kernel, u0, s=0.5, p=p, q=q, T=1.0, dt_out=0.1)
+        energies = [fg.dirichlet_p_energy(k5_kernel, u, p) for u in traj.values]
+        integrand = [fg.integrate(k5_kernel.graph,
+                                  u ** (q - 1.0) * fg.rhs_direct(k5_kernel, u, p, q, 1e-12) ** 2)
+                     for u in traj.values]
+        np.testing.assert_allclose(fg.gradient_decay(traj, k5_kernel, p), energies, rtol=1e-12)
+        lhs, _, _ = fg.dissipation_check(traj, k5_kernel, p, q)
+        assert lhs == pytest.approx(np.trapezoid(integrand, traj.times), rel=1e-12)
 
 
 class TestBuildReport:

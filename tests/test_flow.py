@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import fracgraph as fg
-from fracgraph.flow import MAX_OUTPUT_INTERVALS, _integrate
+from fracgraph import flow
+from fracgraph.flow import MAX_OUTPUT_INTERVALS, _check_bounds, _integrate
 from conftest import make_random_graph, wall_clock_limit
 
 
@@ -184,6 +185,29 @@ class TestSolveFrozen:
         direct = fg.evolve_direct(k2_kernel, u0, cfg1)
         np.testing.assert_allclose(frozen.values, direct.values, atol=1e-9)
 
+    def test_nonconstant_coefficient_steps_end_on_every_grid_time(
+        self, k2_kernel, monkeypatch
+    ):
+        u0 = np.array([1.4, 0.6])
+        cfg = fg.FlowConfig(s=0.5, p=2.5, q=1.5, T=1.0, dt_out=0.1)
+        a = fg.FrozenCoefficient.from_trajectory(fg.evolve_direct(k2_kernel, u0, cfg), cfg.q)
+        evaluated = []
+
+        def recording(kernel, u, p, eps_reg=0.0):
+            evaluated.append(np.array(u))
+            return fg.frac_p_laplacian(kernel, u, p, eps_reg)
+
+        monkeypatch.setattr(flow, "frac_p_laplacian", recording)
+
+        def samples_evaluated(traj):
+            return [any(np.array_equal(u, v) for v in evaluated) for u in traj.values[1:]]
+
+        # a sample the right-hand side was evaluated at is the last stage of
+        # a step ending there; an interpolant would match no evaluated state
+        assert all(samples_evaluated(fg.solve_frozen(k2_kernel, a, u0, cfg)))
+        evaluated.clear()
+        assert not all(samples_evaluated(fg.evolve_direct(k2_kernel, u0, cfg)))
+
 
 class TestPicard:
     def test_q1_converges_in_one_iteration(self, k2_kernel):
@@ -319,3 +343,88 @@ class TestNonFiniteState:
                 fg.solve_frozen(k2_kernel, a, u0, cfg)
             else:
                 fg.picard_solve(k2_kernel, u0, cfg)
+
+
+AUDIT_PARAMS = [(0.3, 1.5, 0.5), (0.5, 2.0, 1.0), (0.7, 2.5, 1.5), (0.5, 3.0, 2.0)]
+
+
+class TestDenseOutput:
+    """Steps follow the error test; samples inside a step are interpolated."""
+
+    @pytest.mark.parametrize("s, p, q", AUDIT_PARAMS)
+    def test_matches_steps_clamped_to_the_grid(self, s, p, q):
+        for seed in range(3):
+            kern = fg.build_kernel(make_random_graph(seed, n=8), s)
+            u0 = np.random.default_rng(seed).uniform(0.5, 2.0, kern.n)
+            cfg = fg.FlowConfig(s=s, p=p, q=q, T=0.5, dt_out=0.01)
+            times = cfg.output_times()
+            dense = fg.evolve_direct(kern, u0, cfg)
+            clamped, stats = _integrate(
+                lambda t, u: fg.rhs_direct(kern, u, p, q, cfg.eps_reg),
+                u0, times, cfg, kern.graph, stops=times,
+            )
+            assert dense.stats.accepted < stats.accepted
+            bound = 100.0 * (cfg.atol + cfg.rtol * float(np.max(u0)))
+            assert np.max(np.abs(dense.values - clamped)) <= bound
+
+    def test_fewer_steps_than_output_intervals(self):
+        kern = fg.build_kernel(make_random_graph(4, n=8), 0.5)
+        u0 = np.random.default_rng(4).uniform(0.5, 2.0, kern.n)
+        cfg = fg.FlowConfig(s=0.5, p=2.5, q=1.5, T=0.05, dt_out=1e-3)
+        traj = fg.evolve_direct(kern, u0, cfg)
+        assert len(traj.times) - 1 == 50
+        assert traj.stats.accepted < 50
+        assert traj.times[-1] == cfg.T
+
+    def test_excursion_between_samples_is_caught(self, k2):
+        # u(t) = u0 + sin(2 pi t) is back at u0 at every sample t = 0, 0.5, 1,
+        # but its accepted states leave the band [2, 3] in between
+        u0 = np.array([2.0, 3.0])
+        cfg = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0, dt_out=0.5)
+
+        def f(t, u):
+            return np.full_like(u, 2.0 * np.pi * np.cos(2.0 * np.pi * t))
+
+        values, stats = _integrate(f, u0, cfg.output_times(), cfg, k2)
+        np.testing.assert_allclose(values, np.tile(u0, (3, 1)), atol=1e-6)
+        assert stats.state_min < 1.5 and stats.state_max > 3.5
+        with pytest.raises(fg.BoundViolation):
+            _check_bounds(values, u0, stats)
+
+
+class TestStepStats:
+    def test_counts_add_up(self):
+        kern = fg.build_kernel(make_random_graph(6, n=6), 0.5)
+        u0 = np.random.default_rng(6).uniform(0.5, 2.0, kern.n)
+        cfg = fg.FlowConfig(s=0.5, p=2.5, q=1.5, T=1.0)
+        st = fg.evolve_direct(kern, u0, cfg).stats
+        assert st.rejected == st.rejected_error + st.rejected_positivity
+        assert st.rejected_positivity == 0
+        # one evaluation at the start, then six per attempt (FSAL)
+        assert st.rhs_evals == 1 + 6 * (st.accepted + st.rejected)
+        assert 0.0 < st.h_min <= st.h_max <= cfg.T
+        assert st.snap_time is None
+        telemetry = st.telemetry()
+        assert telemetry["rhs_evaluations"] == st.rhs_evals
+        assert telemetry["steps_rejected_error"] == st.rejected_error
+
+    def test_positivity_rejections_counted(self, k2):
+        cfg = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0)
+        calls = []
+
+        def f(t, u):  # the first stage of the first attempt raises
+            calls.append(t)
+            if len(calls) == 2:
+                raise fg.NonPositiveState("forced")
+            return -u
+
+        _, st = _integrate(f, np.array([1.0, 2.0]), cfg.output_times(), cfg, k2)
+        assert st.rejected_positivity == 1
+        assert st.rejected == st.rejected_error + 1
+        assert st.rhs_evals == len(calls)
+
+    def test_snap_time_of_constant_datum(self, k2_kernel):
+        cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0)
+        st = fg.evolve_direct(k2_kernel, np.full(2, 1.2), cfg).stats
+        assert st.snap_time == 0.0
+        assert st.telemetry()["h_min"] is None and st.accepted == 0

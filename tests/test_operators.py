@@ -187,6 +187,36 @@ class TestEnergies:
         )
 
 
+class TestStacks:
+    """A stack of states (m, n) gives, row by row, what single calls give."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
+    def test_rows_match_single_calls(self, p):
+        kern = random_kernel(5, n=9, s=0.4)
+        stack = np.random.default_rng(5).uniform(0.5, 2.0, (6, kern.n))
+        stack[3] = 1.7
+        energies = fg.dirichlet_p_energy(kern, stack, p)
+        rhs = fg.rhs_direct(kern, stack, p, 1.5, 1e-12)
+        assert energies.shape == (6,) and rhs.shape == stack.shape
+        for row, energy, r in zip(stack, energies, rhs):
+            single = fg.dirichlet_p_energy(kern, row, p)
+            assert abs(energy - single) <= 1e-12 * abs(single)
+            single = fg.rhs_direct(kern, row, p, 1.5, 1e-12)
+            assert np.max(np.abs(r - single)) <= 1e-12 * np.max(np.abs(single))
+        assert energies[3] == 0.0
+        np.testing.assert_array_equal(rhs[3], 0.0)
+
+    def test_bad_shapes_rejected(self, k2_kernel):
+        for bad in (np.ones((3, 3)), np.ones((1, 2, 2)), np.float64(1.0)):
+            with pytest.raises(fg.LengthMismatch):
+                fg.dirichlet_p_energy(k2_kernel, bad, 2.0)
+            with pytest.raises(fg.LengthMismatch):
+                fg.frac_p_laplacian(k2_kernel, bad, 2.0)
+        # the functions of one state still take one state only
+        with pytest.raises(fg.LengthMismatch):
+            fg.frac_gradient_norms(k2_kernel, np.ones((2, 2)))
+
+
 class TestIntegrationByParts:
     def test_constant_v(self):
         kern = random_kernel(20)
