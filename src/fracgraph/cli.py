@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from itertools import product
 from pathlib import Path
 
@@ -51,9 +52,11 @@ def _load_graph(path: str) -> Graph:
 
 
 def _output_dir(args) -> Path:
-    out = os.environ.get("FRACGRAPH_OUTPUT_DIR") or args.output_dir
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.output_dir)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory: {exc}") from exc
     return path
 
 
@@ -115,7 +118,7 @@ def _svg_lineplot(path: Path, times: np.ndarray, series: dict[str, np.ndarray], 
 def _make_u0(graph: Graph, args) -> tuple[np.ndarray, dict]:
     try:
         u0, meta = _parse_u0(graph, args.u0)
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise UsageError(f"bad u0 {args.u0!r}: {exc}") from exc
     if u0.shape != (graph.n,):
         raise UsageError(f"u0 has shape {u0.shape}, graph has {graph.n} vertices")
@@ -151,13 +154,18 @@ def _parse_u0(graph: Graph, spec) -> tuple[np.ndarray, dict]:
     return u0, meta
 
 
+# Flags and config files set FlowConfig's fields; one left unset takes FlowConfig's
+# default.  The CLI's own defaults: fields FlowConfig has none for, solver and u0.
+_FLOW_KEYS = tuple(f.name for f in fields(FlowConfig))
+_CLI_DEFAULTS = {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "solver": "direct",
+                 "u0": {"kind": "constant", "value": 1.0}}
+
+
 def _flow_config(args) -> FlowConfig:
+    given = {key: getattr(args, key) for key in _FLOW_KEYS
+             if getattr(args, key, None) is not None}
     try:
-        return FlowConfig(
-            s=args.s, p=args.p, q=args.q, T=args.T, dt_out=args.dt_out,
-            atol=args.atol, rtol=args.rtol, eps_reg=args.eps_reg,
-            picard_tol=args.picard_tol, picard_max=args.picard_max,
-        )
+        return FlowConfig(**given)
     except FracGraphError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -172,24 +180,14 @@ def _apply_config_file(args):
         raise UsageError(f"bad config file: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    for key in ("s", "p", "q", "T", "dt_out", "atol", "rtol", "eps_reg",
-                "picard_tol", "picard_max", "solver", "u0"):
-        if key in data and getattr(args, key, None) in (None, _UNSET):
+    for key in (*_FLOW_KEYS, "solver", "u0"):
+        if key in data and getattr(args, key, None) is None:
             setattr(args, key, data[key])
 
 
-_UNSET = object()
-
-
 def _fill_defaults(args):
-    defaults = {
-        "s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "dt_out": None,
-        "atol": 1e-9, "rtol": 1e-9, "eps_reg": 1e-12,
-        "picard_tol": 1e-10, "picard_max": 100,
-        "solver": "direct", "u0": {"kind": "constant", "value": 1.0},
-    }
-    for key, val in defaults.items():
-        if getattr(args, key, _UNSET) in (None, _UNSET):
+    for key, val in _CLI_DEFAULTS.items():
+        if getattr(args, key, None) is None:
             setattr(args, key, val)
 
 
@@ -228,8 +226,7 @@ def cmd_kernel(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _run_solver(graph: Graph, kernel: FractionalKernel, u0: np.ndarray,
-                config: FlowConfig, solver: str):
+def _run_solver(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig, solver: str):
     if solver == "picard":
         traj, iters, history = picard_solve(kernel, u0, config)
     elif solver == "direct":
@@ -274,7 +271,7 @@ def cmd_evolve(args, cache: dict | None = None) -> int:
         "u0": u0_meta,
     }
     try:
-        traj, iters, history = _run_solver(graph, kernel, u0, config, args.solver)
+        traj, iters, history = _run_solver(kernel, u0, config, args.solver)
     except FracGraphError as exc:
         summary["error"] = type(exc).__name__
         summary["message"] = str(exc)
@@ -309,7 +306,7 @@ def cmd_verify(args) -> int:
     graph, config, u0, u0_meta, out, kernel = _setup(args)
 
     try:
-        traj, iters, _ = _run_solver(graph, kernel, u0, config, args.solver)
+        traj, iters, _ = _run_solver(kernel, u0, config, args.solver)
     except FracGraphError as exc:
         print(f"FAIL solve: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -361,19 +358,20 @@ def _sweep_worker(payload) -> tuple[str, int]:
 
 
 def cmd_sweep(args) -> int:
+    combos = list(product(args.s_list, args.p_list, args.q_list))
+    if not combos:
+        raise UsageError("--s-list, --p-list and --q-list must each hold a value")
+    if args.workers is not None and args.workers < 1:
+        raise UsageError(f"--workers {args.workers}, need at least 1")
     _apply_config_file(args)
     _fill_defaults(args)
     out = _output_dir(args)
-    base = {
-        "T": args.T, "dt_out": args.dt_out, "atol": args.atol, "rtol": args.rtol,
-        "eps_reg": args.eps_reg, "picard_tol": args.picard_tol,
-        "picard_max": args.picard_max, "solver": args.solver, "u0": args.u0,
-    }
-    combos = list(product(args.s_list, args.p_list, args.q_list))
+    base = {key: getattr(args, key) for key in (*_FLOW_KEYS, "solver", "u0")}
     payloads = [(args.graph, str(out), base, s, p, q) for s, p, q in combos]
     worst = EXIT_OK
-    with ProcessPoolExecutor(max_workers=args.workers,
-                             initializer=_clear_worker_cache) as pool:
+    # a forking pool starts all its workers at once, so start no idle ones
+    workers = min(args.workers or os.cpu_count() or 1, len(combos))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_clear_worker_cache) as pool:
         for tag, code in pool.map(_sweep_worker, payloads):
             print(f"{'ok' if code == 0 else 'FAIL'} {tag}")
             worst = max(worst, code)
@@ -451,6 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # here, not in _output_dir, so that sweep workers keep their own directories
+    args.output_dir = os.environ.get("FRACGRAPH_OUTPUT_DIR") or args.output_dir
     _resolve_u0_flags(args)
     try:
         return args.func(args)

@@ -15,6 +15,8 @@ Two solvers:
   trajectories agree in the sup norm.  The coefficient is piecewise linear in
   time, so no step crosses an output time, where its kinks are.
 
+One step controller, _accept_step, serves both _integrate and step().
+
 Both preserve mass int u^q dmu and obey the maximum principle
 min u_0 <= u(x,t) <= max u_0 up to solver tolerance.
 """
@@ -130,8 +132,9 @@ class FlowConfig:
                 and 0.0 <= self.rtol < math.inf):
             raise DomainError("dt_out and atol must be positive, rtol nonnegative, all finite")
         if not (0.0 <= self.eps_reg < math.inf and 0.0 < self.picard_tol < math.inf
-                and 1 <= self.picard_max < math.inf):
+                and 1 <= self.picard_max < math.inf and float(self.picard_max).is_integer()):
             raise DomainError("bad regularization or Picard parameters")
+        object.__setattr__(self, "picard_max", int(self.picard_max))
         intervals = self.T / self.dt_out
         if not intervals < math.inf or round(intervals) > MAX_OUTPUT_INTERVALS:
             raise DomainError(f"T/dt_out = {intervals:g} output intervals, "
@@ -296,20 +299,56 @@ def _initial_step(f0: np.ndarray, u0: np.ndarray, atol: float, rtol: float, h_ma
     return min(h_max, 0.01 * scale ** _ORDER_EXP / rate)
 
 
-def _steady_constant(graph: Graph, u: np.ndarray, q: float) -> float:
-    return (integrate(graph, u**q) / graph.volume()) ** (1.0 / q)
+def _accept_step(f, t: float, u: np.ndarray, f0: np.ndarray, h: float, h_floor: float,
+                 config: FlowConfig, stats: StepStats):
+    """The step controller: retry a step of size h from (t, u) until one is accepted.
+
+    A trial that loses positivity (its state, or a stage argument that raises
+    NonPositiveState) halves h; the error test rescales it.  Returns the
+    accepted h, state and stages, the sup norm of the error estimate, and the
+    next h; counts every trial in ``stats``.
+    """
+    tol = config.atol + config.rtol * float(np.max(np.abs(u)))
+    while True:
+        if not h >= h_floor:  # a NaN h fails too
+            raise StepSizeUnderflow(f"dt = {h:.3e} at t = {t:.6g}")
+        try:
+            u_new, err_vec, k = _trial_step(f, t, u, h, f0)
+            lost_positivity = bool(np.min(u_new) <= 0.0)
+        except NonPositiveState:
+            lost_positivity = True
+        if lost_positivity:
+            stats.rejected += 1
+            stats.rejected_positivity += 1
+            h *= 0.5
+            continue
+        err = float(np.max(np.abs(err_vec)))
+        err_norm = err / tol
+        factor = _SAFETY * err_norm ** -_ORDER_EXP if err_norm > 0 else _GROW
+        if not math.isfinite(err_norm):  # a NaN state must end in StepSizeUnderflow
+            factor = _SHRINK
+        h_next = h * min(_GROW, max(_SHRINK, factor))
+        if err_norm <= 1.0:
+            stats.accepted += 1
+            stats.max_error = max(stats.max_error, err)
+            stats.h_min, stats.h_max = min(stats.h_min, h), max(stats.h_max, h)
+            stats.state_min = min(stats.state_min, float(np.min(u_new)))
+            stats.state_max = max(stats.state_max, float(np.max(u_new)))
+            return h, u_new, k, err, h_next
+        stats.rejected += 1
+        stats.rejected_error += 1
+        h = h_next
 
 
 def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: Graph,
                stops: np.ndarray | tuple = ()):
     """Adaptive integration; returns the states at the output times and the stats.
 
-    The error test alone sets the step size, except that no step passes a
-    stop: a time in ``stops`` or the horizon times[-1], which a step then
-    ends on exactly.  An output time inside an accepted step is sampled from
-    the pair's continuous extension; one that a step ends on gets the
-    accepted state.  A step is rejected (and h halved) if the trial state
-    loses positivity, or if a stage evaluation raises NonPositiveState.
+    The error test alone sets the step size (``_accept_step``), except that
+    no step passes a stop: a time in ``stops`` or the horizon times[-1],
+    which a step then ends on exactly.  An output time inside an accepted
+    step is sampled from the pair's continuous extension; one that a step
+    ends on gets the accepted state.
 
     Steady-state snap: once max(u) - min(u) falls below 1000x the local step
     tolerance, the state is replaced by its mass-consistent constant and held
@@ -341,85 +380,39 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
     while t < horizon:
         snap_tol = 1e3 * (atol + rtol * float(np.max(np.abs(u))))
         if float(np.max(u)) - float(np.min(u)) <= snap_tol:
-            out[filled:] = _steady_constant(graph, u, config.q)
+            out[filled:] = steady_state(graph, u, config.q)
             stats.snap_time = t
             break
         t_stop = float(stops[next_stop])
-        h = min(h, t_stop - t)
-        if h < h_floor:
-            raise StepSizeUnderflow(f"dt = {h:.3e} at t = {t:.6g}")
-        try:
-            u_new, err, k = _trial_step(counted, t, u, h, f_cur)
-            reject_positivity = bool(np.min(u_new) <= 0.0)
-        except NonPositiveState:
-            reject_positivity = True
-        if reject_positivity:
-            stats.rejected += 1
-            stats.rejected_positivity += 1
-            h *= 0.5
-            continue
-        tol = atol + rtol * float(np.max(np.abs(u)))
-        err_norm = float(np.max(np.abs(err))) / tol
-        if err_norm <= 1.0:
-            stats.accepted += 1
-            stats.max_error = max(stats.max_error, err_norm * tol)
-            stats.h_min, stats.h_max = min(stats.h_min, h), max(stats.h_max, h)
-            stats.state_min = min(stats.state_min, float(np.min(u_new)))
-            stats.state_max = max(stats.state_max, float(np.max(u_new)))
-            t_new = t + h
-            if t_stop - t_new <= 1e-12 * horizon:  # land exactly on the stop
-                t_new = t_stop
-                next_stop += 1
-            end = int(np.searchsorted(times, t_new, side="right"))
-            if end > filled:
-                out[filled:end] = _dense_output(u, h, k, (times[filled:end] - t) / h)
-                if times[end - 1] == t_new:
-                    out[end - 1] = u_new
-                filled = end
-            t, u, f_cur = t_new, u_new, k[6]
-        else:
-            stats.rejected += 1
-            stats.rejected_error += 1
-        factor = _SAFETY * err_norm ** -_ORDER_EXP if err_norm > 0 else _GROW
-        if not math.isfinite(err_norm):  # a NaN state must end in StepSizeUnderflow
-            factor = _SHRINK
-        h *= min(_GROW, max(_SHRINK, factor))
+        h, u_new, k, _, h_next = _accept_step(counted, t, u, f_cur, min(h, t_stop - t),
+                                              h_floor, config, stats)
+        t_new = t + h
+        if t_stop - t_new <= 1e-12 * horizon:  # land exactly on the stop
+            t_new = t_stop
+            next_stop += 1
+        end = int(np.searchsorted(times, t_new, side="right"))
+        if end > filled:
+            out[filled:end] = _dense_output(u, h, k, (times[filled:end] - t) / h)
+            if times[end - 1] == t_new:
+                out[end - 1] = u_new
+            filled = end
+        t, u, f_cur, h = t_new, u_new, k[6], h_next
     return out, stats
 
 
-def step(
-    kernel: FractionalKernel,
-    state: FlowState,
-    dt: float,
-    config: FlowConfig,
-    frozen: FrozenCoefficient | None = None,
-):
+def step(kernel: FractionalKernel, state: FlowState, dt: float, config: FlowConfig,
+         frozen: FrozenCoefficient | None = None):
     """One accepted embedded 5(4) step starting from the suggested dt.
 
-    Returns (new state, local error estimate).  The suggested dt is halved on
-    positivity loss and shrunk on error-test failure until acceptance.
+    Returns (new state, local error estimate), from the controller that
+    ``_integrate`` uses: dt is halved on positivity loss and shrunk on
+    error-test failure until acceptance.
     """
     f = _make_rhs(kernel, config, frozen)
     t, u = state.t, _check_state(kernel.graph, state.u, "u")
-    f_cur = f(t, u)
-    h = dt
-    h_floor = 1e-14 * max(config.T, dt)
-    while True:
-        if not h >= h_floor:  # a NaN dt fails too
-            raise StepSizeUnderflow(f"dt = {h:.3e} at t = {t:.6g}")
-        try:
-            u_new, err, _ = _trial_step(f, t, u, h, f_cur)
-        except NonPositiveState:
-            h *= 0.5
-            continue
-        if np.min(u_new) <= 0.0:
-            h *= 0.5
-            continue
-        tol = config.atol + config.rtol * float(np.max(np.abs(u)))
-        err_inf = float(np.max(np.abs(err)))
-        if err_inf <= tol:
-            return FlowState(t=t + h, u=u_new), err_inf
-        h *= min(1.0, max(_SHRINK, _SAFETY * (tol / err_inf) ** _ORDER_EXP))
+    h, u_new, _, err, _ = _accept_step(f, t, u, f(t, u), dt, 1e-14 * max(config.T, dt),
+                                       config, StepStats())
+    return FlowState(t=t + h, u=u_new), err
 
 
 def _make_rhs(kernel: FractionalKernel, config: FlowConfig, frozen: FrozenCoefficient | None):

@@ -98,12 +98,32 @@ def decompose(graph: Graph, zero_tol: float = 1e-10) -> SpectralDecomposition:
     return SpectralDecomposition(graph=graph, eigenvalues=vals, phi=np.ascontiguousarray(phi))
 
 
+def _eigen_sum(dec: SpectralDecomposition, c: np.ndarray) -> np.ndarray:
+    """The matrix sum_i c_i phi_i(x) phi_i(y)."""
+    return dec.phi.T @ (c[:, None] * dec.phi)
+
+
+def _eigen_powers(dec: SpectralDecomposition, s: float) -> np.ndarray:
+    """lambda_i^s, with 0^s = 0 for the zero eigenvalue."""
+    powers = np.where(dec.eigenvalues > 0, dec.eigenvalues, 1.0) ** s
+    powers[dec.eigenvalues <= 0] = 0.0
+    return powers
+
+
+def _assemble_kernel(dec: SpectralDecomposition, powers: np.ndarray) -> np.ndarray:
+    """Kernel -mu(x)mu(y) sum_i powers_i phi_i(x)phi_i(y), symmetrised, zero diagonal."""
+    mu = dec.graph.mu
+    w = -np.outer(mu, mu) * _eigen_sum(dec, powers)
+    w = 0.5 * (w + w.T)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
 def heat_kernel_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
     """Heat kernel h(t,x,y) = sum_i exp(-lambda_i t) phi_i(x) phi_i(y), as a matrix."""
     if t < 0:
         raise NegativeTime(f"t = {t}")
-    decay = np.exp(-dec.eigenvalues * t)
-    return dec.phi.T @ (decay[:, None] * dec.phi)
+    return _eigen_sum(dec, np.exp(-dec.eigenvalues * t))
 
 
 def heat_kernel(dec: SpectralDecomposition, t: float, x: int, y: int) -> float:
@@ -119,13 +139,7 @@ def spectral_weight_matrix(dec: SpectralDecomposition, s: float) -> np.ndarray:
 
     No range check on s; s = 1 recovers the edge weights w exactly.
     """
-    powers = np.where(dec.eigenvalues > 0, dec.eigenvalues, 1.0) ** s
-    powers[dec.eigenvalues <= 0] = 0.0
-    mu = dec.graph.mu
-    w = -np.outer(mu, mu) * (dec.phi.T @ (powers[:, None] * dec.phi))
-    w = 0.5 * (w + w.T)
-    np.fill_diagonal(w, 0.0)
-    return w
+    return _assemble_kernel(dec, _eigen_powers(dec, s))
 
 
 def kernel_weights(dec: SpectralDecomposition, s: float) -> np.ndarray:
@@ -214,21 +228,14 @@ def kernel_weights_oracle(
     For x != y the completeness relation sum_i phi_i(x)phi_i(y) = 0 lets the
     integrand be written as sum_i (exp(-lambda_i t) - 1) phi_i(x) phi_i(y),
     which is O(t) near 0; integrating term by term on shared quadrature nodes
-    reduces the matrix to scalar quadratures, one per eigenvalue.
+    reduces the matrix to scalar quadratures, one per eigenvalue.  Only the
+    final assembly is shared with the spectral route, not the powers.
     """
     if not 0.0 < s < 1.0:
         raise ExponentOutOfRange(f"s = {s}, need 0 < s < 1")
-    powers = np.array(
-        [
-            fractional_power_quadrature(lam, s, tau_min, tau_max, panels)
-            for lam in dec.eigenvalues
-        ]
-    )
-    mu = dec.graph.mu
-    w = -np.outer(mu, mu) * (dec.phi.T @ (powers[:, None] * dec.phi))
-    w = 0.5 * (w + w.T)
-    np.fill_diagonal(w, 0.0)
-    return w
+    powers = [fractional_power_quadrature(lam, s, tau_min, tau_max, panels)
+              for lam in dec.eigenvalues]
+    return _assemble_kernel(dec, np.array(powers))
 
 
 def fractional_laplacian_spectral(
@@ -239,6 +246,4 @@ def fractional_laplacian_spectral(
         raise ExponentOutOfRange(f"s = {s}, need 0 < s < 1")
     u = _check_length(dec.graph, u, "u")
     coeffs = dec.phi @ (u * dec.graph.mu)
-    powers = np.where(dec.eigenvalues > 0, dec.eigenvalues, 1.0) ** s
-    powers[dec.eigenvalues <= 0] = 0.0
-    return (powers * coeffs) @ dec.phi
+    return (_eigen_powers(dec, s) * coeffs) @ dec.phi

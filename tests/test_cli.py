@@ -1,9 +1,13 @@
 import json
+import math
+from dataclasses import fields
 from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import fracgraph as fg
 from fracgraph import cli
@@ -182,8 +186,10 @@ class TestEvolveCommand:
     @pytest.mark.parametrize(
         "config",
         [{"u0": ["x", 1.0]}, {"p": "2.5"}, {"u0": [[1.0], [2.0]]},
-         {"u0": {"kind": "constant"}}, 3],
-        ids=["u0", "p", "u0-nested", "u0-no-value", "not-an-object"])
+         {"u0": {"kind": "constant"}}, 3, {"picard_max": 2.5, "solver": "picard", "q": 2},
+         {"u0": {"kind": "random-uniform", "low": 0.5, "high": 2.0, "seed": math.inf}}],
+        ids=["u0", "p", "u0-nested", "u0-no-value", "not-an-object", "picard-max",
+             "u0-seed-inf"])
     def test_non_numeric_config_is_usage_error(self, k2_path, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -191,6 +197,25 @@ class TestEvolveCommand:
                      "--output-dir", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_config_file_may_set_every_flow_field(self, k2_path, tmp_path, monkeypatch):
+        values = {"s": 0.3, "p": 2.5, "q": 2.0, "T": 0.1, "dt_out": 0.02, "atol": 1e-8,
+                  "rtol": 1e-7, "eps_reg": 1e-10, "picard_tol": 1e-7, "picard_max": 30}
+        assert set(values) == {f.name for f in fields(fg.FlowConfig)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**values, "solver": "picard", "u0": [1.0, 2.0]}))
+        spy = mock.Mock(wraps=cli.picard_solve)
+        monkeypatch.setattr(cli, "picard_solve", spy)
+        assert main(["evolve", k2_path, "--config", str(cfg),
+                     "--output-dir", str(tmp_path / "o")]) == 0
+        assert spy.call_args.args[2] == fg.FlowConfig(**values)
+
+    def test_unset_fields_take_flow_config_defaults(self, k2_path, tmp_path):
+        out = tmp_path / "o"
+        assert main(["evolve", k2_path, "--T", "0.1", "--output-dir", str(out)]) == 0
+        recorded = json.loads((out / "summary.json").read_text())["config"]
+        expected = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=0.1)
+        assert recorded == {key: getattr(expected, key) for key in recorded}
 
     def test_output_grid_bound_is_usage_error(self, k2_path, tmp_path, capsys):
         with wall_clock_limit(20):
@@ -284,6 +309,39 @@ class TestSweepCommand:
             assert (out / tag / "summary.json").exists()
         assert not (out / "s1.5_p2.0_q1.0").exists()
 
+    @pytest.mark.parametrize("flags", [["--s-list", "0.5", "--workers", "0"],
+                                       ["--s-list", ","]], ids=["zero-workers", "empty-list"])
+    def test_bad_sweep_flags_are_usage_errors(self, k2_path, tmp_path, capsys, flags):
+        code = main(["sweep", k2_path, "--p-list", "2", "--q-list", "1",
+                     "--output-dir", str(tmp_path / "o")] + flags)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_pool_has_no_more_workers_than_solves(self, k2_path, tmp_path, monkeypatch):
+        sizes = []
+
+        class SerialPool:  # records the pool size, starts no process
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
+                initializer()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                cli._clear_worker_cache()
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        code = main(["sweep", k2_path, "--s-list", "0.3,0.7", "--p-list", "2",
+                     "--q-list", "1", "--T", "0.1", "--workers", "1000",
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 0
+        assert sizes == [2]
+
     def test_worker_decomposes_once(self, k5_path, tmp_path, monkeypatch):
         spies = {name: mock.Mock(wraps=getattr(fg.operators, name))
                  for name in ("decompose", "kernel_weights")}
@@ -303,6 +361,48 @@ class TestSweepCommand:
         assert spies["kernel_weights"].call_count == 2
 
 
+# Cheap valid values of every --config key (T <= 0.1, tolerances >= 1e-12), and
+# invalid ones: wrong type, bool, null, NaN, +-inf, zero, negative, non-integral.
+_FUZZ_VALID = {
+    "s": [0.3, 0.7], "p": [1.5, 2.0, 3.0], "q": [0.5, 1.0, 2.0], "T": [0.05, 0.1],
+    "dt_out": [0.01, 0.05], "atol": [1e-6, 1e-12], "rtol": [0.0, 1e-9],
+    "eps_reg": [0.0, 1e-12], "picard_tol": [1e-6], "picard_max": [1, 20],
+    "solver": ["direct", "picard"],
+    "u0": [[1.0, 2.0], {"kind": "constant", "value": 1.5},
+           {"kind": "random-uniform", "low": 0.5, "high": 2.0, "seed": 3}],
+}
+_FUZZ_INVALID = ["x", [], {}, True, False, None, math.nan, math.inf, -math.inf, 0, -1.0, 2.5]
+# T is always given, and never as a value that runs past 0.1 (null means T = 1)
+_FUZZ_T_INVALID = [v for v in _FUZZ_INVALID
+                   if v is not None and not (isinstance(v, (int, float)) and v > 0.1)]
+_FUZZ_KEYS = [f.name for f in fields(fg.FlowConfig)] + ["solver", "u0"]
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A config of cheap valid values with up to two keys set to invalid ones."""
+    config = draw(st.fixed_dictionaries(
+        {"T": st.sampled_from(_FUZZ_VALID["T"])},
+        optional={key: st.sampled_from(_FUZZ_VALID[key]) for key in _FUZZ_KEYS if key != "T"}))
+    for key in draw(st.lists(st.sampled_from(_FUZZ_KEYS), max_size=2, unique=True)):
+        config[key] = draw(st.sampled_from(_FUZZ_T_INVALID if key == "T" else _FUZZ_INVALID))
+    return config
+
+
+class TestConfigFuzz:
+    @given(config=fuzz_configs())
+    @example(config={"T": 0.1, "picard_max": 2.5, "solver": "picard", "q": 2.0})
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_config_exits_0_1_or_2(self, k2_path, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with wall_clock_limit(20):
+            code = main(["evolve", k2_path, "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "o")])
+        assert code in (0, 1, 2)
+
+
 class TestMisc:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -318,3 +418,25 @@ class TestMisc:
         assert code == 0
         assert (env_dir / "kernel.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+    def test_output_dir_env_override_in_sweep(self, k2_path, tmp_path, monkeypatch):
+        env_dir = tmp_path / "env_out"
+        monkeypatch.setenv("FRACGRAPH_OUTPUT_DIR", str(env_dir))
+        code = main(["sweep", k2_path, "--s-list", "0.3,0.7", "--p-list", "2",
+                     "--q-list", "1", "--T", "0.1", "--workers", "1",
+                     "--output-dir", str(tmp_path / "ignored")])
+        assert code == 0
+        for tag in ("s0.3_p2.0_q1.0", "s0.7_p2.0_q1.0"):
+            assert (env_dir / tag / "trajectory.csv").exists()
+        assert not (env_dir / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_output_dir_naming_a_file_is_usage_error(self, k2_path, tmp_path, monkeypatch,
+                                                     capsys, via):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        if via == "env":
+            monkeypatch.setenv("FRACGRAPH_OUTPUT_DIR", str(taken))
+        code = main(["evolve", k2_path, "--T", "0.1", "--output-dir", str(taken)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -63,6 +63,29 @@ class TestStep:
         assert err <= cfg.atol + cfg.rtol * 1.0
         assert new.t > 0.0
 
+    @pytest.mark.parametrize("p, q", [(1.5, 0.5), (2.0, 2.0), (3.0, 1.5)])
+    def test_equals_first_step_of_integrate(self, p, q):
+        # one controller: from the same state and size, step() and the first
+        # accepted step of _integrate are the same computation
+        kern = fg.build_kernel(make_random_graph(4, n=8), 0.4)
+        u0 = np.random.default_rng(4).uniform(0.5, 2.0, kern.n)
+        cfg = fg.FlowConfig(s=0.4, p=p, q=q, T=1.0, dt_out=0.5)
+        calls = []
+
+        def f(t, u):
+            calls.append((t, u.copy()))
+            return fg.rhs_direct(kern, u, p, q, cfg.eps_reg)
+
+        _integrate(f, u0, cfg.output_times(), cfg, kern.graph)
+        h0 = flow._initial_step(fg.rhs_direct(kern, u0, p, q, cfg.eps_reg), u0,
+                                cfg.atol, cfg.rtol, cfg.dt_out)
+        new, _ = fg.step(kern, fg.FlowState(t=0.0, u=u0), h0, cfg)
+        assert 0.0 < new.t < cfg.dt_out  # the first step is not clamped
+        # the last stage of the accepted trial is evaluated at its new state
+        at_end = [u for t, u in calls if t == new.t]
+        assert len(at_end) == 2
+        np.testing.assert_array_equal(at_end[-1], new.u)
+
     def test_underflow_raised(self, k2_kernel):
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=0.5, T=1.0)
 
@@ -298,6 +321,7 @@ class TestFlowConfig:
             {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "eps_reg": float("nan")},
             {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "picard_tol": float("nan")},
             {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "picard_max": float("inf")},
+            {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "picard_max": 2.5},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -309,6 +333,10 @@ class TestFlowConfig:
         kwargs = {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, field: "0.5"}
         with pytest.raises(fg.DomainError, match="not a number"):
             fg.FlowConfig(**kwargs)
+
+    def test_integral_picard_max_becomes_an_int(self):
+        cfg = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0, picard_max=3.0)
+        assert cfg.picard_max == 3 and isinstance(cfg.picard_max, int)
 
     def test_output_grid_is_bounded(self):
         limit = MAX_OUTPUT_INTERVALS
