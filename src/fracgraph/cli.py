@@ -7,6 +7,7 @@ Exit codes: 0 = all checks passed, 1 = a mathematical check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -265,9 +266,7 @@ def cmd_evolve(args, cache: dict | None = None) -> int:
 
     summary = {
         "solver": args.solver,
-        "config": {"s": config.s, "p": config.p, "q": config.q, "T": config.T,
-                   "dt_out": config.dt_out, "atol": config.atol, "rtol": config.rtol,
-                   "eps_reg": config.eps_reg},
+        "config": {key: getattr(config, key) for key in _FLOW_KEYS},
         "u0": u0_meta,
     }
     try:
@@ -446,9 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # here, not in _output_dir, so that sweep workers keep their own directories
     args.output_dir = os.environ.get("FRACGRAPH_OUTPUT_DIR") or args.output_dir
     _resolve_u0_flags(args)

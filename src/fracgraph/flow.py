@@ -5,8 +5,11 @@ Two solvers:
 * evolve_direct: reduce to the ordinary differential system
       du/dt(x) = -(1/(q u(x)^(q-1))) (-Delta)_p^s u(x)
   and integrate with an embedded Dormand-Prince 5(4) pair.  The error test
-  alone sets the step size; the samples on the output grid come from the
-  pair's continuous extension inside each accepted step.
+  alone sets the step size, and the first one comes from two probes of the
+  right-hand side (Hairer-Norsett-Wanner I, II.4), so the stepper starts
+  near its working step instead of growing into it.  The samples on the
+  output grid come from the pair's continuous extension inside each
+  accepted step.
 
 * picard_solve: frozen-coefficient iteration.  Each sweep solves the linear-
   in-coefficient flow  a(x,t) du/dt + (-Delta)_p^s u = 0  with
@@ -291,12 +294,31 @@ def _dense_output(u: np.ndarray, h: float, k: np.ndarray, x: np.ndarray) -> np.n
     return u + h * (powers @ _DP_P.T @ k)
 
 
-def _initial_step(f0: np.ndarray, u0: np.ndarray, atol: float, rtol: float, h_max: float) -> float:
+def _initial_step(f, t: float, u0: np.ndarray, f0: np.ndarray, atol: float, rtol: float,
+                  h_max: float) -> float:
+    """Starting step from two probes of the right-hand side, at most h_max.
+
+    Hairer-Norsett-Wanner I, II.4, normed like the controller (sup norm over
+    atol + rtol max|u0|): an explicit Euler step h0 = 0.01 |u0| / |f0| probes
+    f once more, and the step is sized so that h^5 max(|f0|, |f1 - f0| / h0)
+    is 0.01 of the tolerance.  A probe state that is not positive leaves h0.
+    """
     scale = atol + rtol * float(np.max(np.abs(u0)))
-    rate = float(np.max(np.abs(f0)))
-    if rate == 0.0:
+    d0 = float(np.max(np.abs(u0))) / scale
+    d1 = float(np.max(np.abs(f0))) / scale
+    if d1 == 0.0:
         return h_max
-    return min(h_max, 0.01 * scale ** _ORDER_EXP / rate)
+    h0 = min(h_max, 0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 1e-6)
+    if not h0 > 0.0:  # an infinite rate; the controller raises StepSizeUnderflow
+        return h0
+    try:
+        f1 = f(t + h0, u0 + h0 * f0)
+    except NonPositiveState:
+        return h0
+    d2 = float(np.max(np.abs(f1 - f0))) / scale / h0
+    rate = max(d1, d2)
+    h1 = (0.01 / rate) ** _ORDER_EXP if rate > 1e-15 else max(1e-6, 1e-3 * h0)
+    return min(100.0 * h0, h1, h_max)
 
 
 def _accept_step(f, t: float, u: np.ndarray, f0: np.ndarray, h: float, h_floor: float,
@@ -375,7 +397,7 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
     u = u0.copy()
     stats.state_min, stats.state_max = float(np.min(u)), float(np.max(u))
     f_cur = counted(t, u)
-    h = _initial_step(f_cur, u, atol, rtol, config.dt_out)
+    h = _initial_step(counted, t, u, f_cur, atol, rtol, horizon - t)
 
     while t < horizon:
         snap_tol = 1e3 * (atol + rtol * float(np.max(np.abs(u))))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,9 +107,13 @@ def _check_length(graph: Graph, f: np.ndarray, name: str = "f",
 
 
 def validate(graph: Graph) -> list[Violation]:
-    """Check all structural invariants; an empty report means the graph is valid."""
+    """Check all structural invariants; an empty report means the graph is valid.
+
+    Each invariant is one pass over the whole matrix; only the offending
+    entries of a failed one are visited one by one, to name them.
+    """
     report: list[Violation] = []
-    mu, w, n = graph.mu, graph.weights, graph.n
+    mu, w, n, labels = graph.mu, graph.weights, graph.n, graph.labels
     if n < 2:
         report.append(Violation("TooFewVertices", f"n={n}, need at least 2"))
         return report
@@ -118,39 +121,31 @@ def validate(graph: Graph) -> list[Violation]:
         report.append(Violation("BadShape", f"weights shape {w.shape} != ({n},{n})"))
         return report
 
+    def offending(mask: np.ndarray) -> np.ndarray:
+        return np.argwhere(mask) if mask.any() else ()
+
     for i in np.flatnonzero(~np.isfinite(mu)):
-        report.append(Violation("NonFiniteMeasure", f"mu({graph.labels[i]}) = {mu[i]}"))
+        report.append(Violation("NonFiniteMeasure", f"mu({labels[i]}) = {mu[i]}"))
     for i in np.flatnonzero(mu <= 0):
-        report.append(Violation("NonPositiveMeasure", f"mu({graph.labels[i]}) = {mu[i]}"))
+        report.append(Violation("NonPositiveMeasure", f"mu({labels[i]}) = {mu[i]}"))
 
     finite = np.isfinite(w)
-    for i, j in np.argwhere(~finite):
-        report.append(
-            Violation("NonFiniteWeight", f"w({graph.labels[i]},{graph.labels[j]}) = {w[i, j]}")
-        )
-
-    asym = np.argwhere(finite & finite.T & (w != w.T))
-    for i, j in asym:
+    differs = w != w.T
+    if not finite.all():
+        for i, j in np.argwhere(~finite):
+            report.append(Violation("NonFiniteWeight", f"w({labels[i]},{labels[j]}) = {w[i, j]}"))
+        differs &= finite & finite.T
+    for i, j in offending(differs):
         if i < j:
-            report.append(
-                Violation(
-                    "AsymmetricWeight",
-                    f"w({graph.labels[i]},{graph.labels[j]}) = {w[i, j]} != {w[j, i]}",
-                )
-            )
+            report.append(Violation("AsymmetricWeight",
+                                    f"w({labels[i]},{labels[j]}) = {w[i, j]} != {w[j, i]}"))
 
     for i in np.flatnonzero(np.diag(w) != 0):
-        report.append(Violation("SelfLoop", f"w({graph.labels[i]},{graph.labels[i]}) != 0"))
+        report.append(Violation("SelfLoop", f"w({labels[i]},{labels[i]}) != 0"))
 
-    neg = np.argwhere(w < 0)
-    for i, j in neg:
+    for i, j in offending(w < 0):
         if i < j:
-            report.append(
-                Violation(
-                    "NonPositiveWeight",
-                    f"w({graph.labels[i]},{graph.labels[j]}) = {w[i, j]}",
-                )
-            )
+            report.append(Violation("NonPositiveWeight", f"w({labels[i]},{labels[j]}) = {w[i, j]}"))
 
     if not _connected(w):
         report.append(Violation("Disconnected", "graph has more than one component"))
@@ -158,17 +153,18 @@ def validate(graph: Graph) -> list[Violation]:
 
 
 def _connected(w: np.ndarray) -> bool:
-    """Breadth-first reachability from vertex 0 over positive-weight edges."""
-    n = w.shape[0]
-    seen = np.zeros(n, dtype=bool)
+    """Breadth-first reachability from vertex 0 over positive-weight edges.
+
+    The search advances a whole level at a time: the next frontier is every
+    unseen vertex that a positive entry in a row of the current one reaches.
+    """
+    seen = np.zeros(w.shape[0], dtype=bool)
     seen[0] = True
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in np.flatnonzero(w[x] > 0):
-            if not seen[y]:
-                seen[y] = True
-                queue.append(y)
+    frontier = np.zeros(1, dtype=int)
+    while frontier.size:
+        reached = (w[frontier] > 0).any(axis=0) & ~seen
+        seen |= reached
+        frontier = np.flatnonzero(reached)
     return bool(seen.all())
 
 
@@ -227,7 +223,9 @@ def graph_from_json(text: str) -> Graph:
         {"vertices": [{"id": str, "mu": float}, ...],
          "edges": [{"u": str, "v": str, "w": float}, ...]}
 
-    Duplicate edges and self-loops are rejected.
+    Duplicate edges and self-loops are rejected.  A malformed document raises
+    ValueError (a missing key KeyError), naming the first offending edge in
+    file order; the weight matrix is filled in one scatter at the end.
     """
     data = json.loads(text)
     try:
@@ -236,25 +234,45 @@ def graph_from_json(text: str) -> Graph:
     except (TypeError, KeyError) as exc:
         raise ValueError("graph JSON must contain 'vertices' and 'edges'") from exc
 
-    labels = [str(v["id"]) for v in vertices]
+    try:
+        labels = [str(v["id"]) for v in vertices]
+    except TypeError as exc:
+        raise ValueError(f"vertices must be a list of objects: {exc}") from exc
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate vertex ids")
+    try:
+        mu = np.array([float(v["mu"]) for v in vertices])
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"vertex measures must be numbers: {exc}") from exc
     index = {lab: i for i, lab in enumerate(labels)}
-    mu = np.array([float(v["mu"]) for v in vertices])
 
+    # the weight of each vertex pair, keyed i * n + j with i < j; a later edge
+    # may only replace a zero, as when each edge was written to the matrix
     n = len(labels)
-    w = np.zeros((n, n))
-    for e in edges:
-        try:
-            i, j = index[str(e["u"])], index[str(e["v"])]
-        except KeyError as exc:
-            raise ValueError(f"edge references unknown vertex {exc}") from exc
-        if i == j:
-            raise ValueError(f"self-loop at vertex {labels[i]}")
-        if w[i, j] != 0:
-            raise ValueError(f"duplicate edge {labels[i]}-{labels[j]}")
-        w[i, j] = w[j, i] = float(e["w"])
+    pairs: dict[int, float] = {}
+    k = None
+    try:
+        for k, e in enumerate(edges):
+            try:
+                i, j = index[str(e["u"])], index[str(e["v"])]
+            except KeyError as exc:
+                raise ValueError(f"edge references unknown vertex {exc}") from exc
+            if i == j:
+                raise ValueError(f"self-loop at vertex {labels[i]}")
+            pair = i * n + j if i < j else j * n + i
+            if pairs.get(pair, 0.0) != 0:
+                raise ValueError(f"duplicate edge {labels[i]}-{labels[j]}")
+            pairs[pair] = float(e["w"])
+    except (TypeError, OverflowError) as exc:
+        where = "edges" if k is None else f"edge {k}"
+        raise ValueError(f"{where}: {exc}") from exc
 
+    key = np.fromiter(pairs, np.intp, len(pairs))
+    weight = np.fromiter(pairs.values(), float, len(pairs))
+    w = np.zeros(n * n)
+    w[key] = weight
+    w[key % n * n + key // n] = weight
+    w = w.reshape(n, n)
     return Graph(mu=mu, weights=w, labels=tuple(labels)).require_valid()
 
 

@@ -1,0 +1,141 @@
+"""Loop forms of graph ingest, validation and the spectral set-up, for tests only.
+
+These are the per-edge, per-entry and per-eigenvector loops the library first
+used.  The library now runs them as whole-array passes; tests compare the two
+for equal matrices, equal Violation lists, equal exceptions, and bitwise equal
+eigenfunctions and kernels.
+"""
+
+import json
+from collections import deque
+
+import numpy as np
+
+from fracgraph import Graph, InvalidGraph, SpectralDecomposition, Violation
+from fracgraph.errors import ExponentOutOfRange, NoConvergence, PositivityViolation
+
+
+def validate(graph):
+    report = []
+    mu, w, n = graph.mu, graph.weights, graph.n
+    if n < 2:
+        report.append(Violation("TooFewVertices", f"n={n}, need at least 2"))
+        return report
+    if w.shape != (n, n):
+        report.append(Violation("BadShape", f"weights shape {w.shape} != ({n},{n})"))
+        return report
+
+    for i in np.flatnonzero(~np.isfinite(mu)):
+        report.append(Violation("NonFiniteMeasure", f"mu({graph.labels[i]}) = {mu[i]}"))
+    for i in np.flatnonzero(mu <= 0):
+        report.append(Violation("NonPositiveMeasure", f"mu({graph.labels[i]}) = {mu[i]}"))
+
+    finite = np.isfinite(w)
+    for i, j in np.argwhere(~finite):
+        report.append(
+            Violation("NonFiniteWeight", f"w({graph.labels[i]},{graph.labels[j]}) = {w[i, j]}")
+        )
+    for i, j in np.argwhere(finite & finite.T & (w != w.T)):
+        if i < j:
+            report.append(Violation(
+                "AsymmetricWeight",
+                f"w({graph.labels[i]},{graph.labels[j]}) = {w[i, j]} != {w[j, i]}"))
+    for i in np.flatnonzero(np.diag(w) != 0):
+        report.append(Violation("SelfLoop", f"w({graph.labels[i]},{graph.labels[i]}) != 0"))
+    for i, j in np.argwhere(w < 0):
+        if i < j:
+            report.append(Violation("NonPositiveWeight",
+                                    f"w({graph.labels[i]},{graph.labels[j]}) = {w[i, j]}"))
+    if not connected(w):
+        report.append(Violation("Disconnected", "graph has more than one component"))
+    return report
+
+
+def connected(w):
+    n = w.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    queue = deque([0])
+    while queue:
+        x = queue.popleft()
+        for y in np.flatnonzero(w[x] > 0):
+            if not seen[y]:
+                seen[y] = True
+                queue.append(y)
+    return bool(seen.all())
+
+
+def parse(text):
+    """The graph of a document, unvalidated, with the per-edge matrix writes."""
+    data = json.loads(text)
+    try:
+        vertices = data["vertices"]
+        edges = data["edges"]
+    except (TypeError, KeyError) as exc:
+        raise ValueError("graph JSON must contain 'vertices' and 'edges'") from exc
+
+    labels = [str(v["id"]) for v in vertices]
+    if len(set(labels)) != len(labels):
+        raise ValueError("duplicate vertex ids")
+    index = {lab: i for i, lab in enumerate(labels)}
+    mu = np.array([float(v["mu"]) for v in vertices])
+
+    n = len(labels)
+    w = np.zeros((n, n))
+    for e in edges:
+        try:
+            i, j = index[str(e["u"])], index[str(e["v"])]
+        except KeyError as exc:
+            raise ValueError(f"edge references unknown vertex {exc}") from exc
+        if i == j:
+            raise ValueError(f"self-loop at vertex {labels[i]}")
+        if w[i, j] != 0:
+            raise ValueError(f"duplicate edge {labels[i]}-{labels[j]}")
+        w[i, j] = w[j, i] = float(e["w"])
+    return Graph(mu=mu, weights=w, labels=tuple(labels))
+
+
+def graph_from_json(text):
+    graph = parse(text)
+    report = validate(graph)
+    if report:
+        raise InvalidGraph(report)
+    return graph
+
+
+def decompose(graph, zero_tol=1e-10):
+    rmu = np.sqrt(graph.mu)
+    s_mat = -graph.weights / np.outer(rmu, rmu)
+    np.fill_diagonal(s_mat, graph.degrees / graph.mu)
+    try:
+        vals, psi = np.linalg.eigh(s_mat)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    lam_max = float(vals[-1]) if vals[-1] > 0 else 1.0
+    if abs(vals[0]) >= zero_tol * lam_max:
+        raise NoConvergence(f"smallest eigenvalue {vals[0]:.3e} is not numerically zero")
+    vals = vals.copy()
+    vals[0] = 0.0
+
+    phi = (psi / rmu[:, None]).T
+    for i in range(len(vals)):
+        k = int(np.argmax(np.abs(phi[i])))
+        if phi[i, k] < 0:
+            phi[i] = -phi[i]
+    return SpectralDecomposition(graph=graph, eigenvalues=vals, phi=np.ascontiguousarray(phi))
+
+
+def kernel_weights(dec, s):
+    if not 0.0 < s < 1.0:
+        raise ExponentOutOfRange(f"s = {s}, need 0 < s < 1")
+    powers = np.where(dec.eigenvalues > 0, dec.eigenvalues, 1.0) ** s
+    powers[dec.eigenvalues <= 0] = 0.0
+    mu = dec.graph.mu
+    w = -np.outer(mu, mu) * (dec.phi.T @ (powers[:, None] * dec.phi))
+    w = 0.5 * (w + w.T)
+    np.fill_diagonal(w, 0.0)
+    off = w[~np.eye(dec.n, dtype=bool)]
+    scale = float(np.max(np.abs(off))) if off.size else 0.0
+    if off.size and float(np.min(off)) < -1e-12 * scale:
+        raise PositivityViolation(f"min off-diagonal entry {np.min(off):.3e} at s={s}")
+    return w

@@ -83,6 +83,21 @@ class TestKernelCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{**K2_DOC, "edges": [5]},
+         {**K2_DOC, "vertices": [{"id": "a", "mu": [1]}, {"id": "b", "mu": 1.0}]},
+         {**K2_DOC, "edges": [{"u": "a", "v": "b", "w": None}]},
+         {**K2_DOC, "vertices": 5}],
+        ids=["edge-entry", "mu-list", "w-null", "vertices-number"])
+    def test_malformed_graph_document_is_usage_error(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["kernel", str(bad), "--s", "0.5", "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: bad graph file")
+
+
 class TestEvolveCommand:
     def test_writes_trajectory_and_summary(self, k2_path, tmp_path):
         out = tmp_path / "out"
@@ -216,6 +231,15 @@ class TestEvolveCommand:
         recorded = json.loads((out / "summary.json").read_text())["config"]
         expected = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=0.1)
         assert recorded == {key: getattr(expected, key) for key in recorded}
+
+    def test_summary_records_every_flow_field(self, k2_path, tmp_path):
+        out = tmp_path / "o"
+        assert main(["evolve", k2_path, "--T", "0.1", "--solver", "picard", "--q", "2",
+                     "--picard-tol", "1e-7", "--picard-max", "30",
+                     "--output-dir", str(out)]) == 0
+        recorded = json.loads((out / "summary.json").read_text())["config"]
+        expected = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=0.1, picard_tol=1e-7, picard_max=30)
+        assert recorded == {f.name: getattr(expected, f.name) for f in fields(fg.FlowConfig)}
 
     def test_output_grid_bound_is_usage_error(self, k2_path, tmp_path, capsys):
         with wall_clock_limit(20):
@@ -403,7 +427,64 @@ class TestConfigFuzz:
         assert code in (0, 1, 2)
 
 
+# Graph documents: a small valid graph (duplicate edges and self-loops allowed)
+# with up to two parts replaced by arbitrary JSON, or dropped.
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.sampled_from([0, -1, 2.5, math.nan]),
+                          st.sampled_from(["", "a", "1.5"]))
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(["id", "mu", "u", "v", "w"]),
+                                                 inner, max_size=3)), max_leaves=6)
+
+
+@st.composite
+def graph_documents(draw):
+    ids = draw(st.permutations(["a", "b", "c", 1]))[:draw(st.integers(1, 4))]
+    number = st.sampled_from([1.0, 0.5, 2.0])
+    pairs = list(zip(ids, ids[1:])) + draw(st.lists(st.tuples(st.sampled_from(ids),
+                                                              st.sampled_from(ids)), max_size=1))
+    doc = {"vertices": [{"id": i, "mu": draw(number)} for i in ids],
+           "edges": [{"u": u, "v": v, "w": draw(number)} for u, v in pairs]}
+    for _ in range(draw(st.integers(0, 2))):
+        part, where = draw(st.sampled_from(["vertices", "edges"])), draw(st.integers(0, 3))
+        entries = doc.get(part)
+        if where == 0:
+            doc[part] = draw(_JSON_VALUES)
+        elif where == 1:
+            doc.pop(part, None)
+        elif isinstance(entries, list) and entries:
+            k = draw(st.integers(0, len(entries) - 1))
+            if where == 2 or not isinstance(entries[k], dict) or not entries[k]:
+                entries[k] = draw(_JSON_VALUES)
+            else:
+                entries[k][draw(st.sampled_from(sorted(entries[k], key=str)))] = draw(_JSON_VALUES)
+    return doc
+
+
+class TestGraphFuzz:
+    @given(doc=graph_documents())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_graph_document_exits_0_1_or_2(self, tmp_path, doc):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        with wall_clock_limit(20):
+            code = main(["kernel", str(path), "--s", "0.5", "--output-dir", str(tmp_path / "o")])
+        assert code in (0, 1, 2)
+
+
 class TestMisc:
+    def test_parser_is_built_once(self, k2_path, tmp_path, monkeypatch):
+        spy = mock.Mock(wraps=cli.build_parser)
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert main(["kernel", k2_path, "--s", "0.5",
+                             "--output-dir", str(tmp_path / "o")]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert spy.call_count == 1
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["--version"])

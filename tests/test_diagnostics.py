@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,24 @@ class TestBuildReport:
         assert report.final_gradient_energy <= report.initial_gradient_energy
         assert report.steady_state_error <= 1e-5
         assert report.energy_identity_residual <= 1e-2
+
+    def test_one_pass_per_operator(self, k5_kernel, monkeypatch):
+        # the final du/dt and the initial energy come from the per-sample passes,
+        # and equal the separate evaluations of the public checks
+        u0 = np.random.default_rng(8).uniform(0.5, 2.0, 5)
+        traj, cfg = run_flow(k5_kernel, u0, s=0.5, p=2.5, q=1.5, T=1.0, dt_out=0.1)
+        spies = {name: mock.Mock(wraps=getattr(diagnostics, name))
+                 for name in ("rhs_direct", "dirichlet_p_energy")}
+        for name, spy in spies.items():
+            monkeypatch.setattr(diagnostics, name, spy)
+        report = fg.build_report(traj, k5_kernel, cfg)
+        assert [spy.call_count for spy in spies.values()] == [1, 1]
+        monkeypatch.undo()
+        lhs, rhs, _ = fg.dissipation_check(traj, k5_kernel, 2.5, 1.5, cfg.eps_reg)
+        assert report.dissipation_lhs == lhs
+        assert report.dissipation_rhs == pytest.approx(rhs, rel=1e-13)
+        assert report.final_time_derivative_sup == pytest.approx(
+            fg.time_derivative_sup(traj, k5_kernel, 2.5, 1.5, cfg.eps_reg), rel=1e-13)
 
     def test_json_round_trip_with_extras(self, k2_kernel):
         import json

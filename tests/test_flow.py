@@ -72,13 +72,15 @@ class TestStep:
         cfg = fg.FlowConfig(s=0.4, p=p, q=q, T=1.0, dt_out=0.5)
         calls = []
 
-        def f(t, u):
-            calls.append((t, u.copy()))
+        def rhs(t, u):
             return fg.rhs_direct(kern, u, p, q, cfg.eps_reg)
 
+        def f(t, u):
+            calls.append((t, u.copy()))
+            return rhs(t, u)
+
         _integrate(f, u0, cfg.output_times(), cfg, kern.graph)
-        h0 = flow._initial_step(fg.rhs_direct(kern, u0, p, q, cfg.eps_reg), u0,
-                                cfg.atol, cfg.rtol, cfg.dt_out)
+        h0 = flow._initial_step(rhs, 0.0, u0, rhs(0.0, u0), cfg.atol, cfg.rtol, cfg.T)
         new, _ = fg.step(kern, fg.FlowState(t=0.0, u=u0), h0, cfg)
         assert 0.0 < new.t < cfg.dt_out  # the first step is not clamped
         # the last stage of the accepted trial is evaluated at its new state
@@ -428,8 +430,9 @@ class TestStepStats:
         st = fg.evolve_direct(kern, u0, cfg).stats
         assert st.rejected == st.rejected_error + st.rejected_positivity
         assert st.rejected_positivity == 0
-        # one evaluation at the start, then six per attempt (FSAL)
-        assert st.rhs_evals == 1 + 6 * (st.accepted + st.rejected)
+        # one evaluation at the start and one probe for the first step size,
+        # then six per attempt (FSAL)
+        assert st.rhs_evals == 2 + 6 * (st.accepted + st.rejected)
         assert 0.0 < st.h_min <= st.h_max <= cfg.T
         assert st.snap_time is None
         telemetry = st.telemetry()
@@ -440,9 +443,9 @@ class TestStepStats:
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0)
         calls = []
 
-        def f(t, u):  # the first stage of the first attempt raises
+        def f(t, u):  # the first stage of the first attempt (after the probe) raises
             calls.append(t)
-            if len(calls) == 2:
+            if len(calls) == 3:
                 raise fg.NonPositiveState("forced")
             return -u
 
@@ -451,8 +454,70 @@ class TestStepStats:
         assert st.rejected == st.rejected_error + 1
         assert st.rhs_evals == len(calls)
 
+    def test_constant_datum_spends_no_probe(self, k2_kernel):
+        cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0)
+        assert fg.evolve_direct(k2_kernel, np.full(2, 1.2), cfg).stats.rhs_evals == 1
+
     def test_snap_time_of_constant_datum(self, k2_kernel):
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0)
         st = fg.evolve_direct(k2_kernel, np.full(2, 1.2), cfg).stats
         assert st.snap_time == 0.0
         assert st.telemetry()["h_min"] is None and st.accepted == 0
+
+
+class TestInitialStep:
+    """The two-probe starting step (Hairer-Norsett-Wanner I, II.4)."""
+
+    @pytest.mark.parametrize("s, p, q, outcome", [
+        (0.3, 1.5, 0.5, None), (0.5, 2.0, 1.0, None), (0.7, 2.5, 1.5, None),
+        (0.5, 3.0, 2.0, fg.StepSizeUnderflow)])
+    def test_datum_with_a_tiny_component(self, s, p, q, outcome):
+        # the outcome of each instance is the same as under the old start
+        # procedure, which began at 0.01 scale^(1/5) / max|f0|
+        kern = fg.build_kernel(make_random_graph(4, n=8), s)
+        u0 = np.random.default_rng(4).uniform(0.5, 2.0, kern.n)
+        u0[3] = 1e-12
+        cfg = fg.FlowConfig(s=s, p=p, q=q, T=0.1)
+        with wall_clock_limit(20):
+            if outcome is None:
+                traj = fg.evolve_direct(kern, u0, cfg)
+                assert traj.values.min() >= 1e-12 - 1e-9
+            else:
+                with pytest.raises(outcome):
+                    fg.evolve_direct(kern, u0, cfg)
+
+    def test_probe_that_loses_positivity_is_not_raised(self, k2):
+        # u' = -1 from u0 = (1, 1e-12): the Euler probe of size 0.01 leaves
+        # the positive cone, and the solution itself reaches 0 at t = 1e-12
+        cfg = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0)
+        probes = []
+
+        def f(t, u):
+            if np.min(u) <= 0.0:
+                probes.append(t)
+                raise fg.NonPositiveState("forced")
+            return np.full_like(u, -1.0)
+
+        u0 = np.array([1.0, 1e-12])
+        h = flow._initial_step(f, 0.0, u0, f(0.0, u0), cfg.atol, cfg.rtol, cfg.T)
+        assert h == pytest.approx(0.01, rel=1e-12)
+        assert probes == [h]
+        with wall_clock_limit(20), pytest.raises(fg.StepSizeUnderflow):
+            _integrate(f, u0, cfg.output_times(), cfg, k2)
+
+    @pytest.mark.parametrize("s, p, q", AUDIT_PARAMS)
+    def test_no_ramp(self, s, p, q, monkeypatch):
+        # the first accepted step is sized so that the controller does not
+        # grow it by its full factor 5 at once
+        steps, accept = [], flow._accept_step
+
+        def recording(*args):
+            result = accept(*args)
+            steps.append(result[0])
+            return result
+
+        monkeypatch.setattr(flow, "_accept_step", recording)
+        kern = fg.build_kernel(make_random_graph(5, n=8), s)
+        u0 = np.random.default_rng(5).uniform(0.5, 2.0, kern.n)
+        fg.evolve_direct(kern, u0, fg.FlowConfig(s=s, p=p, q=q, T=0.5))
+        assert steps[0] / 5.0 < steps[1] < 5.0 * steps[0]

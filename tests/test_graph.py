@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracgraph as fg
+import graph_reference as ref
 from conftest import make_random_graph
 
 
@@ -177,3 +178,88 @@ class TestJsonFormat:
         }
         with pytest.raises(ValueError, match="unknown vertex"):
             fg.graph_from_json(json.dumps(doc))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type and message
+        return exc
+
+
+# Vertex ids a-e, often joined by a path; extra edges repeat pairs in either
+# orientation, and now and then one is a self-loop or names the unknown id "x".
+# Weights repeat zeros (so that a zero-weight edge recurs) and include NaN, inf
+# and negatives.
+_WEIGHTS = [1.0, 2.5, 0.5] * 2 + [0.0, -0.0, -1.0, float("nan"), float("inf")]
+_MEASURES = [1.0, 0.5, 3.0] * 4 + [0.0, -2.0, float("nan")]
+
+
+@st.composite
+def graph_documents(draw):
+    labels = ["a", "b", "c", "d", "e"][:draw(st.integers(2, 5))]
+    path = list(zip(labels, labels[1:])) if draw(st.booleans()) else []
+    ends = [(u, v) for u in labels for v in labels if u != v] * 4
+    ends += [(labels[0], labels[0]), (labels[-1], "x"), ("x", labels[0])]
+    extra = draw(st.lists(st.sampled_from(ends), max_size=6))
+    edges = draw(st.permutations(path + extra))
+    weights = draw(st.lists(st.sampled_from(_WEIGHTS), min_size=len(edges),
+                            max_size=len(edges)))
+    mu = draw(st.lists(st.sampled_from(_MEASURES), min_size=len(labels), max_size=len(labels)))
+    return json.dumps({
+        "vertices": [{"id": lab, "mu": m} for lab, m in zip(labels, mu)],
+        "edges": [{"u": u, "v": v, "w": w} for (u, v), w in zip(edges, weights)],
+    })
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Small graphs of any structure: asymmetric, disconnected, looped, non-finite."""
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.5, -1.0, np.nan, np.inf])
+    w = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        w = np.triu(w, 1) + np.triu(w, 1).T
+    mu = draw(st.lists(st.sampled_from(_MEASURES + [np.inf]), min_size=n, max_size=n))
+    return fg.Graph(mu=np.array(mu), weights=w)
+
+
+class TestAgainstLoopReference:
+    """Whole-array ingest and validation against the per-entry loops."""
+
+    @given(text=graph_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_graph_from_json(self, text):
+        expected = _outcome(ref.graph_from_json, text)
+        got = _outcome(fg.graph_from_json, text)
+        assert type(got) is type(expected)
+        if isinstance(expected, Exception):
+            assert str(got) == str(expected)
+            assert getattr(got, "violations", None) == getattr(expected, "violations", None)
+        else:
+            assert got.labels == expected.labels
+            assert got.mu.tobytes() == expected.mu.tobytes()
+            assert got.weights.tobytes() == expected.weights.tobytes()
+        parsed = _outcome(ref.parse, text)
+        if isinstance(parsed, fg.Graph):
+            assert fg.validate(parsed) == ref.validate(parsed)
+
+    @given(graph=weighted_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_validate(self, graph):
+        assert fg.validate(graph) == ref.validate(graph)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 40),
+           density=st.sampled_from([0.02, 0.05, 0.1, 0.3]))
+    @settings(max_examples=100, deadline=None)
+    def test_connected(self, seed, n, density):
+        # directed, signed and NaN entries: only positive w[x, y] leads x to y
+        rng = np.random.default_rng(seed)
+        w = (rng.random((n, n)) < density) * rng.choice([1.0, 1.0, -1.0, np.nan], (n, n))
+        assert fg.graph._connected(w) == ref.connected(w)
+
+    def test_benchmark_sized_document(self):
+        n = 500
+        g = fg.random_connected_graph(np.random.default_rng(1), n, extra_edge_prob=8 / n)
+        text = fg.graph_to_json(g)
+        assert fg.graph_from_json(text).weights.tobytes() == ref.graph_from_json(text).weights.tobytes()

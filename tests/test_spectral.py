@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracgraph as fg
+import graph_reference as ref
 from conftest import make_random_graph
 
 
@@ -211,3 +212,44 @@ class TestFractionalLaplacianSpectral:
         u = np.random.default_rng(2).normal(size=g.n)
         out = fg.fractional_laplacian_spectral(dec, 0.3, u)
         assert abs(fg.integrate(g, out)) <= 1e-12 * (np.abs(out * g.mu).sum() + 1.0)
+
+
+REFERENCE_S = (0.05, 0.3, 0.7, 0.99)
+
+
+def _assert_same_spectral_setup(g):
+    dec, expected = fg.decompose(g), ref.decompose(g)
+    assert dec.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
+    assert dec.phi.tobytes() == expected.phi.tobytes()
+    for s in REFERENCE_S:
+        assert fg.kernel_weights(dec, s).tobytes() == ref.kernel_weights(expected, s).tobytes()
+
+
+class TestAgainstLoopReference:
+    """Loop-free sign fixing and kernel assembly, bitwise against the loops."""
+
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_bitwise_equal(self, n):
+        _assert_same_spectral_setup(make_random_graph(n, n=n))
+
+    def test_bitwise_equal_benchmark_sized(self):
+        n = 500
+        _assert_same_spectral_setup(
+            fg.random_connected_graph(np.random.default_rng(1), n, extra_edge_prob=8 / n))
+
+    @given(seed=st.integers(0, 10_000), s=st.sampled_from(REFERENCE_S))
+    @settings(max_examples=50, deadline=None)
+    def test_positivity_check_agrees(self, seed, s):
+        # pairing eigenvalues with the wrong eigenfunctions makes some kernels
+        # negative; both must then raise the same PositivityViolation
+        g = make_random_graph(seed)
+        dec = fg.decompose(g)
+        shuffled = np.random.default_rng(seed).permutation(dec.eigenvalues)
+        forged = fg.SpectralDecomposition(graph=g, eigenvalues=shuffled, phi=dec.phi.copy())
+        outcomes = []
+        for kernel_weights in (fg.kernel_weights, ref.kernel_weights):
+            try:
+                outcomes.append(kernel_weights(forged, s).tobytes())
+            except fg.PositivityViolation as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
