@@ -21,7 +21,6 @@ from .graph import (
     graph_from_json,
     graph_to_json,
     integrate,
-    laplacian_apply,
     laplacian_matrix,
     mu_inner,
     random_connected_graph,
@@ -32,8 +31,6 @@ from .spectral import (
     decompose,
     fractional_laplacian_spectral,
     fractional_power_quadrature,
-    gamma,
-    heat_kernel,
     heat_kernel_matrix,
     kernel_weights,
     kernel_weights_oracle,
@@ -43,7 +40,6 @@ from .operators import (
     FractionalKernel,
     build_kernel,
     dirichlet_p_energy,
-    frac_gradient_norm,
     frac_gradient_norms,
     frac_laplacian,
     frac_p_laplacian,

@@ -13,10 +13,11 @@ Two solvers:
 
 * picard_solve: frozen-coefficient iteration.  Each sweep solves the linear-
   in-coefficient flow  a(x,t) du/dt + (-Delta)_p^s u = 0  with
-  a = q u_prev^(q-1) built from the previous iterate's trajectory (the first
-  sweep freezes at the initial datum); sweeps stop when consecutive
-  trajectories agree in the sup norm.  The coefficient is piecewise linear in
-  time, so no step crosses an output time, where its kinks are.
+  a = q u_prev^(q-1), u_prev the previous sweep's continuous extension (the
+  first sweep freezes at the initial datum); sweeps stop when consecutive
+  trajectories agree in the sup norm on the output grid.  The extension is
+  C^1 across steps, so a sweep steps on the error test alone, as
+  evolve_direct does.
 
 One step controller, _accept_step, serves both _integrate and step().
 
@@ -219,33 +220,34 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class FrozenCoefficient:
-    """Time-dependent coefficient a(x,t), linearly interpolated between samples.
+    """Time-dependent coefficient a(x,t) = q u_prev(x,t)^(q-1) of a previous iterate.
 
-    Built from a previous iterate as a = q u_prev^(q-1); values stay inside
-    (0, q * max(max u0^(q-1), min u0^(q-1))] by the maximum principle.
+    ``steps`` are the iterate's accepted steps (t, h, u, stages) in time
+    order; u_prev(t) is the continuous extension of the step that contains t,
+    and past the last step its end state, which also covers a steady-state
+    snap.  Values stay inside (0, q * max(max u0^(q-1), min u0^(q-1))] by the
+    maximum principle, up to solver tolerance.
     """
 
-    times: np.ndarray
-    values: np.ndarray  # shape (len(times), n)
+    steps: list
+    q: float
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def from_trajectory(cls, traj: Trajectory, q: float) -> "FrozenCoefficient":
-        return cls(times=traj.times, values=q * traj.values ** (q - 1.0))
+    def __post_init__(self):
+        if not self.steps:
+            raise DomainError("a frozen coefficient needs at least one step")
+        object.__setattr__(self, "starts", np.array([t for t, *_ in self.steps]))
 
     @classmethod
     def constant(cls, times: np.ndarray, u_ref: np.ndarray, q: float) -> "FrozenCoefficient":
-        a = q * u_ref ** (q - 1.0)
-        return cls(times=times, values=np.tile(a, (len(times), 1)))
+        stages = np.zeros((7, len(u_ref)))
+        return cls(steps=[(float(times[0]), float(times[-1] - times[0]), u_ref, stages)], q=q)
 
     def __call__(self, t: float) -> np.ndarray:
-        times = self.times
-        if t <= times[0]:
-            return self.values[0]
-        if t >= times[-1]:
-            return self.values[-1]
-        k = int(np.searchsorted(times, t) - 1)
-        frac = (t - times[k]) / (times[k + 1] - times[k])
-        return (1.0 - frac) * self.values[k] + frac * self.values[k + 1]
+        k = max(0, int(np.searchsorted(self.starts, t, side="right")) - 1)
+        t0, h, u, stages = self.steps[k]
+        u_t = _dense_output(u, h, stages, np.array([min(1.0, (t - t0) / h)]))[0]
+        return self.q * u_t ** (self.q - 1.0)
 
 
 def _check_state(graph: Graph, u: np.ndarray, name: str) -> np.ndarray:
@@ -363,14 +365,15 @@ def _accept_step(f, t: float, u: np.ndarray, f0: np.ndarray, h: float, h_floor: 
 
 
 def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: Graph,
-               stops: np.ndarray | tuple = ()):
+               steps: list | None = None):
     """Adaptive integration; returns the states at the output times and the stats.
 
     The error test alone sets the step size (``_accept_step``), except that
-    no step passes a stop: a time in ``stops`` or the horizon times[-1],
-    which a step then ends on exactly.  An output time inside an accepted
-    step is sampled from the pair's continuous extension; one that a step
-    ends on gets the accepted state.
+    no step passes the horizon times[-1], which the last step ends on
+    exactly.  An output time inside an accepted step is sampled from the
+    pair's continuous extension; one that a step ends on gets the accepted
+    state.  Each accepted step (t, h, u, stages) is appended to ``steps``
+    when a list is given.
 
     Steady-state snap: once max(u) - min(u) falls below 1000x the local step
     tolerance, the state is replaced by its mass-consistent constant and held
@@ -382,8 +385,6 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
     """
     atol, rtol = config.atol, config.rtol
     t, horizon = float(times[0]), float(times[-1])
-    stops = np.asarray(stops, dtype=float)
-    stops = np.append(stops[(stops > t) & (stops < horizon)], horizon)
     h_floor = 1e-14 * horizon
     stats = StepStats()
 
@@ -393,7 +394,7 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
 
     out = np.empty((len(times), len(u0)))
     out[0] = u0
-    filled, next_stop = 1, 0  # samples out[:filled] are done
+    filled = 1  # samples out[:filled] are done
     u = u0.copy()
     stats.state_min, stats.state_max = float(np.min(u)), float(np.max(u))
     f_cur = counted(t, u)
@@ -405,13 +406,13 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
             out[filled:] = steady_state(graph, u, config.q)
             stats.snap_time = t
             break
-        t_stop = float(stops[next_stop])
-        h, u_new, k, _, h_next = _accept_step(counted, t, u, f_cur, min(h, t_stop - t),
+        h, u_new, k, _, h_next = _accept_step(counted, t, u, f_cur, min(h, horizon - t),
                                               h_floor, config, stats)
         t_new = t + h
-        if t_stop - t_new <= 1e-12 * horizon:  # land exactly on the stop
-            t_new = t_stop
-            next_stop += 1
+        if horizon - t_new <= 1e-12 * horizon:  # land exactly on the horizon
+            t_new = horizon
+        if steps is not None:
+            steps.append((t, h, u, k))
         end = int(np.searchsorted(times, t_new, side="right"))
         if end > filled:
             out[filled:end] = _dense_output(u, h, k, (times[filled:end] - t) / h)
@@ -460,13 +461,20 @@ def _check_bounds(values: np.ndarray, u0: np.ndarray, stats: StepStats, slack: f
         )
 
 
-def evolve_direct(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig) -> Trajectory:
-    """Integrate the nonlinear flow directly; enforces the max-principle band."""
+def _solve(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig,
+           frozen: FrozenCoefficient | None = None, steps: list | None = None) -> Trajectory:
+    """Integrate on the output grid and enforce the max-principle band."""
     u0 = _check_state(kernel.graph, u0, "u0")
     times = config.output_times()
-    values, stats = _integrate(_make_rhs(kernel, config, None), u0, times, config, kernel.graph)
+    values, stats = _integrate(_make_rhs(kernel, config, frozen), u0, times, config,
+                               kernel.graph, steps)
     _check_bounds(values, u0, stats)
     return Trajectory(times=times, values=values, stats=stats)
+
+
+def evolve_direct(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig) -> Trajectory:
+    """Integrate the nonlinear flow directly; enforces the max-principle band."""
+    return _solve(kernel, u0, config)
 
 
 def solve_frozen(
@@ -475,20 +483,11 @@ def solve_frozen(
     u0: np.ndarray,
     config: FlowConfig,
 ) -> Trajectory:
-    """Integrate the frozen-coefficient flow  a(x,t) du/dt + (-Delta)_p^s u = 0.
-
-    Unless a is constant in time, every step ends on one of its sample
-    times, so none crosses a kink of its linear interpolation.
-    """
-    u0 = _check_state(kernel.graph, u0, "u0")
-    if np.min(a.values) <= 0.0:
-        raise NonPositiveState(f"min a = {np.min(a.values)}")
-    times = config.output_times()
-    kinks = () if np.all(a.values == a.values[0]) else a.times
-    values, stats = _integrate(_make_rhs(kernel, config, a), u0, times, config, kernel.graph,
-                               stops=kinks)
-    _check_bounds(values, u0, stats)
-    return Trajectory(times=times, values=values, stats=stats)
+    """Integrate the frozen-coefficient flow  a(x,t) du/dt + (-Delta)_p^s u = 0."""
+    low = min(float(np.min(a(t))) for t, *_ in a.steps)
+    if low <= 0.0:
+        raise NonPositiveState(f"min a = {low}")
+    return _solve(kernel, u0, config, a)
 
 
 def picard_solve(
@@ -503,17 +502,17 @@ def picard_solve(
     coefficient does not depend on the iterate, so one sweep is exact.
     """
     u0 = _check_state(kernel.graph, u0, "u0")
-    times = config.output_times()
-    prev = Trajectory(times=times, values=np.tile(u0, (len(times), 1)))
+    a, prev = FrozenCoefficient.constant(config.output_times(), u0, config.q), u0
     history: list[float] = []
     for it in range(1, config.picard_max + 1):
-        a = FrozenCoefficient.from_trajectory(prev, config.q)
-        traj = solve_frozen(kernel, a, u0, config)
-        dist = float(np.max(np.abs(traj.values - prev.values)))
+        steps: list = []
+        traj = _solve(kernel, u0, config, a, steps)
+        dist = float(np.max(np.abs(traj.values - prev)))
         history.append(dist)
-        if config.q == 1.0 or dist < config.picard_tol:
+        # a sweep that snaps before its first step does not depend on a
+        if config.q == 1.0 or dist < config.picard_tol or not steps:
             return traj, it, history
-        prev = traj
+        a, prev = FrozenCoefficient(steps, config.q), traj.values
     raise PicardNotConverged(history)
 
 

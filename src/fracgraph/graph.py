@@ -25,7 +25,6 @@ __all__ = [
     "validate",
     "integrate",
     "mu_inner",
-    "laplacian_apply",
     "laplacian_matrix",
     "random_connected_graph",
     "graph_from_json",
@@ -181,14 +180,8 @@ def mu_inner(graph: Graph, f: np.ndarray, g: np.ndarray) -> float:
     return math.fsum(f * g * graph.mu)
 
 
-def laplacian_apply(graph: Graph, u: np.ndarray) -> np.ndarray:
-    """Apply -Delta: (1/mu(x)) sum_y w_xy (u(x) - u(y))."""
-    u = _check_length(graph, u, "u")
-    return (graph.degrees * u - graph.weights @ u) / graph.mu
-
-
 def laplacian_matrix(graph: Graph) -> np.ndarray:
-    """Dense matrix A with A @ u == laplacian_apply(graph, u)."""
+    """Dense matrix of -Delta: (A @ u)(x) = (1/mu(x)) sum_y w_xy (u(x) - u(y))."""
     a = -graph.weights / graph.mu[:, None]
     np.fill_diagonal(a, graph.degrees / graph.mu)
     return a

@@ -50,7 +50,6 @@ __all__ = [
     "FractionalKernel",
     "build_kernel",
     "frac_gradient_norms",
-    "frac_gradient_norm",
     "frac_laplacian",
     "frac_p_laplacian",
     "dirichlet_p_energy",
@@ -126,11 +125,6 @@ def frac_gradient_norms(kernel: FractionalKernel, u: np.ndarray) -> np.ndarray:
     """|grad^s u|(x) = sqrt( 1/(2 mu(x)) * sum_y W(x,y) (u(x)-u(y))^2 ), all x."""
     u = _check_length(kernel.graph, u, "u")
     return np.sqrt(_squared_gradients(kernel, _centred(u))[0])
-
-
-def frac_gradient_norm(kernel: FractionalKernel, u: np.ndarray, x: int) -> float:
-    """Gradient length at a single vertex."""
-    return float(frac_gradient_norms(kernel, u)[x])
 
 
 def frac_laplacian(kernel: FractionalKernel, u: np.ndarray) -> np.ndarray:

@@ -32,13 +32,11 @@ from .graph import Graph, _check_length
 __all__ = [
     "SpectralDecomposition",
     "decompose",
-    "heat_kernel",
     "heat_kernel_matrix",
     "spectral_weight_matrix",
     "kernel_weights",
     "kernel_weights_oracle",
     "fractional_power_quadrature",
-    "gamma",
     "fractional_laplacian_spectral",
 ]
 
@@ -130,14 +128,6 @@ def heat_kernel_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
     return _eigen_sum(dec, np.exp(-dec.eigenvalues * t))
 
 
-def heat_kernel(dec: SpectralDecomposition, t: float, x: int, y: int) -> float:
-    """Heat kernel at a single vertex pair."""
-    if t < 0:
-        raise NegativeTime(f"t = {t}")
-    decay = np.exp(-dec.eigenvalues * t)
-    return float(np.sum(decay * dec.phi[:, x] * dec.phi[:, y]))
-
-
 def spectral_weight_matrix(dec: SpectralDecomposition, s: float) -> np.ndarray:
     """Raw spectral kernel -mu(x)mu(y) sum_i lambda_i^s phi_i(x)phi_i(y), zero diagonal.
 
@@ -160,13 +150,6 @@ def kernel_weights(dec: SpectralDecomposition, s: float) -> np.ndarray:
     if low < -1e-12 * max(float(np.max(w)), -low):
         raise PositivityViolation(f"min off-diagonal entry {low:.3e} at s={s}")
     return w
-
-
-def gamma(z: float) -> float:
-    """Gamma function on (0, 2)."""
-    if not 0.0 < z < 2.0:
-        raise DomainError(f"z = {z}, need 0 < z < 2")
-    return math.gamma(z)
 
 
 def fractional_power_quadrature(
@@ -215,7 +198,7 @@ def fractional_power_quadrature(
     t1 = math.exp(tau_max)
     tail = t1 ** (-s) / s
 
-    return s / gamma(1.0 - s) * (core + head + tail)
+    return s / math.gamma(1.0 - s) * (core + head + tail)
 
 
 def kernel_weights_oracle(

@@ -37,6 +37,12 @@ def k5_kernel(k5):
     return build_kernel(k5, 0.5)
 
 
+@pytest.fixture(scope="session")
+def philox_g40():
+    """The 40-vertex random graph from Philox seed 42 that the Picard checks run on."""
+    return random_connected_graph(np.random.Generator(np.random.Philox(42)), 40)
+
+
 def make_random_graph(seed, n=None, weight_range=(0.2, 5.0), mu_range=(0.2, 5.0)):
     rng = np.random.default_rng(seed)
     if n is None:

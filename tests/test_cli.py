@@ -264,6 +264,17 @@ class TestVerifyCommand:
         report = json.loads((out / "report.json").read_text())
         assert all(report["checks"].values())
 
+    def test_picard_conserves_mass(self, philox_g40, tmp_path, capsys):
+        # a coefficient interpolated linearly between the samples drifted
+        # 6.8e-6 of the mass here, against 1e-8 allowed
+        path = tmp_path / "g40.json"
+        path.write_text(fg.graph_to_json(philox_g40))
+        code = main(["verify", str(path), "--s", "0.7", "--p", "2.5", "--q", "1.5",
+                     "--T", "1", "--dt-out", "5e-3", "--u0-random", "0.5", "2", "--seed", "3",
+                     "--solver", "picard", "--output-dir", str(tmp_path / "out")])
+        assert "PASS mass_conservation" in capsys.readouterr().out
+        assert code == 0
+
     def test_report_and_summary_record_run_telemetry(self, k5_path, tmp_path):
         flags = ["--T", "0.5", "--u0-random", "0.5", "2.0"]
         assert main(["verify", k5_path, *flags, "--output-dir", str(tmp_path / "v")]) == 0

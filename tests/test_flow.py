@@ -7,20 +7,29 @@ from fracgraph.flow import MAX_OUTPUT_INTERVALS, _check_bounds, _integrate
 from conftest import make_random_graph, wall_clock_limit
 
 
-def reference_solve(kernel, u0, p, q, T, dt, eps_reg=1e-12):
-    """Fixed-step classic RK4 on the direct right-hand side; brute-force oracle."""
-    def f(u):
-        return fg.rhs_direct(kernel, u, p, q, eps_reg)
+def reference_solve(kernel, u0, q, T, dt):
+    """Fixed-step classic RK4 for a two-vertex graph at p = 2; brute-force oracle.
 
-    steps = int(round(T / dt))
-    u = u0.astype(float).copy()
-    for _ in range(steps):
-        k1 = f(u)
-        k2 = f(u + 0.5 * dt * k1)
-        k3 = f(u + 0.5 * dt * k2)
-        k4 = f(u + dt * k3)
-        u = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return u
+    The right-hand side comes from its closed form
+    du/dt(x) = -W(x,y) (u(x) - u(y)) / mu(x) / (q u(x)^(q-1)), evaluated in
+    scalar floats, so the oracle does not call rhs_direct.
+    """
+    w = float(kernel.w[0, 1])
+    mu_x, mu_y = (float(m) for m in kernel.graph.mu)
+
+    def f(x, y):
+        flux = w * (x - y)
+        return -flux / mu_x / (q * x ** (q - 1.0)), flux / mu_y / (q * y ** (q - 1.0))
+
+    x, y = (float(v) for v in u0)
+    for _ in range(int(round(T / dt))):
+        k1 = f(x, y)
+        k2 = f(x + 0.5 * dt * k1[0], y + 0.5 * dt * k1[1])
+        k3 = f(x + 0.5 * dt * k2[0], y + 0.5 * dt * k2[1])
+        k4 = f(x + dt * k3[0], y + dt * k3[1])
+        x += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        y += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    return np.array([x, y])
 
 
 class TestRhsDirect:
@@ -126,7 +135,7 @@ class TestEvolveDirect:
         u0 = np.array([1.0, 0.4])
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=0.1)
         traj = fg.evolve_direct(k2_kernel, u0, cfg)
-        ref = reference_solve(k2_kernel, u0, 2.0, 2.0, 0.1, 1e-6)
+        ref = reference_solve(k2_kernel, u0, 2.0, 0.1, 1e-6)
         assert np.max(np.abs(traj.final - ref)) <= 10.0 * (cfg.atol + cfg.rtol * 1.0)
 
     def test_tolerance_controls_global_error(self, k2_kernel):
@@ -210,28 +219,9 @@ class TestSolveFrozen:
         direct = fg.evolve_direct(k2_kernel, u0, cfg1)
         np.testing.assert_allclose(frozen.values, direct.values, atol=1e-9)
 
-    def test_nonconstant_coefficient_steps_end_on_every_grid_time(
-        self, k2_kernel, monkeypatch
-    ):
-        u0 = np.array([1.4, 0.6])
-        cfg = fg.FlowConfig(s=0.5, p=2.5, q=1.5, T=1.0, dt_out=0.1)
-        a = fg.FrozenCoefficient.from_trajectory(fg.evolve_direct(k2_kernel, u0, cfg), cfg.q)
-        evaluated = []
-
-        def recording(kernel, u, p, eps_reg=0.0):
-            evaluated.append(np.array(u))
-            return fg.frac_p_laplacian(kernel, u, p, eps_reg)
-
-        monkeypatch.setattr(flow, "frac_p_laplacian", recording)
-
-        def samples_evaluated(traj):
-            return [any(np.array_equal(u, v) for v in evaluated) for u in traj.values[1:]]
-
-        # a sample the right-hand side was evaluated at is the last stage of
-        # a step ending there; an interpolant would match no evaluated state
-        assert all(samples_evaluated(fg.solve_frozen(k2_kernel, a, u0, cfg)))
-        evaluated.clear()
-        assert not all(samples_evaluated(fg.evolve_direct(k2_kernel, u0, cfg)))
+    def test_coefficient_without_steps_is_rejected(self):
+        with pytest.raises(fg.DomainError):
+            fg.FrozenCoefficient([], 2.0)
 
 
 class TestPicard:
@@ -257,6 +247,33 @@ class TestPicard:
         assert np.max(np.abs(picard.values - direct.values)) <= 1e-5
         assert iters <= 100
         assert all(b < a for a, b in zip(history[2:], history[3:]))
+
+    def test_datum_inside_the_snap_band_converges(self, k2_kernel):
+        # the first sweep snaps before its first step, so it keeps no step
+        # to freeze a coefficient on, and every later sweep would repeat it
+        cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0)
+        u0 = np.array([1.1, 1.1 + 1e-7])
+        traj, iters, _ = fg.picard_solve(k2_kernel, u0, cfg)
+        assert iters == 1 and traj.stats.snap_time == 0.0
+        np.testing.assert_array_equal(traj.values[1:], fg.steady_state(k2_kernel.graph, u0, 2.0))
+
+    def test_rhs_count_does_not_depend_on_the_output_grid(self, philox_g40, monkeypatch):
+        # the coefficient is the previous sweep's continuous extension, so
+        # no sweep stops at an output time
+        kern = fg.build_kernel(philox_g40, 0.7)
+        u0 = np.random.Generator(np.random.Philox(3)).uniform(0.5, 2.0, kern.n)
+        totals, integrate = [], flow._integrate
+
+        def counting(*args, **kwargs):
+            values, stats = integrate(*args, **kwargs)
+            totals[-1] += stats.rhs_evals
+            return values, stats
+
+        monkeypatch.setattr(flow, "_integrate", counting)
+        for dt_out in (5e-3, 1e-3):
+            totals.append(0)
+            fg.picard_solve(kern, u0, fg.FlowConfig(s=0.7, p=2.5, q=1.5, T=1.0, dt_out=dt_out))
+        assert totals[0] == totals[1]
 
     def test_not_converged_raises_with_history(self, k2_kernel):
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0, picard_max=2, picard_tol=1e-16)
@@ -389,11 +406,16 @@ class TestDenseOutput:
             cfg = fg.FlowConfig(s=s, p=p, q=q, T=0.5, dt_out=0.01)
             times = cfg.output_times()
             dense = fg.evolve_direct(kern, u0, cfg)
-            clamped, stats = _integrate(
-                lambda t, u: fg.rhs_direct(kern, u, p, q, cfg.eps_reg),
-                u0, times, cfg, kern.graph, stops=times,
-            )
-            assert dense.stats.accepted < stats.accepted
+            # one integration per output interval, each ending on its own horizon
+            clamped, accepted = [u0], 0
+            for t0, t1 in zip(times, times[1:]):
+                values, stats = _integrate(
+                    lambda t, u: fg.rhs_direct(kern, u, p, q, cfg.eps_reg),
+                    clamped[-1], np.array([t0, t1]), cfg, kern.graph,
+                )
+                clamped.append(values[-1])
+                accepted += stats.accepted
+            assert dense.stats.accepted < accepted
             bound = 100.0 * (cfg.atol + cfg.rtol * float(np.max(u0)))
             assert np.max(np.abs(dense.values - clamped)) <= bound
 

@@ -34,12 +34,9 @@ class TestGradientNorm:
     def test_k2_closed_form(self, k2_kernel):
         # W = 2^{-1/2}, so |grad u| = sqrt(W/2) = 2^{-3/4} at both vertices
         u = np.array([1.0, 0.0])
-        assert fg.frac_gradient_norm(k2_kernel, u, 0) == pytest.approx(
-            2.0**-0.75, rel=1e-13
-        )
-        assert fg.frac_gradient_norm(k2_kernel, u, 1) == pytest.approx(
-            2.0**-0.75, rel=1e-13
-        )
+        norms = fg.frac_gradient_norms(k2_kernel, u)
+        assert norms[0] == pytest.approx(2.0**-0.75, rel=1e-13)
+        assert norms[1] == pytest.approx(2.0**-0.75, rel=1e-13)
 
     def test_translation_invariant(self):
         kern = random_kernel(3)
