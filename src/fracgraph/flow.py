@@ -179,6 +179,20 @@ class StepStats:
     state_min: float = math.inf
     state_max: float = -math.inf
 
+    def add_work(self, earlier: "StepStats") -> None:
+        """Count an earlier run's steps, rejections and RHS evaluations too.
+
+        Step sizes range over both runs; the snap time, the error and the
+        state bounds stay this run's.
+        """
+        self.accepted += earlier.accepted
+        self.rejected += earlier.rejected
+        self.rejected_error += earlier.rejected_error
+        self.rejected_positivity += earlier.rejected_positivity
+        self.rhs_evals += earlier.rhs_evals
+        self.h_min = min(self.h_min, earlier.h_min)
+        self.h_max = max(self.h_max, earlier.h_max)
+
     def telemetry(self) -> dict:
         """The run's counts as JSON fields; step sizes are null without a step."""
         stepped = self.accepted > 0
@@ -499,14 +513,18 @@ def picard_solve(
 
     Returns (trajectory, iteration count, sup-distance history).  The first
     sweep freezes the coefficient at the initial datum; at q = 1 the
-    coefficient does not depend on the iterate, so one sweep is exact.
+    coefficient does not depend on the iterate, so one sweep is exact.  The
+    trajectory's stats count the work of every sweep (``StepStats.add_work``).
     """
     u0 = _check_state(kernel.graph, u0, "u0")
     a, prev = FrozenCoefficient.constant(config.output_times(), u0, config.q), u0
     history: list[float] = []
+    work = StepStats()
     for it in range(1, config.picard_max + 1):
         steps: list = []
         traj = _solve(kernel, u0, config, a, steps)
+        traj.stats.add_work(work)
+        work = traj.stats
         dist = float(np.max(np.abs(traj.values - prev)))
         history.append(dist)
         # a sweep that snaps before its first step does not depend on a

@@ -54,7 +54,8 @@ class Graph:
         the diagonal is 0 (no self-loops).
     labels : optional per-vertex identifiers, defaults to "v0", "v1", ...
 
-    The graph keeps read-only copies of mu and weights, so a graph that has
+    The graph keeps read-only copies of mu and weights (the loader and the
+    generator hand over the arrays they built instead), so a graph that has
     passed validation stays valid and ``require_valid`` checks it only once.
     """
 
@@ -64,8 +65,22 @@ class Graph:
     _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mu = np.array(self.mu, dtype=float)
-        w = np.array(self.weights, dtype=float)
+        self._take(np.array(self.mu, dtype=float), np.array(self.weights, dtype=float))
+
+    @classmethod
+    def _adopt(cls, mu: np.ndarray, weights: np.ndarray, labels: tuple[str, ...] = ()) -> "Graph":
+        """A graph over float arrays built for it that nothing else references.
+
+        It takes them without the copy that construction makes, so only the
+        builders in this module, which own the arrays they pass, may call it.
+        """
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "labels", labels)
+        object.__setattr__(graph, "_valid", False)
+        graph._take(mu, weights)
+        return graph
+
+    def _take(self, mu: np.ndarray, w: np.ndarray) -> None:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "weights", w)
         if not self.labels:
@@ -187,6 +202,11 @@ def laplacian_matrix(graph: Graph) -> np.ndarray:
     return a
 
 
+# matrix entries in one block of rows of the extra-edge pass, which bounds
+# the pass's index arrays and random draws to O(max(n, _PAIR_BLOCK))
+_PAIR_BLOCK = 1 << 14
+
+
 def random_connected_graph(
     rng: np.random.Generator,
     n: int,
@@ -194,18 +214,59 @@ def random_connected_graph(
     mu_range: tuple[float, float] = (0.2, 5.0),
     extra_edge_prob: float = 0.4,
 ) -> Graph:
-    """Random connected graph: uniform random spanning tree plus extra edges."""
+    """Random connected graph: uniform random spanning tree plus extra edges.
+
+    The draws from ``rng`` are, in order: ``uniform(*mu_range, size=n)``;
+    ``permutation(n)``; for k = 1, ..., n-1 the tree edge from vertex k of the
+    permutation to a uniform earlier one, ``integers(0, k)``, and its weight
+    ``uniform(*weight_range)``.  Then each pair i < j without a tree edge, in
+    row-major order, gets one ``random()`` test; a test below
+    ``extra_edge_prob`` adds the edge, and the next draw d is its weight
+    lo + (hi - lo) d.  Seeded graphs are reproducible through this order.
+    """
     mu = rng.uniform(*mu_range, size=n)
     w = np.zeros((n, n))
     order = rng.permutation(n)
     for k in range(1, n):
         i, j = order[k], order[rng.integers(0, k)]
         w[i, j] = w[j, i] = rng.uniform(*weight_range)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if w[i, j] == 0 and rng.random() < extra_edge_prob:
-                w[i, j] = w[j, i] = rng.uniform(*weight_range)
-    return Graph(mu=mu, weights=w).require_valid()
+    lo, hi = float(weight_range[0]), float(weight_range[1])
+    rows = max(1, _PAIR_BLOCK // max(n, 1))
+    for r in range(0, n, rows):
+        i, j = np.nonzero(np.triu(w[r:r + rows] == 0, r + 1))
+        tested, draws = _tests_passed(rng, i.size, extra_edge_prob)
+        i, j = r + i[tested], j[tested]
+        w[i, j] = w[j, i] = lo + (hi - lo) * draws
+    return Graph._adopt(mu, w).require_valid()
+
+
+def _tests_passed(rng: np.random.Generator, k: int, prob: float):
+    """Run k tests ``random() < prob`` in turn, each passed one followed by a draw.
+
+    Returns the indices of the passed tests and the draws that follow them,
+    having taken exactly the k + (passed) draws from ``rng`` that the loop
+    takes.  The draws come in blocks, each as long as the tests still to run.
+    Inside a block, a draw below ``prob`` is a passed test unless it follows
+    one: in a run of such draws, the first, third, ... are tests and the
+    others the draws that follow them.
+    """
+    tested, draws = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    done = 0
+    while done < k:
+        block = rng.random(k - done)
+        low = np.flatnonzero(block < prob)
+        if low.size:
+            run_start = np.maximum.accumulate(np.where(np.diff(low, prepend=-2) != 1, low, 0))
+            passed = low[(low - run_start) % 2 == 0]
+            inside = passed[passed + 1 < block.size]
+            follow = block[inside + 1]
+            if inside.size < passed.size:  # the block ends on a passed test
+                follow = np.append(follow, rng.random())
+            tested.append(done + passed - np.arange(passed.size))
+            draws.append(follow)
+            done -= inside.size
+        done += block.size
+    return np.concatenate(tested), np.concatenate(draws)
 
 
 def graph_from_json(text: str) -> Graph:
@@ -262,22 +323,23 @@ def graph_from_json(text: str) -> Graph:
 
     key = np.fromiter(pairs, np.intp, len(pairs))
     weight = np.fromiter(pairs.values(), float, len(pairs))
-    w = np.zeros(n * n)
-    w[key] = weight
-    w[key % n * n + key // n] = weight
-    w = w.reshape(n, n)
-    return Graph(mu=mu, weights=w, labels=tuple(labels)).require_valid()
+    w = np.zeros((n, n))
+    flat = w.reshape(-1)
+    flat[key] = weight
+    flat[key % n * n + key // n] = weight
+    return Graph._adopt(mu, w, tuple(labels)).require_valid()
 
 
 def graph_to_json(graph: Graph) -> str:
-    """Serialize to the same interchange format accepted by graph_from_json."""
-    vertices = [
-        {"id": lab, "mu": float(m)} for lab, m in zip(graph.labels, graph.mu)
-    ]
+    """Serialize to the same interchange format accepted by graph_from_json.
+
+    The edges are the positive entries of the upper triangle, in row-major order.
+    """
+    labels, w = graph.labels, graph.weights
+    vertices = [{"id": lab, "mu": m} for lab, m in zip(labels, graph.mu.tolist())]
+    i, j = np.nonzero(np.triu(w > 0, 1))
     edges = [
-        {"u": graph.labels[i], "v": graph.labels[j], "w": float(graph.weights[i, j])}
-        for i in range(graph.n)
-        for j in range(i + 1, graph.n)
-        if graph.weights[i, j] > 0
+        {"u": labels[a], "v": labels[b], "w": x}
+        for a, b, x in zip(i.tolist(), j.tolist(), w[i, j].tolist())
     ]
     return json.dumps({"vertices": vertices, "edges": edges}, indent=2)

@@ -1,9 +1,11 @@
-"""Loop forms of graph ingest, validation and the spectral set-up, for tests only.
+"""Loop forms of graph ingest, validation, generation, serialization and the
+spectral set-up, for tests only.
 
-These are the per-edge, per-entry and per-eigenvector loops the library first
-used.  The library now runs them as whole-array passes; tests compare the two
-for equal matrices, equal Violation lists, equal exceptions, and bitwise equal
-eigenfunctions and kernels.
+These are the per-edge, per-entry, per-pair and per-eigenvector loops the
+library first used.  The library now runs them as whole-array passes; tests
+compare the two for equal matrices, equal Violation lists, equal exceptions,
+equal random streams and JSON text, and bitwise equal eigenfunctions and
+kernels.
 """
 
 import json
@@ -139,3 +141,32 @@ def kernel_weights(dec, s):
     if off.size and float(np.min(off)) < -1e-12 * scale:
         raise PositivityViolation(f"min off-diagonal entry {np.min(off):.3e} at s={s}")
     return w
+
+
+def random_connected_graph(rng, n, weight_range=(0.2, 5.0), mu_range=(0.2, 5.0),
+                           extra_edge_prob=0.4):
+    """The generator with one random() test, and one uniform() weight, per pair."""
+    mu = rng.uniform(*mu_range, size=n)
+    w = np.zeros((n, n))
+    order = rng.permutation(n)
+    for k in range(1, n):
+        i, j = order[k], order[rng.integers(0, k)]
+        w[i, j] = w[j, i] = rng.uniform(*weight_range)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if w[i, j] == 0 and rng.random() < extra_edge_prob:
+                w[i, j] = w[j, i] = rng.uniform(*weight_range)
+    return Graph(mu=mu, weights=w).require_valid()
+
+
+def graph_to_json(graph):
+    vertices = [
+        {"id": lab, "mu": float(m)} for lab, m in zip(graph.labels, graph.mu)
+    ]
+    edges = [
+        {"u": graph.labels[i], "v": graph.labels[j], "w": float(graph.weights[i, j])}
+        for i in range(graph.n)
+        for j in range(i + 1, graph.n)
+        if graph.weights[i, j] > 0
+    ]
+    return json.dumps({"vertices": vertices, "edges": edges}, indent=2)

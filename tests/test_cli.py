@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fracgraph as fg
-from fracgraph import cli
+from fracgraph import cli, flow
 from fracgraph.cli import main
 from conftest import wall_clock_limit
 
@@ -264,16 +264,28 @@ class TestVerifyCommand:
         report = json.loads((out / "report.json").read_text())
         assert all(report["checks"].values())
 
-    def test_picard_conserves_mass(self, philox_g40, tmp_path, capsys):
+    def test_picard_conserves_mass(self, philox_g40, tmp_path, capsys, monkeypatch):
         # a coefficient interpolated linearly between the samples drifted
         # 6.8e-6 of the mass here, against 1e-8 allowed
         path = tmp_path / "g40.json"
         path.write_text(fg.graph_to_json(philox_g40))
+        rhs_evals, integrate = [], flow._integrate
+
+        def counting(*args, **kwargs):
+            values, stats = integrate(*args, **kwargs)
+            rhs_evals.append(stats.rhs_evals)
+            return values, stats
+
+        monkeypatch.setattr(flow, "_integrate", counting)
         code = main(["verify", str(path), "--s", "0.7", "--p", "2.5", "--q", "1.5",
                      "--T", "1", "--dt-out", "5e-3", "--u0-random", "0.5", "2", "--seed", "3",
                      "--solver", "picard", "--output-dir", str(tmp_path / "out")])
         assert "PASS mass_conservation" in capsys.readouterr().out
         assert code == 0
+        # the report counts the work of every sweep, not of the last one only
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(rhs_evals) == report["picard_iterations"] > 1
+        assert report["rhs_evaluations"] == sum(rhs_evals)
 
     def test_report_and_summary_record_run_telemetry(self, k5_path, tmp_path):
         flags = ["--T", "0.5", "--u0-random", "0.5", "2.0"]

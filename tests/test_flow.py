@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,28 @@ class TestPicard:
             totals.append(0)
             fg.picard_solve(kern, u0, fg.FlowConfig(s=0.7, p=2.5, q=1.5, T=1.0, dt_out=dt_out))
         assert totals[0] == totals[1]
+
+    def test_stats_count_every_sweep(self, philox_g40, monkeypatch):
+        kern = fg.build_kernel(philox_g40, 0.7)
+        u0 = np.random.Generator(np.random.Philox(3)).uniform(0.5, 2.0, kern.n)
+        sweeps, integrate = [], flow._integrate
+
+        def recording(*args, **kwargs):
+            values, stats = integrate(*args, **kwargs)
+            sweeps.append(dataclasses.replace(stats))
+            return values, stats
+
+        monkeypatch.setattr(flow, "_integrate", recording)
+        traj, iters, _ = fg.picard_solve(kern, u0, fg.FlowConfig(s=0.7, p=2.5, q=1.5, T=1.0))
+        assert len(sweeps) == iters > 1
+        for name in ("accepted", "rejected", "rejected_error", "rejected_positivity",
+                     "rhs_evals"):
+            assert getattr(traj.stats, name) == sum(getattr(st, name) for st in sweeps)
+        assert traj.stats.h_min == min(st.h_min for st in sweeps)
+        assert traj.stats.h_max == max(st.h_max for st in sweeps)
+        last = sweeps[-1]
+        for name in ("snap_time", "max_error", "state_min", "state_max"):
+            assert getattr(traj.stats, name) == getattr(last, name)
 
     def test_not_converged_raises_with_history(self, k2_kernel):
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0, picard_max=2, picard_tol=1e-16)

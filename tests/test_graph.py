@@ -1,4 +1,5 @@
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -227,7 +228,7 @@ def weighted_graphs(draw):
 
 
 class TestAgainstLoopReference:
-    """Whole-array ingest and validation against the per-entry loops."""
+    """Whole-array ingest, validation, generation and serialization against the loops."""
 
     @given(text=graph_documents())
     @settings(max_examples=300, deadline=None)
@@ -264,4 +265,42 @@ class TestAgainstLoopReference:
         n = 500
         g = fg.random_connected_graph(np.random.default_rng(1), n, extra_edge_prob=8 / n)
         text = fg.graph_to_json(g)
+        assert text == ref.graph_to_json(g)
         assert fg.graph_from_json(text).weights.tobytes() == ref.graph_from_json(text).weights.tobytes()
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+    @pytest.mark.parametrize("prob", [0, 0.05, 0.4, 1, "8/n", math.nan])
+    def test_random_connected_graph(self, bit_generator, prob):
+        # the same graphs from the same stream, which ends in the same state;
+        # odd n draw from an int weight range
+        for n in [*range(2, 61), 500]:
+            p = 8 / n if prob == "8/n" else prob
+            weight_range = (1, 3) if n % 2 else (0.2, 5.0)
+            rng, rng_ref = (np.random.Generator(bit_generator(n)) for _ in range(2))
+            g = fg.random_connected_graph(rng, n, weight_range, extra_edge_prob=p)
+            expected = ref.random_connected_graph(rng_ref, n, weight_range, extra_edge_prob=p)
+            assert g.mu.tobytes() == expected.mu.tobytes()
+            assert g.weights.tobytes() == expected.weights.tobytes()
+            assert _same_state(rng.bit_generator.state, rng_ref.bit_generator.state)
+
+    @pytest.mark.parametrize("prob", [0.05, 1])
+    def test_graph_to_json(self, prob):
+        for n in range(2, 61):
+            g = fg.random_connected_graph(np.random.default_rng(n), n, extra_edge_prob=prob)
+            assert fg.graph_to_json(g) == ref.graph_to_json(g)
+
+    def test_library_graphs_own_read_only_arrays(self, k5):
+        # built without the copy a caller's arrays get, so no writable alias
+        # may be left behind
+        generated = fg.random_connected_graph(np.random.default_rng(2), 30)
+        for g in (generated, fg.graph_from_json(fg.graph_to_json(k5))):
+            for a in (g.mu, g.weights):
+                assert a.base is None and not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
+
+
+def _same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
