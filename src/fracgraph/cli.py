@@ -37,10 +37,6 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return _FMT % x
-
-
 def _load_graph(path: str) -> Graph:
     try:
         text = Path(path).read_text()
@@ -62,9 +58,9 @@ def _output_dir(args) -> Path:
 
 
 def _write_kernel_csv(path: Path, graph: Graph, w: np.ndarray):
-    lines = ["," + ",".join(graph.labels)]
-    for i, lab in enumerate(graph.labels):
-        lines.append(lab + "," + ",".join(_fmt(v) for v in w[i]))
+    row = ",".join([_FMT] * graph.n)
+    lines = ["," + ",".join(graph.labels)] + [
+        lab + "," + row % tuple(r) for lab, r in zip(graph.labels, w.tolist())]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -431,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=extra_help)
         sub.add_argument("graph")
         _add_flow_flags(sub)
-        sub.add_argument("--emit-plots", action="store_true")
+        if name == "evolve":
+            sub.add_argument("--emit-plots", action="store_true")
         sub.set_defaults(func=func)
 
     sw = subs.add_parser("sweep", help="cartesian parameter sweep over s/p/q")

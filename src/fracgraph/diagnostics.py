@@ -74,10 +74,6 @@ def mass(graph: Graph, u: np.ndarray, q: float) -> float:
     return integrate(graph, u**q)
 
 
-def _trapezoid(times: np.ndarray, samples: np.ndarray) -> float:
-    return float(np.trapezoid(samples, times))
-
-
 _BLOCK_ROWS = 1024
 
 
@@ -90,9 +86,8 @@ def _by_blocks(fn, values: np.ndarray) -> np.ndarray:
 def _energy_identity_residual(
     traj: Trajectory, graph: Graph, energies: np.ndarray, q: float
 ) -> float:
-    lhs = q / (q + 1.0) * integrate(graph, traj.final ** (q + 1.0)) + _trapezoid(
-        traj.times, energies
-    )
+    lhs = (q / (q + 1.0) * integrate(graph, traj.final ** (q + 1.0))
+           + float(np.trapezoid(energies, traj.times)))
     rhs = q / (q + 1.0) * integrate(graph, traj.u0 ** (q + 1.0))
     return abs(lhs - rhs) / (abs(rhs) + 1.0)
 
@@ -119,7 +114,7 @@ def _dissipation_pass(traj: Trajectory, kernel: FractionalKernel, p: float, q: f
 
 def _dissipation_verdict(times: np.ndarray, integrand: np.ndarray, energy0: float,
                          p: float, q: float, slack: float):
-    lhs = _trapezoid(times, integrand)
+    lhs = float(np.trapezoid(integrand, times))
     rhs = energy0 / (p * q)
     return lhs, rhs, lhs <= rhs + slack * (rhs + 1.0)
 
@@ -129,7 +124,7 @@ def dissipation_check(
     kernel: FractionalKernel,
     p: float,
     q: float,
-    eps_reg: float = 1e-12,
+    eps_reg: float = FlowConfig.eps_reg,
     slack: float = 1e-6,
 ):
     """Truncated dissipation integral against its initial-energy bound.
@@ -155,7 +150,8 @@ def gradient_decay(traj: Trajectory, kernel: FractionalKernel, p: float) -> np.n
 
 
 def time_derivative_sup(
-    traj: Trajectory, kernel: FractionalKernel, p: float, q: float, eps_reg: float = 1e-12
+    traj: Trajectory, kernel: FractionalKernel, p: float, q: float,
+    eps_reg: float = FlowConfig.eps_reg,
 ) -> float:
     """max_x |du/dt(x, T)| reconstructed from the right-hand side at the final state."""
     return float(np.max(np.abs(rhs_direct(kernel, traj.final, p, q, eps_reg))))

@@ -161,15 +161,13 @@ class FlowState:
 class StepStats:
     """What one integration did.
 
-    ``rejected`` counts both kinds of rejection: a failed error test, and a
-    lost positivity (a trial state or a stage argument not positive).
-    ``state_min`` and ``state_max`` bound every accepted state, samples or
-    not, for the maximum-principle check.
+    A step is rejected for a failed error test or for a lost positivity (a
+    trial state or a stage argument not positive).  ``state_min`` and
+    ``state_max`` bound every accepted state, samples or not, for the
+    maximum-principle check.
     """
 
     accepted: int = 0
-    rejected: int = 0
-    max_error: float = 0.0
     rejected_error: int = 0
     rejected_positivity: int = 0
     rhs_evals: int = 0
@@ -179,14 +177,18 @@ class StepStats:
     state_min: float = math.inf
     state_max: float = -math.inf
 
+    @property
+    def rejected(self) -> int:
+        """Rejected steps of both kinds."""
+        return self.rejected_error + self.rejected_positivity
+
     def add_work(self, earlier: "StepStats") -> None:
         """Count an earlier run's steps, rejections and RHS evaluations too.
 
-        Step sizes range over both runs; the snap time, the error and the
-        state bounds stay this run's.
+        Step sizes range over both runs; the snap time and the state bounds
+        stay this run's.
         """
         self.accepted += earlier.accepted
-        self.rejected += earlier.rejected
         self.rejected_error += earlier.rejected_error
         self.rejected_positivity += earlier.rejected_positivity
         self.rhs_evals += earlier.rhs_evals
@@ -219,9 +221,6 @@ class Trajectory:
     times: np.ndarray
     values: np.ndarray  # shape (len(times), n)
     stats: StepStats = field(default_factory=StepStats)
-
-    def state(self, k: int) -> FlowState:
-        return FlowState(t=float(self.times[k]), u=self.values[k])
 
     @property
     def u0(self) -> np.ndarray:
@@ -356,7 +355,6 @@ def _accept_step(f, t: float, u: np.ndarray, f0: np.ndarray, h: float, h_floor: 
         except NonPositiveState:
             lost_positivity = True
         if lost_positivity:
-            stats.rejected += 1
             stats.rejected_positivity += 1
             h *= 0.5
             continue
@@ -368,12 +366,10 @@ def _accept_step(f, t: float, u: np.ndarray, f0: np.ndarray, h: float, h_floor: 
         h_next = h * min(_GROW, max(_SHRINK, factor))
         if err_norm <= 1.0:
             stats.accepted += 1
-            stats.max_error = max(stats.max_error, err)
             stats.h_min, stats.h_max = min(stats.h_min, h), max(stats.h_max, h)
             stats.state_min = min(stats.state_min, float(np.min(u_new)))
             stats.state_max = max(stats.state_max, float(np.max(u_new)))
             return h, u_new, k, err, h_next
-        stats.rejected += 1
         stats.rejected_error += 1
         h = h_next
 
@@ -437,15 +433,14 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
     return out, stats
 
 
-def step(kernel: FractionalKernel, state: FlowState, dt: float, config: FlowConfig,
-         frozen: FrozenCoefficient | None = None):
+def step(kernel: FractionalKernel, state: FlowState, dt: float, config: FlowConfig):
     """One accepted embedded 5(4) step starting from the suggested dt.
 
     Returns (new state, local error estimate), from the controller that
     ``_integrate`` uses: dt is halved on positivity loss and shrunk on
     error-test failure until acceptance.
     """
-    f = _make_rhs(kernel, config, frozen)
+    f = _make_rhs(kernel, config, None)
     t, u = state.t, _check_state(kernel.graph, state.u, "u")
     h, u_new, _, err, _ = _accept_step(f, t, u, f(t, u), dt, 1e-14 * max(config.T, dt),
                                        config, StepStats())

@@ -65,7 +65,7 @@ class FractionalKernel:
     graph: Graph
     s: float
     w: np.ndarray
-    dec: SpectralDecomposition | None = None
+    dec: SpectralDecomposition
     row_sums: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

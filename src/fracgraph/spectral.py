@@ -40,6 +40,12 @@ __all__ = [
     "fractional_laplacian_spectral",
 ]
 
+# The fixed grid of fractional_power_quadrature: tau = log t in [_TAU_MIN,
+# _TAU_MAX], _PANELS Simpson panels, checked against half as many to _CHECK_TOL.
+_TAU_MIN, _TAU_MAX = -40.0, 40.0
+_PANELS = 8192
+_CHECK_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -62,13 +68,14 @@ class SpectralDecomposition:
         return self.graph.n
 
 
-def decompose(graph: Graph, zero_tol: float = 1e-10) -> SpectralDecomposition:
+def decompose(graph: Graph) -> SpectralDecomposition:
     """Diagonalize -Delta via its symmetric conjugate in l2.
 
     The conjugate S = M^(1/2) A M^(-1/2) (M = diag(mu)) is symmetric, so a
     dense symmetric eigensolver applies; eigenfunctions are back-transformed
-    by phi_i = psi_i / sqrt(mu).  The smallest eigenvalue is snapped to an
-    exact 0 so that 0^s evaluates to 0 in the kernel construction.
+    by phi_i = psi_i / sqrt(mu).  The smallest eigenvalue, which must be
+    below 1e-10 times the largest, is snapped to an exact 0 so that 0^s
+    evaluates to 0 in the kernel construction.
     """
     graph.require_valid()
     rmu = np.sqrt(graph.mu)
@@ -82,7 +89,7 @@ def decompose(graph: Graph, zero_tol: float = 1e-10) -> SpectralDecomposition:
         raise NoConvergence(str(exc)) from exc
 
     lam_max = float(vals[-1]) if vals[-1] > 0 else 1.0
-    if abs(vals[0]) >= zero_tol * lam_max:
+    if abs(vals[0]) >= 1e-10 * lam_max:
         raise NoConvergence(
             f"smallest eigenvalue {vals[0]:.3e} is not numerically zero"
         )
@@ -152,21 +159,14 @@ def kernel_weights(dec: SpectralDecomposition, s: float) -> np.ndarray:
     return w
 
 
-def fractional_power_quadrature(
-    lam: float,
-    s: float,
-    tau_min: float = -40.0,
-    tau_max: float = 40.0,
-    panels: int = 8192,
-    check_tol: float = 1e-9,
-) -> float:
+def fractional_power_quadrature(lam: float, s: float) -> float:
     """Evaluate s/Gamma(1-s) * int_0^inf (1 - exp(-lam t)) t^(-1-s) dt by quadrature.
 
     Equals lam^s analytically; computed here without calling the power
     function, so it can serve as an independent oracle.  The substitution
     t = exp(tau) is integrated by composite Simpson; the truncated head and
-    tail are added in closed form (series expansion below t0 = exp(tau_min),
-    pure power integral above t1 = exp(tau_max) where exp(-lam t) has
+    tail are added in closed form (series expansion below t0 = exp(_TAU_MIN),
+    pure power integral above t1 = exp(_TAU_MAX) where exp(-lam t) has
     underflowed).
     """
     if not 0.0 < s < 1.0:
@@ -177,37 +177,31 @@ def fractional_power_quadrature(
         raise DomainError(f"lam = {lam}, need lam >= 0")
 
     def simpson(n_panels: int) -> float:
-        tau = np.linspace(tau_min, tau_max, n_panels + 1)
+        tau = np.linspace(_TAU_MIN, _TAU_MAX, n_panels + 1)
         f = -np.expm1(-lam * np.exp(tau)) * np.exp(-s * tau)
-        h = (tau_max - tau_min) / n_panels
+        h = (_TAU_MAX - _TAU_MIN) / n_panels
         weights = np.ones(n_panels + 1)
         weights[1:-1:2] = 4.0
         weights[2:-1:2] = 2.0
         return float(h / 3.0 * np.dot(weights, f))
 
-    core = simpson(panels)
-    if abs(core - simpson(panels // 2)) > check_tol * (abs(core) + 1.0):
+    core = simpson(_PANELS)
+    if abs(core - simpson(_PANELS // 2)) > _CHECK_TOL * (abs(core) + 1.0):
         raise QuadratureNotConverged(f"lam={lam}, s={s}")
 
-    t0 = math.exp(tau_min)
+    t0 = math.exp(_TAU_MIN)
     head = (
         lam * t0 ** (1.0 - s) / (1.0 - s)
         - lam**2 * t0 ** (2.0 - s) / (2.0 * (2.0 - s))
         + lam**3 * t0 ** (3.0 - s) / (6.0 * (3.0 - s))
     )
-    t1 = math.exp(tau_max)
+    t1 = math.exp(_TAU_MAX)
     tail = t1 ** (-s) / s
 
     return s / math.gamma(1.0 - s) * (core + head + tail)
 
 
-def kernel_weights_oracle(
-    dec: SpectralDecomposition,
-    s: float,
-    tau_min: float = -40.0,
-    tau_max: float = 40.0,
-    panels: int = 8192,
-) -> np.ndarray:
+def kernel_weights_oracle(dec: SpectralDecomposition, s: float) -> np.ndarray:
     """Fractional kernel via the heat-semigroup integral; oracle for kernel_weights.
 
     For x != y the completeness relation sum_i phi_i(x)phi_i(y) = 0 lets the
@@ -218,8 +212,7 @@ def kernel_weights_oracle(
     """
     if not 0.0 < s < 1.0:
         raise ExponentOutOfRange(f"s = {s}, need 0 < s < 1")
-    powers = [fractional_power_quadrature(lam, s, tau_min, tau_max, panels)
-              for lam in dec.eigenvalues]
+    powers = [fractional_power_quadrature(lam, s) for lam in dec.eigenvalues]
     return _assemble_kernel(dec, np.array(powers))
 
 

@@ -62,6 +62,20 @@ class TestKernelCommand:
         eigs = json.loads((out / "eigenvalues.json").read_text())["eigenvalues"]
         np.testing.assert_allclose(eigs, [0.0, 2.0], atol=1e-12)
 
+    def test_kernel_csv_matches_per_value_formatting(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(fg.graph_to_json(
+            fg.random_connected_graph(np.random.default_rng(5), 60)))
+        out = tmp_path / "out"
+        assert main(["kernel", str(path), "--s", "0.4", "--output-dir", str(out)]) == 0
+        graph = fg.graph_from_json(path.read_text())
+        w = fg.kernel_weights(fg.decompose(graph), 0.4)
+        # the oracle formats each value on its own
+        lines = ["," + ",".join(graph.labels)] + [
+            lab + "," + ",".join("%.17g" % v for v in w[i])
+            for i, lab in enumerate(graph.labels)]
+        assert (out / "kernel.csv").read_text() == "\n".join(lines) + "\n"
+
     def test_s_out_of_range_is_usage_error(self, k2_path, tmp_path):
         code = main(
             ["kernel", k2_path, "--s", "1.5", "--output-dir", str(tmp_path / "o")]
@@ -286,6 +300,8 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert len(rhs_evals) == report["picard_iterations"] > 1
         assert report["rhs_evaluations"] == sum(rhs_evals)
+        assert report["steps_rejected"] == (report["steps_rejected_error"]
+                                            + report["steps_rejected_positivity"])
 
     def test_report_and_summary_record_run_telemetry(self, k5_path, tmp_path):
         flags = ["--T", "0.5", "--u0-random", "0.5", "2.0"]
@@ -303,6 +319,14 @@ class TestVerifyCommand:
         fields = ("steps_accepted", "steps_rejected", "steps_rejected_error",
                   "steps_rejected_positivity", "rhs_evaluations", "h_min", "h_max")
         assert [report[k] for k in fields] == [summary[k] for k in fields]
+
+    def test_emit_plots_is_usage_error(self, k2_path, tmp_path, capsys):
+        # only evolve writes plots
+        with pytest.raises(SystemExit) as exc_info:
+            main(["verify", k2_path, "--emit-plots", "--output-dir", str(tmp_path / "o")])
+        assert exc_info.value.code == 2
+        assert "--emit-plots" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_sloppy_tolerances_fail(self, k5_path, tmp_path):
         # with atol = rtol = 1 the integrator cannot conserve mass to 1e-8

@@ -108,7 +108,7 @@ class TestMaxPrinciple:
     def test_explicit_reference_band(self):
         times = np.linspace(0.0, 1.0, 3)
         values = np.array([[1.0, 2.0], [1.5, 1.5], [1.2, 1.8]])
-        traj = Trajectory(times=times, values=values, stats=StepStats(2, 0, 0.0))
+        traj = Trajectory(times=times, values=values, stats=StepStats(accepted=2))
         assert fg.max_principle_check(traj, u0=np.array([0.0, 3.0])) == 0.0
         assert fg.max_principle_check(traj, u0=np.array([1.1, 1.9])) == pytest.approx(
             0.1

@@ -296,7 +296,7 @@ class TestPicard:
         assert traj.stats.h_min == min(st.h_min for st in sweeps)
         assert traj.stats.h_max == max(st.h_max for st in sweeps)
         last = sweeps[-1]
-        for name in ("snap_time", "max_error", "state_min", "state_max"):
+        for name in ("snap_time", "state_min", "state_max"):
             assert getattr(traj.stats, name) == getattr(last, name)
 
     def test_not_converged_raises_with_history(self, k2_kernel):
