@@ -36,6 +36,7 @@ from .graph import Graph, _check_length, integrate
 from .operators import FractionalKernel, dirichlet_p_energy
 
 __all__ = [
+    "Check",
     "DiagnosticsReport",
     "mass",
     "energy_identity_residual",
@@ -48,17 +49,30 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class Check:
+    """One row of a report's check table: it passes when measured <= threshold."""
+
+    name: str
+    measured: float
+    threshold: float
+
+    @property
+    def passed(self) -> bool:
+        return self.measured <= self.threshold
+
+
+@dataclass(frozen=True)
 class DiagnosticsReport:
     energy_identity_residual: float
     dissipation_lhs: float
     dissipation_rhs: float
-    dissipation_satisfied: bool
     mass_drift: float
     bound_violation: float
     final_gradient_energy: float
     initial_gradient_energy: float
     steady_state_error: float
     final_time_derivative_sup: float
+    check_table: tuple[Check, ...]
 
     def to_json(self, **extra) -> str:
         payload = asdict(self)
@@ -100,23 +114,16 @@ def energy_identity_residual(
 
 
 def _dissipation_pass(traj: Trajectory, kernel: FractionalKernel, p: float, q: float,
-                      eps_reg: float) -> tuple[np.ndarray, np.ndarray]:
-    """The dissipation integrand int u^(q-1) (du/dt)^2 dmu at every sample, and
-    du/dt at the final sample (the last row of the last block)."""
+                      eps_reg: float) -> tuple[float, np.ndarray]:
+    """The truncated dissipation integral of int u^(q-1) (du/dt)^2 dmu, and du/dt
+    at the final sample (the last row of the last block)."""
     mu, values = kernel.graph.mu, traj.values
     integrand = np.empty(len(values))
     for i in range(0, len(values), _BLOCK_ROWS):
         u = values[i:i + _BLOCK_ROWS]
         dudt = rhs_direct(kernel, u, p, q, eps_reg)
         integrand[i:i + _BLOCK_ROWS] = (u ** (q - 1.0) * dudt**2) @ mu
-    return integrand, dudt[-1]
-
-
-def _dissipation_verdict(times: np.ndarray, integrand: np.ndarray, energy0: float,
-                         p: float, q: float, slack: float):
-    lhs = float(np.trapezoid(integrand, times))
-    rhs = energy0 / (p * q)
-    return lhs, rhs, lhs <= rhs + slack * (rhs + 1.0)
+    return float(np.trapezoid(integrand, traj.times)), dudt[-1]
 
 
 def dissipation_check(
@@ -131,9 +138,9 @@ def dissipation_check(
 
     Returns (lhs, rhs, satisfied) with satisfied = lhs <= rhs + slack*(rhs+1).
     """
-    integrand, _ = _dissipation_pass(traj, kernel, p, q, eps_reg)
-    energy0 = dirichlet_p_energy(kernel, traj.u0, p)
-    return _dissipation_verdict(traj.times, integrand, energy0, p, q, slack)
+    lhs, _ = _dissipation_pass(traj, kernel, p, q, eps_reg)
+    rhs = dirichlet_p_energy(kernel, traj.u0, p) / (p * q)
+    return lhs, rhs, lhs <= rhs + slack * (rhs + 1.0)
 
 
 def max_principle_check(traj: Trajectory, u0: np.ndarray | None = None) -> float:
@@ -161,28 +168,30 @@ def build_report(
     traj: Trajectory, kernel: FractionalKernel, config: FlowConfig
 ) -> DiagnosticsReport:
     """Run every check on a finished trajectory."""
-    p, q = config.p, config.q
-    graph = kernel.graph
+    p, q, graph = config.p, config.q, kernel.graph
     mass0 = mass(graph, traj.u0, q)
-    drift = max(abs(mass(graph, u, q) - mass0) for u in traj.values)
+    drift = float(max(abs(mass(graph, u, q) - mass0) for u in traj.values))
     # one pass each for du/dt and the energy at every sample; the final du/dt
     # and the initial energy come from those passes
-    integrand, dudt_final = _dissipation_pass(traj, kernel, p, q, config.eps_reg)
+    lhs, dudt_final = _dissipation_pass(traj, kernel, p, q, config.eps_reg)
     energies = gradient_decay(traj, kernel, p)
-    # widen the slack by the trapezoid error budget of the output grid
-    dt = float(traj.times[1] - traj.times[0])
-    lhs, rhs, ok = _dissipation_verdict(traj.times, integrand, float(energies[0]), p, q,
-                                        slack=1e-6 + 10.0 * dt**2)
-    c = steady_state(graph, traj.u0, q)
+    energy0, energy_final = float(energies[0]), float(energies[-1])
+    rhs = energy0 / (p * q)
+    # widen the dissipation slack by the trapezoid error budget of the output grid
+    slack = 1e-6 + 10.0 * float(traj.times[1] - traj.times[0]) ** 2
+    residual = _energy_identity_residual(traj, graph, energies, q)
+    excursion = max_principle_check(traj)
     return DiagnosticsReport(
-        energy_identity_residual=_energy_identity_residual(traj, graph, energies, q),
-        dissipation_lhs=lhs,
-        dissipation_rhs=rhs,
-        dissipation_satisfied=bool(ok),
-        mass_drift=float(drift),
-        bound_violation=max_principle_check(traj),
-        final_gradient_energy=float(energies[-1]),
-        initial_gradient_energy=float(energies[0]),
-        steady_state_error=float(np.max(np.abs(traj.final - c))),
+        energy_identity_residual=residual, dissipation_lhs=lhs, dissipation_rhs=rhs,
+        mass_drift=drift, bound_violation=excursion,
+        final_gradient_energy=energy_final, initial_gradient_energy=energy0,
+        steady_state_error=float(np.max(np.abs(traj.final - steady_state(graph, traj.u0, q)))),
         final_time_derivative_sup=float(np.max(np.abs(dudt_final))),
+        check_table=(
+            Check("max_principle", excursion, 1e-9),
+            Check("mass_conservation", drift, 1e-8 * abs(mass0)),
+            Check("dissipation_bound", lhs, rhs + slack * (rhs + 1.0)),
+            Check("energy_identity", residual, max(1e-8, 10.0 * config.dt_out**2)),
+            Check("gradient_decay", energy_final, energy0 * (1 + 1e-8) + 1e-12),
+        ),
     )

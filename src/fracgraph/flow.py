@@ -119,7 +119,9 @@ class FlowConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (isinstance(value, numbers.Real) or f.name == "dt_out" and value is None):
+            # bool is a numbers.Real: without this a JSON true would read as 1
+            if isinstance(value, bool) or not (
+                    isinstance(value, numbers.Real) or f.name == "dt_out" and value is None):
                 raise DomainError(f"{f.name} = {value!r} is not a number")
         # every check is written so that NaN fails it; `< inf` rejects inf
         if not 0.0 < self.s < 1.0:

@@ -1,7 +1,10 @@
+import importlib.util
 import json
 import math
+import sys
 from dataclasses import fields
 from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -216,9 +219,12 @@ class TestEvolveCommand:
         "config",
         [{"u0": ["x", 1.0]}, {"p": "2.5"}, {"u0": [[1.0], [2.0]]},
          {"u0": {"kind": "constant"}}, 3, {"picard_max": 2.5, "solver": "picard", "q": 2},
-         {"u0": {"kind": "random-uniform", "low": 0.5, "high": 2.0, "seed": math.inf}}],
+         {"u0": {"kind": "random-uniform", "low": 0.5, "high": 2.0, "seed": math.inf}},
+         {"T": True}, {"q": True}, {"eps_reg": True}, {"picard_max": True},
+         {"T": True, "q": True, "eps_reg": True}],
         ids=["u0", "p", "u0-nested", "u0-no-value", "not-an-object", "picard-max",
-             "u0-seed-inf"])
+             "u0-seed-inf", "T-bool", "q-bool", "eps-reg-bool", "picard-max-bool",
+             "three-bools"])
     def test_non_numeric_config_is_usage_error(self, k2_path, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -277,6 +283,46 @@ class TestVerifyCommand:
             assert f"PASS {name}" in printed
         report = json.loads((out / "report.json").read_text())
         assert all(report["checks"].values())
+
+    def test_prints_and_records_the_check_table(self, k5_path, tmp_path, capsys):
+        # sloppy tolerances, so that some rows fail
+        out = tmp_path / "o"
+        code = main(["verify", k5_path, "--T", "2", "--atol", "1", "--rtol", "1",
+                     "--u0-random", "0.5", "2.0", "--output-dir", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        rows = report["check_table"]
+        assert {row["name"]: row["measured"] <= row["threshold"] for row in rows} == \
+            report["checks"]
+        assert code == 1 and not all(report["checks"].values())
+        assert "dissipation_satisfied" not in report
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            measured, threshold = row["measured"], row["threshold"]
+            assert line == (f"{'PASS' if measured <= threshold else 'FAIL'} {row['name']} "
+                            f"(measured {measured:.3e}, threshold {threshold:.3e}, "
+                            f"margin {threshold - measured:.3e})")
+
+    # the (s, p, q) cycle of perfbench's audit-n500 workload
+    @pytest.mark.parametrize("s, p, q", [(0.3, 1.5, 0.5), (0.5, 2.0, 1.0), (0.7, 2.5, 1.5),
+                                         (0.5, 3.0, 2.0)])
+    def test_benchmark_gate_agrees(self, philox_g40, tmp_path, monkeypatch, s, p, q):
+        # perfbench's correctness gate repeats verify's comparisons; a verdict
+        # that drifts from its copy makes the run inconsistent
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_audit", Path(__file__).parent.parent / "perfbench" / "audit.py")
+        audit = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, audit)  # its dataclasses look it up
+        spec.loader.exec_module(audit)
+        path, out, seed = tmp_path / "g40.json", tmp_path / "out", 5
+        path.write_text(fg.graph_to_json(philox_g40))
+        code = main(["verify", str(path), "--s", repr(s), "--p", repr(p), "--q", repr(q),
+                     "--T", "0.05", "--dt-out", "1e-3", "--u0-random", "0.5", "2.0",
+                     "--seed", str(seed), "--output-dir", str(out)])
+        u0 = np.random.Generator(np.random.Philox(seed)).uniform(0.5, 2.0, philox_g40.n)
+        solve = audit.check_audit("g40", out, code, philox_g40.mu, u0, s, p, q, 0.05, 1e-3)
+        assert solve.consistent, solve.reason
+        assert solve.ok, solve.reason
 
     def test_picard_conserves_mass(self, philox_g40, tmp_path, capsys, monkeypatch):
         # a coefficient interpolated linearly between the samples drifted
@@ -381,7 +427,9 @@ class TestSweepCommand:
         assert not (out / "s1.5_p2.0_q1.0").exists()
 
     @pytest.mark.parametrize("flags", [["--s-list", "0.5", "--workers", "0"],
-                                       ["--s-list", ","]], ids=["zero-workers", "empty-list"])
+                                       ["--s-list", ","],
+                                       ["--s-list", "0.5,0.50", "--p-list", "2,2.0"]],
+                             ids=["zero-workers", "empty-list", "repeated-value"])
     def test_bad_sweep_flags_are_usage_errors(self, k2_path, tmp_path, capsys, flags):
         code = main(["sweep", k2_path, "--p-list", "2", "--q-list", "1",
                      "--output-dir", str(tmp_path / "o")] + flags)

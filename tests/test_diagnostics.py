@@ -149,7 +149,7 @@ class TestBuildReport:
         u0 = np.random.default_rng(7).uniform(0.5, 2.0, 5)
         traj, cfg = run_flow(k5_kernel, u0, s=0.5, p=2.0, q=2.0, T=30.0)
         report = fg.build_report(traj, k5_kernel, cfg)
-        assert report.dissipation_satisfied
+        assert {row.name: row.passed for row in report.check_table}["dissipation_bound"]
         assert report.bound_violation <= 1e-9
         assert report.mass_drift <= 1e-8 * fg.mass(k5_kernel.graph, u0, 2.0)
         assert report.final_gradient_energy <= report.initial_gradient_energy
@@ -174,6 +174,30 @@ class TestBuildReport:
         assert report.final_time_derivative_sup == pytest.approx(
             fg.time_derivative_sup(traj, k5_kernel, 2.5, 1.5, cfg.eps_reg), rel=1e-13)
 
+    def test_check_table_rows(self, k5_kernel):
+        u0 = np.random.default_rng(8).uniform(0.5, 2.0, 5)
+        traj, cfg = run_flow(k5_kernel, u0, s=0.5, p=2.5, q=1.5, T=1.0, dt_out=0.1)
+        report = fg.build_report(traj, k5_kernel, cfg)
+        mass0 = fg.mass(k5_kernel.graph, u0, 1.5)
+        slack = 1e-6 + 10.0 * 0.1**2
+        assert report.check_table == (
+            diagnostics.Check("max_principle", report.bound_violation, 1e-9),
+            diagnostics.Check("mass_conservation", report.mass_drift, 1e-8 * mass0),
+            diagnostics.Check("dissipation_bound", report.dissipation_lhs,
+                              report.dissipation_rhs + slack * (report.dissipation_rhs + 1.0)),
+            diagnostics.Check("energy_identity", report.energy_identity_residual,
+                              max(1e-8, 10.0 * 0.1**2)),
+            diagnostics.Check("gradient_decay", report.final_gradient_energy,
+                              report.initial_gradient_energy * (1 + 1e-8) + 1e-12),
+        )
+        _, _, ok = fg.dissipation_check(traj, k5_kernel, 2.5, 1.5, cfg.eps_reg, slack)
+        assert report.check_table[2].passed == ok
+
+    def test_check_passes_up_to_its_threshold(self):
+        assert diagnostics.Check("c", 1.0, 1.0).passed
+        assert not diagnostics.Check("c", 1.0 + 2**-52, 1.0).passed
+        assert not diagnostics.Check("c", float("nan"), 1.0).passed
+
     def test_json_round_trip_with_extras(self, k2_kernel):
         import json
 
@@ -181,7 +205,9 @@ class TestBuildReport:
         report = fg.build_report(traj, k2_kernel, cfg)
         doc = json.loads(report.to_json(seed=7))
         assert doc["seed"] == 7
-        assert doc["dissipation_satisfied"] is True
+        rows = {row["name"]: row for row in doc["check_table"]}
+        assert rows["dissipation_bound"]["measured"] <= rows["dissipation_bound"]["threshold"]
+        assert "dissipation_satisfied" not in doc
         assert set(doc) >= {
             "energy_identity_residual",
             "mass_drift",

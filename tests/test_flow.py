@@ -377,6 +377,12 @@ class TestFlowConfig:
         with pytest.raises(fg.DomainError, match="not a number"):
             fg.FlowConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["T", "q", "eps_reg", "picard_max", "dt_out"])
+    def test_bool_parameter_is_domain_error(self, field):
+        kwargs = {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, field: True}
+        with pytest.raises(fg.DomainError, match="not a number"):
+            fg.FlowConfig(**kwargs)
+
     def test_integral_picard_max_becomes_an_int(self):
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0, picard_max=3.0)
         assert cfg.picard_max == 3 and isinstance(cfg.picard_max, int)

@@ -142,6 +142,15 @@ class TestQuadratureOracle:
         w = fg.kernel_weights_oracle(fg.decompose(k2), 0.5)
         assert w[0, 1] == pytest.approx(2.0**-0.5, rel=1e-10)
 
+    def test_coarse_grid_raises_typed_error(self, k2, monkeypatch):
+        # 8 Simpson panels differ from 4 by far more than the check tolerance
+        monkeypatch.setattr(fg.spectral, "_PANELS", 8)
+        with pytest.raises(fg.QuadratureNotConverged, match="lam=2.0, s=0.5"):
+            fg.fractional_power_quadrature(2.0, 0.5)
+        # K2's eigenvalues are 0 and 2
+        with pytest.raises(fg.QuadratureNotConverged):
+            fg.kernel_weights_oracle(fg.decompose(k2), 0.5)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_spectral_kernel(self, seed):
         g = make_random_graph(seed, n=8)
