@@ -7,7 +7,6 @@ from .errors import (
     FracGraphError,
     InvalidGraph,
     LengthMismatch,
-    NegativeTime,
     NoConvergence,
     NonPositiveState,
     PicardNotConverged,
@@ -31,7 +30,6 @@ from .spectral import (
     decompose,
     fractional_laplacian_spectral,
     fractional_power_quadrature,
-    heat_kernel_matrix,
     kernel_weights,
     kernel_weights_oracle,
     spectral_weight_matrix,

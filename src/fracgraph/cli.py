@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import _by_blocks, build_report, mass
+from .diagnostics import build_report, mass
 from .errors import FracGraphError, PositivityViolation
 from .flow import FlowConfig, Trajectory, evolve_direct, picard_solve, steady_state
-from .graph import Graph, graph_from_json
+from .graph import Graph, _json_number, graph_from_json
 from .operators import FractionalKernel, build_kernel, dirichlet_p_energy
 from .spectral import decompose, kernel_weights, kernel_weights_oracle
 
@@ -129,16 +129,19 @@ def _make_u0(graph: Graph, args) -> tuple[np.ndarray, dict]:
 
 def _parse_u0(graph: Graph, spec) -> tuple[np.ndarray, dict]:
     if isinstance(spec, list):
-        u0 = np.asarray(spec, dtype=float)
+        u0 = np.array([_json_number(v, "u0 entry") for v in spec])
         meta = {"kind": "explicit"}
     elif isinstance(spec, dict):
         kind = spec.get("kind")
         if kind == "constant":
-            u0 = np.full(graph.n, float(spec["value"]))
-            meta = {"kind": "constant", "value": float(spec["value"])}
+            value = _json_number(spec["value"], "value")
+            u0 = np.full(graph.n, value)
+            meta = {"kind": "constant", "value": value}
         elif kind == "random-uniform":
-            low, high = float(spec["low"]), float(spec["high"])
-            seed = int(spec.get("seed", 0))
+            low, high = _json_number(spec["low"], "low"), _json_number(spec["high"], "high")
+            seed = spec.get("seed", 0)
+            if type(seed) is not int:  # not a bool either
+                raise ValueError(f"seed = {seed!r} is not an integer")
             if not (0.0 < low < np.inf and 0.0 < high < np.inf):
                 raise UsageError("random-uniform u0 bounds must be positive and finite")
             rng = np.random.Generator(np.random.Philox(seed))
@@ -275,8 +278,8 @@ def cmd_evolve(args, cache: dict | None = None) -> int:
         print(f"FAIL solver: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
-    masses = np.array([mass(graph, u, config.q) for u in traj.values])
-    energies = _by_blocks(lambda u: dirichlet_p_energy(kernel, u, config.p), traj.values)
+    masses = mass(graph, traj.values, config.q)
+    energies = dirichlet_p_energy(kernel, traj.values, config.p)
     _write_trajectory_csv(out / "trajectory.csv", traj, masses, energies)
     c = steady_state(graph, u0, config.q)
     summary.update({

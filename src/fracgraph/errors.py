@@ -21,10 +21,6 @@ class NoConvergence(FracGraphError, RuntimeError):
     """Eigendecomposition did not converge."""
 
 
-class NegativeTime(FracGraphError, ValueError):
-    """Heat kernel evaluated at t < 0."""
-
-
 class ExponentOutOfRange(FracGraphError, ValueError):
     """Fractional or integrability exponent outside its admissible range."""
 

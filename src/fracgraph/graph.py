@@ -277,9 +277,10 @@ def graph_from_json(text: str) -> Graph:
         {"vertices": [{"id": str, "mu": float}, ...],
          "edges": [{"u": str, "v": str, "w": float}, ...]}
 
-    Duplicate edges and self-loops are rejected.  A malformed document raises
-    ValueError (a missing key KeyError), naming the first offending edge in
-    file order; the weight matrix is filled in one scatter at the end.
+    Duplicate edges, self-loops and a measure or weight that is not a JSON
+    number (true and "2" are not) are rejected.  A malformed document raises
+    ValueError (a missing key KeyError), naming the first offending vertex or
+    edge in file order; the weight matrix is filled in one scatter at the end.
     """
     data = json.loads(text)
     try:
@@ -295,8 +296,9 @@ def graph_from_json(text: str) -> Graph:
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate vertex ids")
     try:
-        mu = np.array([float(v["mu"]) for v in vertices])
-    except (TypeError, OverflowError) as exc:
+        mu = np.array([_json_number(v["mu"], f"vertex {lab}: mu")
+                       for v, lab in zip(vertices, labels)])
+    except OverflowError as exc:
         raise ValueError(f"vertex measures must be numbers: {exc}") from exc
     index = {lab: i for i, lab in enumerate(labels)}
 
@@ -316,7 +318,10 @@ def graph_from_json(text: str) -> Graph:
             pair = i * n + j if i < j else j * n + i
             if pairs.get(pair, 0.0) != 0:
                 raise ValueError(f"duplicate edge {labels[i]}-{labels[j]}")
-            pairs[pair] = float(e["w"])
+            x = e["w"]
+            if type(x) not in (int, float):  # _json_number's test, with no name built per edge
+                raise ValueError(f"edge {labels[i]}-{labels[j]}: w = {x!r} is not a number")
+            pairs[pair] = float(x)
     except (TypeError, OverflowError) as exc:
         where = "edges" if k is None else f"edge {k}"
         raise ValueError(f"{where}: {exc}") from exc
@@ -328,6 +333,14 @@ def graph_from_json(text: str) -> Graph:
     flat[key] = weight
     flat[key % n * n + key // n] = weight
     return Graph._adopt(mu, w, tuple(labels)).require_valid()
+
+
+def _json_number(value, name: str) -> float:
+    """A value that json.loads read from a JSON number, as a float; ValueError naming
+    it otherwise.  json.loads gives true and false as bools, which are ints to Python."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} = {value!r} is not a number")
+    return float(value)
 
 
 def graph_to_json(graph: Graph) -> str:

@@ -33,7 +33,8 @@ leave a sum of squares slightly negative; it is clamped at 0.
 
 frac_p_laplacian and dirichlet_p_energy also take a stack of states, an
 (m, n) array with one state per row; each row is centred by its own first
-entry, and the products with W become one matrix product for the stack.
+entry, and the products with W become one matrix product for the stack
+(for dirichlet_p_energy, one per block of at most _BLOCK_ROWS rows).
 """
 
 from __future__ import annotations
@@ -165,14 +166,20 @@ def frac_p_laplacian(
     return _p_laplacian(kernel, v, p, eps_reg)[0]
 
 
+_BLOCK_ROWS = 1024  # rows of a stack taken at a time, so temporaries stay bounded
+
+
 def dirichlet_p_energy(kernel: FractionalKernel, u: np.ndarray, p: float) -> float | np.ndarray:
     """int_V |grad^s u|^p dmu; for a stack u (m, n), the m energies of its rows."""
     if not p >= 1.0:
         raise ExponentOutOfRange(f"p = {p}, need p >= 1")
     u = _check_length(kernel.graph, u, "u", stack=True)
-    g2 = _squared_gradients(kernel, _centred(u))[0]
-    energy = g2 ** (p / 2.0) @ kernel.graph.mu
-    return float(energy) if u.ndim == 1 else energy
+    rows = u.reshape(-1, kernel.n)
+    energy = np.empty(len(rows))
+    for i in range(0, len(rows), _BLOCK_ROWS):
+        g2 = _squared_gradients(kernel, _centred(rows[i:i + _BLOCK_ROWS]))[0]
+        energy[i:i + _BLOCK_ROWS] = g2 ** (p / 2.0) @ kernel.graph.mu
+    return float(energy[0]) if u.ndim == 1 else energy
 
 
 def sobolev_norm(kernel: FractionalKernel, u: np.ndarray, p: float) -> float:

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import (
     DomainError,
     ExponentOutOfRange,
-    NegativeTime,
     NoConvergence,
     PositivityViolation,
     QuadratureNotConverged,
@@ -32,7 +31,6 @@ from .graph import Graph, _check_length
 __all__ = [
     "SpectralDecomposition",
     "decompose",
-    "heat_kernel_matrix",
     "spectral_weight_matrix",
     "kernel_weights",
     "kernel_weights_oracle",
@@ -62,10 +60,6 @@ class SpectralDecomposition:
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
         self.phi.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
 
 
 def decompose(graph: Graph) -> SpectralDecomposition:
@@ -126,13 +120,6 @@ def _assemble_kernel(dec: SpectralDecomposition, powers: np.ndarray) -> np.ndarr
     scale *= 0.5
     np.fill_diagonal(scale, 0.0)
     return scale
-
-
-def heat_kernel_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
-    """Heat kernel h(t,x,y) = sum_i exp(-lambda_i t) phi_i(x) phi_i(y), as a matrix."""
-    if t < 0:
-        raise NegativeTime(f"t = {t}")
-    return _eigen_sum(dec, np.exp(-dec.eigenvalues * t))
 
 
 def spectral_weight_matrix(dec: SpectralDecomposition, s: float) -> np.ndarray:

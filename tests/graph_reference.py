@@ -80,7 +80,7 @@ def parse(text):
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate vertex ids")
     index = {lab: i for i, lab in enumerate(labels)}
-    mu = np.array([float(v["mu"]) for v in vertices])
+    mu = np.array([number(v["mu"], f"vertex {lab}: mu") for v, lab in zip(vertices, labels)])
 
     n = len(labels)
     w = np.zeros((n, n))
@@ -93,8 +93,15 @@ def parse(text):
             raise ValueError(f"self-loop at vertex {labels[i]}")
         if w[i, j] != 0:
             raise ValueError(f"duplicate edge {labels[i]}-{labels[j]}")
-        w[i, j] = w[j, i] = float(e["w"])
+        w[i, j] = w[j, i] = number(e["w"], f"edge {labels[i]}-{labels[j]}: w")
     return Graph(mu=mu, weights=w, labels=tuple(labels))
+
+
+def number(value, name):
+    """A JSON number as a float: an int or a float, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} = {value!r} is not a number")
+    return float(value)
 
 
 def graph_from_json(text):
@@ -136,7 +143,7 @@ def kernel_weights(dec, s):
     w = -np.outer(mu, mu) * (dec.phi.T @ (powers[:, None] * dec.phi))
     w = 0.5 * (w + w.T)
     np.fill_diagonal(w, 0.0)
-    off = w[~np.eye(dec.n, dtype=bool)]
+    off = w[~np.eye(dec.graph.n, dtype=bool)]
     scale = float(np.max(np.abs(off))) if off.size else 0.0
     if off.size and float(np.min(off)) < -1e-12 * scale:
         raise PositivityViolation(f"min off-diagonal entry {np.min(off):.3e} at s={s}")

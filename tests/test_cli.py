@@ -105,8 +105,13 @@ class TestKernelCommand:
         [{**K2_DOC, "edges": [5]},
          {**K2_DOC, "vertices": [{"id": "a", "mu": [1]}, {"id": "b", "mu": 1.0}]},
          {**K2_DOC, "edges": [{"u": "a", "v": "b", "w": None}]},
-         {**K2_DOC, "vertices": 5}],
-        ids=["edge-entry", "mu-list", "w-null", "vertices-number"])
+         {**K2_DOC, "vertices": 5},
+         {**K2_DOC, "vertices": [{"id": "a", "mu": True}, {"id": "b", "mu": 1.0}]},
+         {**K2_DOC, "vertices": [{"id": "a", "mu": "2"}, {"id": "b", "mu": 1.0}]},
+         {**K2_DOC, "edges": [{"u": "a", "v": "b", "w": "1.5"}]},
+         {**K2_DOC, "edges": [{"u": "a", "v": "b", "w": True}]}],
+        ids=["edge-entry", "mu-list", "w-null", "vertices-number", "mu-bool", "mu-string",
+             "w-string", "w-bool"])
     def test_malformed_graph_document_is_usage_error(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -221,10 +226,17 @@ class TestEvolveCommand:
          {"u0": {"kind": "constant"}}, 3, {"picard_max": 2.5, "solver": "picard", "q": 2},
          {"u0": {"kind": "random-uniform", "low": 0.5, "high": 2.0, "seed": math.inf}},
          {"T": True}, {"q": True}, {"eps_reg": True}, {"picard_max": True},
-         {"T": True, "q": True, "eps_reg": True}],
+         {"T": True, "q": True, "eps_reg": True},
+         {"u0": {"kind": "constant", "value": True}},
+         {"u0": {"kind": "constant", "value": "1.5"}},
+         {"u0": ["1", 2]},
+         {"u0": {"kind": "random-uniform", "low": True, "high": 2.0}},
+         {"u0": {"kind": "random-uniform", "low": 0.5, "high": 2.0, "seed": "3"}},
+         {"u0": {"kind": "random-uniform", "low": 0.5, "high": 2.0, "seed": 1.7}}],
         ids=["u0", "p", "u0-nested", "u0-no-value", "not-an-object", "picard-max",
              "u0-seed-inf", "T-bool", "q-bool", "eps-reg-bool", "picard-max-bool",
-             "three-bools"])
+             "three-bools", "u0-value-bool", "u0-value-string", "u0-string-entry",
+             "u0-low-bool", "u0-seed-string", "u0-seed-fraction"])
     def test_non_numeric_config_is_usage_error(self, k2_path, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -373,6 +385,12 @@ class TestVerifyCommand:
         assert exc_info.value.code == 2
         assert "--emit-plots" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_non_numeric_weight_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**K2_DOC, "edges": [{"u": "a", "v": "b", "w": "1.5"}]}))
+        assert main(["verify", str(bad), "--output-dir", str(tmp_path / "o")]) == 2
+        assert "w = '1.5' is not a number" in capsys.readouterr().err
 
     def test_sloppy_tolerances_fail(self, k5_path, tmp_path):
         # with atol = rtol = 1 the integrator cannot conserve mass to 1e-8

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fracgraph as fg
-from fracgraph import diagnostics
+from fracgraph import diagnostics, operators
 from fracgraph.flow import StepStats, Trajectory
 
 
@@ -27,6 +27,12 @@ class TestMass:
     def test_rejects_nonpositive_for_fractional_q(self, k2):
         with pytest.raises(fg.NonPositiveState):
             fg.mass(k2, np.array([1.0, 0.0]), 0.5)
+
+    def test_stack_rows_match_single_calls(self, k5):
+        stack = np.random.default_rng(1).uniform(0.5, 2.0, (7, 5))
+        masses = fg.mass(k5, stack, 1.5)
+        assert masses.shape == (7,)
+        assert masses.tolist() == [fg.mass(k5, u, 1.5) for u in stack]
 
     def test_conserved_along_flow(self, k5_kernel):
         u0 = np.random.default_rng(0).uniform(0.5, 2.0, 5)
@@ -131,6 +137,7 @@ class TestGradientDecay:
 class TestBlocks:
     def test_blocks_match_a_loop_over_samples(self, k5_kernel, monkeypatch):
         # blocks of 4 rows over 11 samples: two full blocks and a short one
+        monkeypatch.setattr(operators, "_BLOCK_ROWS", 4)
         monkeypatch.setattr(diagnostics, "_BLOCK_ROWS", 4)
         u0 = np.random.default_rng(8).uniform(0.5, 2.0, 5)
         p, q = 2.5, 1.5
@@ -162,11 +169,11 @@ class TestBuildReport:
         u0 = np.random.default_rng(8).uniform(0.5, 2.0, 5)
         traj, cfg = run_flow(k5_kernel, u0, s=0.5, p=2.5, q=1.5, T=1.0, dt_out=0.1)
         spies = {name: mock.Mock(wraps=getattr(diagnostics, name))
-                 for name in ("rhs_direct", "dirichlet_p_energy")}
+                 for name in ("rhs_direct", "dirichlet_p_energy", "mass")}
         for name, spy in spies.items():
             monkeypatch.setattr(diagnostics, name, spy)
         report = fg.build_report(traj, k5_kernel, cfg)
-        assert [spy.call_count for spy in spies.values()] == [1, 1]
+        assert [spy.call_count for spy in spies.values()] == [1, 1, 1]
         monkeypatch.undo()
         lhs, rhs, _ = fg.dissipation_check(traj, k5_kernel, 2.5, 1.5, cfg.eps_reg)
         assert report.dissipation_lhs == lhs

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import fracgraph as fg
 from fracgraph import flow
 from fracgraph.flow import MAX_OUTPUT_INTERVALS, _check_bounds, _integrate
 from conftest import make_random_graph, wall_clock_limit
+from linear_flow_reference import LinearFlow
 
 
 def reference_solve(kernel, u0, q, T, dt):
@@ -123,16 +125,6 @@ class TestEvolveDirect:
         traj = fg.evolve_direct(k2_kernel, np.full(2, 1.2), cfg)
         np.testing.assert_allclose(traj.values, 1.2, atol=1e-12)
 
-    def test_k2_p2_q1_exact_solution(self, k2_kernel):
-        # with mu = 1 the difference obeys d' = -2 W d, W = 2^{s-1}
-        u0 = np.array([1.5, 0.5])
-        cfg = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0)
-        traj = fg.evolve_direct(k2_kernel, u0, cfg)
-        w = 2.0**-0.5
-        for t, u in zip(traj.times, traj.values):
-            d = 1.0 * np.exp(-2.0 * w * t)
-            np.testing.assert_allclose(u, [1.0 + d / 2.0, 1.0 - d / 2.0], atol=1e-8)
-
     def test_against_fine_step_reference_nonlinear(self, k2_kernel):
         u0 = np.array([1.0, 0.4])
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=0.1)
@@ -186,6 +178,110 @@ class TestEvolveDirect:
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0)
         with pytest.raises(fg.NonPositiveState):
             fg.evolve_direct(k2_kernel, np.array([1.0, -0.5]), cfg)
+
+
+# The linear flow's inputs: K2 (n = 2) with the datum (1.5, 0.5), and random
+# graphs of n vertices with a random datum, each at two orders s.
+LINEAR_CASES = [(n, s) for n in (2, 40, 200, 500) for s in (0.3, 0.7)]
+LINEAR_IDS = [f"{'k2' if n == 2 else f'n{n}'}-s{s}" for n, s in LINEAR_CASES]
+
+
+@functools.cache
+def linear_decomposition(n):
+    if n == 2:
+        graph = fg.Graph(mu=np.ones(2), weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    else:
+        graph = fg.random_connected_graph(np.random.default_rng([1, n]), n,
+                                          extra_edge_prob=8 / n)
+    return fg.decompose(graph)
+
+
+@functools.cache
+def linear_input(n, s):
+    """Kernel and datum of one input, and the closed form of its flow."""
+    dec = linear_decomposition(n)
+    kern = fg.build_kernel(dec.graph, s, dec)
+    u0 = np.array([1.5, 0.5]) if n == 2 else np.random.default_rng(3).uniform(0.5, 2.0, n)
+    return kern, u0, LinearFlow(kern, u0)
+
+
+def linear_config(s, dt_out=1e-2):
+    return fg.FlowConfig(s=s, p=2.0, q=1.0, T=2.0, dt_out=dt_out)
+
+
+@functools.cache
+def linear_solve(n, s, dt_out=1e-2):
+    kern, u0, _ = linear_input(n, s)
+    return fg.evolve_direct(kern, u0, linear_config(s, dt_out))
+
+
+def sample_error(traj, n, s):
+    """sup over the grid of |u - exact|, in units of the step tolerance."""
+    _, u0, exact = linear_input(n, s)
+    tol = fg.FlowConfig.atol + fg.FlowConfig.rtol * float(np.max(u0))
+    return float(np.max(np.abs(traj.values - exact.samples(traj.times)))) / tol
+
+
+class TestLinearFlow:
+    """At p = 2 and q = 1 the flow is linear and has a closed form in the
+    eigenbasis; the solvers and the audit are held to it."""
+
+    @pytest.mark.parametrize("s", [0.3, 0.7])
+    def test_reference_is_the_k2_closed_form(self, s):
+        # with mu = 1 the difference obeys d' = -2 W d, W = 2^{s-1}, and
+        # E = W d^2; the mean stays 1
+        _, _, exact = linear_input(2, s)
+        times = linear_config(s).output_times()
+        d = np.exp(-(2.0**s) * times)
+        np.testing.assert_allclose(exact.samples(times),
+                                   np.column_stack([1.0 + d / 2.0, 1.0 - d / 2.0]),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(exact.energy(times), 2.0 ** (s - 1.0) * d**2, rtol=1e-14)
+        assert exact.dissipation(2.0) == pytest.approx(
+            (exact.energy([0.0])[0] - exact.energy([2.0])[0]) / 2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("n, s", LINEAR_CASES, ids=LINEAR_IDS)
+    def test_direct_samples(self, n, s):
+        traj = linear_solve(n, s)
+        # most samples come from the continuous extension inside a step
+        assert traj.stats.accepted < len(traj.times) - 1
+        assert sample_error(traj, n, s) <= 0.5
+
+    @pytest.mark.parametrize("n, s", LINEAR_CASES, ids=LINEAR_IDS)
+    def test_picard_samples(self, n, s):
+        kern, u0, _ = linear_input(n, s)
+        traj, iters, _ = fg.picard_solve(kern, u0, linear_config(s))
+        assert iters == 1
+        assert sample_error(traj, n, s) <= 0.5
+
+    @pytest.mark.parametrize("entry", [(2, 1), (3, 2), (6, 3), (0, 3)])
+    def test_perturbed_continuous_extension_is_caught(self, entry, monkeypatch):
+        perturbed = flow._DP_P.copy()
+        perturbed[entry] *= 1.0 + 1e-6
+        monkeypatch.setattr(flow, "_DP_P", perturbed)
+        kern, u0, _ = linear_input(40, 0.7)
+        assert sample_error(fg.evolve_direct(kern, u0, linear_config(0.7)), 40, 0.7) > 0.5
+
+    @pytest.mark.parametrize("n, s", LINEAR_CASES, ids=LINEAR_IDS)
+    def test_gradient_decay(self, n, s):
+        kern, _, exact = linear_input(n, s)
+        traj = linear_solve(n, s)
+        energy = exact.energy(traj.times)
+        assert np.max(np.abs(fg.gradient_decay(traj, kern, 2.0) - energy)) <= 1e-8 * energy[0]
+
+    @pytest.mark.parametrize("n, s", LINEAR_CASES, ids=LINEAR_IDS)
+    def test_trapezoid_dissipation_is_second_order(self, n, s):
+        # the integrand decays convexly, so the trapezoid rule overestimates
+        # it, by O(dt_out^2)
+        kern, _, exact = linear_input(n, s)
+        integral = exact.dissipation(2.0)
+        excess = []
+        for dt_out in (1e-2, 5e-3, 2.5e-3):
+            lhs, _, _ = fg.dissipation_check(linear_solve(n, s, dt_out), kern, 2.0, 1.0)
+            excess.append((lhs - integral) / integral)
+        assert min(excess) > 0.0
+        for coarse, fine in zip(excess, excess[1:]):
+            assert coarse / fine == pytest.approx(4.0, abs=0.1)
 
 
 class TestSolveFrozen:

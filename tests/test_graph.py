@@ -163,6 +163,31 @@ class TestJsonFormat:
         with pytest.raises(ValueError, match="self-loop"):
             fg.graph_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("vertex_mu, weight, message", [
+        (True, 1.0, "vertex a: mu = True is not a number"),
+        ("2", 1.0, "vertex a: mu = '2' is not a number"),
+        (1.0, "1.5", "edge a-b: w = '1.5' is not a number"),
+        (1.0, True, "edge a-b: w = True is not a number"),
+    ])
+    def test_rejects_non_number(self, vertex_mu, weight, message):
+        # JSON true is not the number 1, nor is a string of digits a number
+        doc = json.dumps({
+            "vertices": [{"id": "a", "mu": vertex_mu}, {"id": "b", "mu": 1.0}],
+            "edges": [{"u": "a", "v": "b", "w": weight}],
+        })
+        for parse in (fg.graph_from_json, ref.parse):
+            with pytest.raises(ValueError) as exc_info:
+                parse(doc)
+            assert str(exc_info.value) == message
+
+    def test_json_integers_are_numbers(self):
+        doc = {
+            "vertices": [{"id": "a", "mu": 2}, {"id": "b", "mu": 1.0}],
+            "edges": [{"u": "a", "v": "b", "w": 3}],
+        }
+        g = fg.graph_from_json(json.dumps(doc))
+        assert g.mu.tolist() == [2.0, 1.0] and g.weights[0, 1] == 3.0
+
     def test_rejects_duplicate_edge(self):
         doc = {
             "vertices": [{"id": "a", "mu": 1.0}, {"id": "b", "mu": 1.0}],
@@ -193,9 +218,9 @@ def _outcome(fn, *args):
 # Vertex ids a-e, often joined by a path; extra edges repeat pairs in either
 # orientation, and now and then one is a self-loop or names the unknown id "x".
 # Weights repeat zeros (so that a zero-weight edge recurs) and include NaN, inf
-# and negatives.
-_WEIGHTS = [1.0, 2.5, 0.5] * 2 + [0.0, -0.0, -1.0, float("nan"), float("inf")]
-_MEASURES = [1.0, 0.5, 3.0] * 4 + [0.0, -2.0, float("nan")]
+# and negatives; an integer is a number, but true and "2" are not.
+_WEIGHTS = [1.0, 2.5, 0.5] * 2 + [0.0, -0.0, -1.0, float("nan"), float("inf"), 2, True]
+_MEASURES = [1.0, 0.5, 3.0] * 4 + [0.0, -2.0, float("nan"), "2"]
 
 
 @st.composite

@@ -48,41 +48,6 @@ class TestDecompose:
         assert dec.eigenvalues[1] > 0.0
 
 
-class TestHeatKernel:
-    def test_t0_is_delta_over_mu(self):
-        g = make_random_graph(2)
-        dec = fg.decompose(g)
-        h0 = fg.heat_kernel_matrix(dec, 0.0)
-        np.testing.assert_allclose(h0, np.diag(1.0 / g.mu), atol=1e-10)
-
-    def test_k2_long_time(self, k2):
-        dec = fg.decompose(k2)
-        assert fg.heat_kernel_matrix(dec, 1e6)[0, 1] == pytest.approx(0.5, abs=1e-12)
-
-    def test_k2_t1_off_diagonal(self, k2):
-        dec = fg.decompose(k2)
-        expect = (1.0 - math.exp(-2.0)) / 2.0  # 0.4323323584...
-        assert fg.heat_kernel_matrix(dec, 1.0)[0, 1] == pytest.approx(expect, abs=1e-14)
-
-    def test_symmetric_positive_diagonal(self):
-        g = make_random_graph(7)
-        dec = fg.decompose(g)
-        h = fg.heat_kernel_matrix(dec, 0.7)
-        np.testing.assert_allclose(h, h.T, atol=1e-12)
-        assert np.all(np.diag(h) > 0)
-
-    def test_semigroup_property(self):
-        g = make_random_graph(8)
-        dec = fg.decompose(g)
-        ht, hr = fg.heat_kernel_matrix(dec, 0.4), fg.heat_kernel_matrix(dec, 1.1)
-        hsum = fg.heat_kernel_matrix(dec, 1.5)
-        np.testing.assert_allclose(ht @ (g.mu[:, None] * hr), hsum, atol=1e-10)
-
-    def test_negative_time(self, k2):
-        with pytest.raises(fg.NegativeTime):
-            fg.heat_kernel_matrix(fg.decompose(k2), -0.1)[0, 1]
-
-
 class TestKernelWeights:
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     def test_k2_closed_form(self, k2, s):
