@@ -12,6 +12,7 @@ from .errors import (
     PicardNotConverged,
     PositivityViolation,
     QuadratureNotConverged,
+    StepBudgetExceeded,
     StepSizeUnderflow,
 )
 from .graph import (

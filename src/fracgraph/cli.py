@@ -13,8 +13,8 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
-from itertools import product
+from dataclasses import asdict, fields
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +49,8 @@ def _load_graph(path: str) -> Graph:
         raise UsageError(f"bad graph file {path}: {exc}") from exc
 
 
-def _output_dir(args) -> Path:
-    path = Path(args.output_dir)
+def _output_dir(path: str | Path) -> Path:
+    path = Path(path)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -113,11 +113,11 @@ def _svg_lineplot(path: Path, times: np.ndarray, series: dict[str, np.ndarray], 
     path.write_text("\n".join(parts) + "\n")
 
 
-def _make_u0(graph: Graph, args) -> tuple[np.ndarray, dict]:
+def _make_u0(graph: Graph, spec) -> tuple[np.ndarray, dict]:
     try:
-        u0, meta = _parse_u0(graph, args.u0)
+        u0, meta = _parse_u0(graph, spec)
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
-        raise UsageError(f"bad u0 {args.u0!r}: {exc}") from exc
+        raise UsageError(f"bad u0 {spec!r}: {exc}") from exc
     if u0.shape != (graph.n,):
         raise UsageError(f"u0 has shape {u0.shape}, graph has {graph.n} vertices")
     if not np.isfinite(u0).all():
@@ -162,41 +162,46 @@ _CLI_DEFAULTS = {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "solver": "direct",
                  "u0": {"kind": "constant", "value": 1.0}}
 
 
-def _flow_config(args) -> FlowConfig:
-    given = {key: getattr(args, key) for key in _FLOW_KEYS
-             if getattr(args, key, None) is not None}
+def _flow_config(values: dict) -> FlowConfig:
     try:
-        return FlowConfig(**given)
+        return FlowConfig(**{key: values[key] for key in _FLOW_KEYS if key in values})
     except FracGraphError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _apply_config_file(args):
-    """Merge --config JSON under explicit flags (flags win)."""
-    if not args.config:
-        return
+def _resolve(args) -> dict:
+    """Every FlowConfig field, "solver" and "u0": the flag, else --config, else the default.
+
+    A FlowConfig field that none of them sets is left out.  --seed sets the seed
+    of the u0 so resolved, which must be a random-uniform spec.
+    """
     try:
-        data = json.loads(Path(args.config).read_text())
+        data = json.loads(Path(args.config).read_text()) if args.config else {}
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad config file: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    for key in (*_FLOW_KEYS, "solver", "u0"):
-        if key in data and getattr(args, key, None) is None:
-            setattr(args, key, data[key])
-
-
-def _fill_defaults(args):
-    for key, val in _CLI_DEFAULTS.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, val)
+    flags = {**vars(args), "u0": None}
+    if args.u0_constant is not None:
+        flags["u0"] = {"kind": "constant", "value": args.u0_constant}
+    elif args.u0_random is not None:
+        low, high = args.u0_random
+        flags["u0"] = {"kind": "random-uniform", "low": low, "high": high}
+    # sources in rising precedence, so that the last one to set a key wins
+    values = {key: source[key] for source in (_CLI_DEFAULTS, data, flags)
+              for key in (*_FLOW_KEYS, "solver", "u0") if source.get(key) is not None}
+    if args.seed is not None:
+        if not (isinstance(values["u0"], dict) and values["u0"].get("kind") == "random-uniform"):
+            raise UsageError("--seed needs a random-uniform u0")
+        values["u0"] = {**values["u0"], "seed": args.seed}
+    return values
 
 
 def cmd_kernel(args) -> int:
     graph = _load_graph(args.graph)
     if not 0.0 < args.s < 1.0:
         raise UsageError(f"s = {args.s}, need 0 < s < 1")
-    out = _output_dir(args)
+    out = _output_dir(args.output_dir)
     dec = decompose(graph)
     try:
         w = kernel_weights(dec, args.s)
@@ -237,40 +242,22 @@ def _run_solver(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig, so
     return traj, iters, history
 
 
-def _setup(args, cache: dict | None = None):
-    """Set-up shared by every solve: graph, config, u0, output dir and kernel.
-
-    The graph and the kernel come from ``cache``; without one, the solve loads
-    the graph and decomposes it.  A sweep worker passes the same dict to each
-    of its solves (all on one graph), so the graph is loaded, validated and
-    decomposed once and a kernel is rebuilt only when s changes.
-    """
-    cache = {} if cache is None else cache
-    _apply_config_file(args)
-    _fill_defaults(args)
-    if "graph" not in cache:
-        cache["graph"] = _load_graph(args.graph)
-    graph = cache["graph"]
-    config = _flow_config(args)
-    u0, u0_meta = _make_u0(graph, args)
-    out = _output_dir(args)
-    if "kernel" not in cache or cache["kernel"].s != config.s:
-        cache.pop("kernel", None)  # hold one kernel at a time
-        cache["kernel"] = build_kernel(graph, config.s, cache.get("dec"))
-        cache["dec"] = cache["kernel"].dec
-    return graph, config, u0, u0_meta, out, cache["kernel"]
+def _setup(args):
+    """Set-up of evolve and verify: kernel, config, solver, u0 and its record, output dir."""
+    values = _resolve(args)
+    graph = _load_graph(args.graph)
+    config = _flow_config(values)
+    u0, u0_meta = _make_u0(graph, values["u0"])
+    out = _output_dir(args.output_dir)
+    return build_kernel(graph, config.s), config, values["solver"], u0, u0_meta, out
 
 
-def cmd_evolve(args, cache: dict | None = None) -> int:
-    graph, config, u0, u0_meta, out, kernel = _setup(args, cache)
-
-    summary = {
-        "solver": args.solver,
-        "config": {key: getattr(config, key) for key in _FLOW_KEYS},
-        "u0": u0_meta,
-    }
+def _evolve_and_write(kernel: FractionalKernel, config: FlowConfig, solver: str,
+                      u0: np.ndarray, u0_meta: dict, out: Path, emit_plots: bool) -> int:
+    """Solve, then write summary.json, trajectory.csv and, with emit_plots, flow.svg."""
+    summary = {"solver": solver, "config": asdict(config), "u0": u0_meta}
     try:
-        traj, iters, history = _run_solver(kernel, u0, config, args.solver)
+        traj, iters, history = _run_solver(kernel, u0, config, solver)
     except FracGraphError as exc:
         summary["error"] = type(exc).__name__
         summary["message"] = str(exc)
@@ -278,10 +265,10 @@ def cmd_evolve(args, cache: dict | None = None) -> int:
         print(f"FAIL solver: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
-    masses = mass(graph, traj.values, config.q)
+    masses = mass(kernel.graph, traj.values, config.q)
     energies = dirichlet_p_energy(kernel, traj.values, config.p)
     _write_trajectory_csv(out / "trajectory.csv", traj, masses, energies)
-    c = steady_state(graph, u0, config.q)
+    c = steady_state(kernel.graph, u0, config.q)
     summary.update({
         "steady_state": c,
         "steady_state_error": float(np.max(np.abs(traj.final - c))),
@@ -291,7 +278,7 @@ def cmd_evolve(args, cache: dict | None = None) -> int:
     })
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
-    if args.emit_plots:
+    if emit_plots:
         _svg_lineplot(out / "flow.svg", traj.times, {
             "min_u": traj.values.min(axis=1),
             "max_u": traj.values.max(axis=1),
@@ -301,11 +288,15 @@ def cmd_evolve(args, cache: dict | None = None) -> int:
     return EXIT_OK
 
 
+def cmd_evolve(args) -> int:
+    return _evolve_and_write(*_setup(args), args.emit_plots)
+
+
 def cmd_verify(args) -> int:
-    graph, config, u0, u0_meta, out, kernel = _setup(args)
+    kernel, config, solver, u0, u0_meta, out = _setup(args)
 
     try:
-        traj, iters, _ = _run_solver(kernel, u0, config, args.solver)
+        traj, iters, _ = _run_solver(kernel, u0, config, solver)
     except FracGraphError as exc:
         print(f"FAIL solve: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -313,42 +304,47 @@ def cmd_verify(args) -> int:
     report = build_report(traj, kernel, config)
     checks = {row.name: row.passed for row in report.check_table}
     (out / "report.json").write_text(report.to_json(
-        checks=checks, initial_mass=mass(graph, u0, config.q), u0=u0_meta,
-        solver=args.solver, picard_iterations=iters, **traj.stats.telemetry()) + "\n")
+        checks=checks, initial_mass=mass(kernel.graph, u0, config.q), u0=u0_meta,
+        solver=solver, picard_iterations=iters, **traj.stats.telemetry()) + "\n")
     for row in report.check_table:
         print(f"{'PASS' if row.passed else 'FAIL'} {row.name} (measured {row.measured:.3e}, "
               f"threshold {row.threshold:.3e}, margin {row.threshold - row.measured:.3e})")
     return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
 
 
-# The graph, decomposition and current kernel of this worker's sweep.  Each
-# sweep starts its own pool, whose initializer only empties the dict, so the
-# state never outlives one sweep.  The loading happens in the first solve, so
-# an unreadable graph fails that solve's tag like any other input error.
-_worker_cache: dict = {}
-
-
-def _clear_worker_cache():
-    _worker_cache.clear()
-
-
 def _sweep_tag(s: float, p: float, q: float) -> str:
     return f"s{s}_p{p}_q{q}"
 
 
-def _sweep_worker(payload) -> tuple[str, int]:
-    graph_path, outdir, base, s, p, q = payload
-    tag = _sweep_tag(s, p, q)
-    args = argparse.Namespace(
-        graph=graph_path, config=None, output_dir=str(Path(outdir) / tag),
-        emit_plots=False, **{**base, "s": s, "p": p, "q": q},
-    )
+def _sweep_worker(share) -> list[tuple[str, int]]:
+    """Evolve a contiguous share of the grid; returns each point's (tag, exit code).
+
+    The graph is loaded and u0 drawn once.  A kernel is built where s changes,
+    reusing the first one's decomposition, and one is held at a time.  An input
+    error fails its own tag, or every tag when it is in the graph or u0.
+    """
+    graph_path, outdir, values, points = share
+    tags = [_sweep_tag(*point) for point in points]
     try:
-        code = cmd_evolve(args, _worker_cache)
+        graph = _load_graph(graph_path)
+        u0, u0_meta = _make_u0(graph, values["u0"])
     except UsageError as exc:
-        print(f"sweep {tag}: {exc}", file=sys.stderr)
-        code = EXIT_USAGE
-    return tag, code
+        print("\n".join(f"sweep {tag}: {exc}" for tag in tags), file=sys.stderr)
+        return [(tag, EXIT_USAGE) for tag in tags]
+    codes, kernel = [], None
+    for tag, (s, p, q) in zip(tags, points):
+        try:
+            config = _flow_config({**values, "s": s, "p": p, "q": q})
+            out = _output_dir(Path(outdir) / tag)
+            if kernel is None or kernel.s != config.s:
+                dec, kernel = kernel and kernel.dec, None  # hold one kernel at a time
+                kernel = build_kernel(graph, config.s, dec)
+            codes.append(_evolve_and_write(kernel, config, values["solver"], u0, u0_meta,
+                                           out, emit_plots=False))
+        except UsageError as exc:
+            print(f"sweep {tag}: {exc}", file=sys.stderr)
+            codes.append(EXIT_USAGE)
+    return list(zip(tags, codes))
 
 
 def cmd_sweep(args) -> int:
@@ -360,16 +356,16 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"a list repeats a value, so these runs would repeat: {repeated}")
     if args.workers is not None and args.workers < 1:
         raise UsageError(f"--workers {args.workers}, need at least 1")
-    _apply_config_file(args)
-    _fill_defaults(args)
-    out = _output_dir(args)
-    base = {key: getattr(args, key) for key in (*_FLOW_KEYS, "solver", "u0")}
-    payloads = [(args.graph, str(out), base, s, p, q) for s, p, q in combos]
-    worst = EXIT_OK
+    values = _resolve(args)
+    out = _output_dir(args.output_dir)
     # a forking pool starts all its workers at once, so start no idle ones
     workers = min(args.workers or os.cpu_count() or 1, len(combos))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_clear_worker_cache) as pool:
-        for tag, code in pool.map(_sweep_worker, payloads):
+    # contiguous shares of the s-major grid, whose sizes differ by at most one
+    shares = [(args.graph, str(out), values, [combos[i] for i in share])
+              for share in np.array_split(range(len(combos)), workers)]
+    worst = EXIT_OK
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for tag, code in chain.from_iterable(pool.map(_sweep_worker, shares)):
             print(f"{'ok' if code == 0 else 'FAIL'} {tag}")
             worst = max(worst, code)
     return worst
@@ -395,17 +391,8 @@ def _add_flow_flags(sub):
     sub.add_argument("--u0-constant", type=float, default=None)
     sub.add_argument("--u0-random", nargs=2, type=float, metavar=("LOW", "HIGH"),
                      default=None)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=None, help="seed of a random-uniform u0")
     sub.add_argument("--output-dir", default="out")
-
-
-def _resolve_u0_flags(args):
-    if getattr(args, "u0_constant", None) is not None:
-        args.u0 = {"kind": "constant", "value": args.u0_constant}
-    elif getattr(args, "u0_random", None) is not None:
-        low, high = args.u0_random
-        args.u0 = {"kind": "random-uniform", "low": low, "high": high,
-                   "seed": args.seed}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,7 +441,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # here, not in _output_dir, so that sweep workers keep their own directories
     args.output_dir = os.environ.get("FRACGRAPH_OUTPUT_DIR") or args.output_dir
-    _resolve_u0_flags(args)
     try:
         return args.func(args)
     except UsageError as exc:

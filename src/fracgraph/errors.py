@@ -45,6 +45,10 @@ class StepSizeUnderflow(FracGraphError, RuntimeError):
     """Adaptive step size was forced below the representable floor."""
 
 
+class StepBudgetExceeded(FracGraphError, RuntimeError):
+    """Adaptive integration used up its step budget before the horizon."""
+
+
 class BoundViolation(FracGraphError, RuntimeError):
     """Trajectory left the [min u0, max u0] band beyond tolerance."""
 

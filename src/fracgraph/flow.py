@@ -39,6 +39,7 @@ from .errors import (
     ExponentOutOfRange,
     NonPositiveState,
     PicardNotConverged,
+    StepBudgetExceeded,
     StepSizeUnderflow,
 )
 from .graph import Graph, _check_length, integrate
@@ -94,6 +95,9 @@ _DP_P = np.array([
 
 # Largest number of output intervals T/dt_out; each sample stores a state.
 MAX_OUTPUT_INTERVALS = 10**7
+# Largest number of steps, accepted plus rejected, of one integration; the most
+# that a test or a benchmark solve takes is 294.
+MAX_STEPS = 10_000
 
 _SAFETY = 0.9
 _SHRINK = 0.2
@@ -385,7 +389,8 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
     exactly.  An output time inside an accepted step is sampled from the
     pair's continuous extension; one that a step ends on gets the accepted
     state.  Each accepted step (t, h, u, stages) is appended to ``steps``
-    when a list is given.
+    when a list is given.  StepBudgetExceeded ends a run that has taken
+    MAX_STEPS steps, accepted plus rejected, short of the horizon.
 
     Steady-state snap: once max(u) - min(u) falls below 1000x the local step
     tolerance, the state is replaced by its mass-consistent constant and held
@@ -413,6 +418,8 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
     h = _initial_step(counted, t, u, f_cur, atol, rtol, horizon - t)
 
     while t < horizon:
+        if stats.accepted + stats.rejected >= MAX_STEPS:
+            raise StepBudgetExceeded(f"{MAX_STEPS} steps reached t = {t:.6g} of {horizon:.6g}")
         snap_tol = 1e3 * (atol + rtol * float(np.max(np.abs(u))))
         if float(np.max(u)) - float(np.min(u)) <= snap_tol:
             out[filled:] = steady_state(graph, u, config.q)

@@ -22,6 +22,13 @@ K2_DOC = {
     "edges": [{"u": "a", "v": "b", "w": 1.0}],
 }
 
+# a stiff edge (1e6) next to a slow one (1e-6): the explicit pair's stability
+# limit holds the step near 2.5e-6 however long the horizon
+PATH3_DOC = {
+    "vertices": [{"id": v, "mu": 1.0} for v in "abc"],
+    "edges": [{"u": "a", "v": "b", "w": 1e6}, {"u": "b", "v": "c", "w": 1e-6}],
+}
+
 K5_DOC = {
     "vertices": [{"id": f"v{i}", "mu": 1.0} for i in range(5)],
     "edges": [
@@ -44,6 +51,30 @@ def k5_path(tmp_path):
     path = tmp_path / "k5.json"
     path.write_text(json.dumps(K5_DOC))
     return str(path)
+
+
+@pytest.fixture
+def serial_pools(monkeypatch):
+    """The sweep's pools, each running its map in this process; starts no process."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.max_workers, self.shares = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+        def map(self, fn, shares):
+            self.shares = list(shares)
+            return map(fn, self.shares)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return pools
 
 
 def read_csv_matrix(path):
@@ -273,6 +304,34 @@ class TestEvolveCommand:
         expected = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=0.1, picard_tol=1e-7, picard_max=30)
         assert recorded == {f.name: getattr(expected, f.name) for f in fields(fg.FlowConfig)}
 
+    @pytest.mark.parametrize("file_seed", [{}, {"seed": 3}], ids=["unseeded", "seeded"])
+    def test_seed_sets_the_seed_of_a_config_u0(self, k2_path, tmp_path, file_seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"u0": {"kind": "random-uniform", "low": 0.5, "high": 2,
+                                          **file_seed}}))
+        out = tmp_path / "o"
+        assert main(["evolve", k2_path, "--config", str(cfg), "--seed", "5", "--T", "0.1",
+                     "--output-dir", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["u0"]["seed"] == 5
+
+    @pytest.mark.parametrize("u0", [None, {"kind": "constant", "value": 1.5}, [1.0, 2.0]],
+                             ids=["none", "constant", "vector"])
+    def test_seed_without_a_random_u0_is_usage_error(self, k2_path, tmp_path, capsys, u0):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"u0": u0}))
+        config = [] if u0 is None else ["--config", str(cfg)]
+        code = main(["evolve", k2_path, *config, "--seed", "5",
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --seed")
+        assert not (tmp_path / "o").exists()
+
+    def test_random_u0_without_seed_records_seed_0(self, k2_path, tmp_path):
+        out = tmp_path / "o"
+        assert main(["evolve", k2_path, "--u0-random", "0.5", "2", "--T", "0.1",
+                     "--output-dir", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["u0"]["seed"] == 0
+
     def test_output_grid_bound_is_usage_error(self, k2_path, tmp_path, capsys):
         with wall_clock_limit(20):
             code = main(["evolve", k2_path, "--T", "1", "--dt-out", "1e-300",
@@ -392,6 +451,17 @@ class TestVerifyCommand:
         assert main(["verify", str(bad), "--output-dir", str(tmp_path / "o")]) == 2
         assert "w = '1.5' is not a number" in capsys.readouterr().err
 
+    def test_step_budget_ends_a_stiff_solve(self, tmp_path, capsys):
+        path = tmp_path / "path3.json"
+        path.write_text(json.dumps(PATH3_DOC))
+        # about 4e11 steps to the horizon
+        with wall_clock_limit(5):
+            code = main(["verify", str(path), "--s", "0.99", "--p", "2", "--q", "1",
+                         "--T", "1e6", "--u0-random", "0.5", "2",
+                         "--output-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert f"StepBudgetExceeded: {flow.MAX_STEPS} steps" in capsys.readouterr().err
+
     def test_sloppy_tolerances_fail(self, k5_path, tmp_path):
         # with atol = rtol = 1 the integrator cannot conserve mass to 1e-8
         code = main(
@@ -455,45 +525,52 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o").exists()
 
-    def test_pool_has_no_more_workers_than_solves(self, k2_path, tmp_path, monkeypatch):
-        sizes = []
-
-        class SerialPool:  # records the pool size, starts no process
-            def __init__(self, max_workers, initializer):
-                sizes.append(max_workers)
-                initializer()
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                cli._clear_worker_cache()
-
-            def map(self, fn, payloads):
-                return map(fn, payloads)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    def test_pool_has_no_more_workers_than_solves(self, k2_path, tmp_path, serial_pools):
         code = main(["sweep", k2_path, "--s-list", "0.3,0.7", "--p-list", "2",
                      "--q-list", "1", "--T", "0.1", "--workers", "1000",
                      "--output-dir", str(tmp_path / "o")])
         assert code == 0
-        assert sizes == [2]
+        assert [pool.max_workers for pool in serial_pools] == [2]
+
+    @pytest.mark.parametrize("s_list, p_list, q_list, sizes, kernels", [
+        ("0.25,0.5,0.75", "1.5,2.5", "1,2", [6, 6], 4),
+        ("0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,0.45,0.55,0.65,0.75", "2", "1", [7, 6], 13)],
+        ids=["12-points", "13-points"])
+    def test_workers_get_contiguous_shares(self, k2_path, tmp_path, monkeypatch, serial_pools,
+                                           s_list, p_list, q_list, sizes, kernels):
+        spies = {name: mock.Mock(wraps=getattr(fg.operators, name))
+                 for name in ("decompose", "kernel_weights")}
+        for name, spy in spies.items():
+            monkeypatch.setattr(fg.operators, name, spy)
+        lists = [cli._float_list(text) for text in (s_list, p_list, q_list)]
+        code = main(["sweep", k2_path, "--s-list", s_list, "--p-list", p_list,
+                     "--q-list", q_list, "--T", "0.05", "--workers", "2",
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 0
+        shares = [share[-1] for share in serial_pools[0].shares]
+        assert [len(points) for points in shares] == sizes
+        assert sum(shares, []) == list(product(*lists))  # s-major, in order
+        assert spies["decompose"].call_count == 2  # one per share
+        assert spies["kernel_weights"].call_count == kernels  # one per s in a share
+
+    def test_missing_graph_fails_every_tag(self, tmp_path, capsys):
+        code = main(["sweep", str(tmp_path / "nope.json"), "--s-list", "0.3,0.7",
+                     "--p-list", "2", "--q-list", "1,2", "--workers", "2",
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL s0.3_p2.0_q1.0", "FAIL s0.3_p2.0_q2.0",
+            "FAIL s0.7_p2.0_q1.0", "FAIL s0.7_p2.0_q2.0"]
 
     def test_worker_decomposes_once(self, k5_path, tmp_path, monkeypatch):
         spies = {name: mock.Mock(wraps=getattr(fg.operators, name))
                  for name in ("decompose", "kernel_weights")}
         for name, spy in spies.items():
             monkeypatch.setattr(fg.operators, name, spy)
-        base = {"T": 0.1, "dt_out": None, "atol": 1e-9, "rtol": 1e-9, "eps_reg": 1e-12,
-                "picard_tol": 1e-10, "picard_max": 100, "solver": "direct",
-                "u0": {"kind": "constant", "value": 1.5}}
-        cli._clear_worker_cache()
-        try:
-            codes = [cli._sweep_worker((k5_path, str(tmp_path), base, s, p, 1.0))
-                     for s, p in product((0.3, 0.7), (2.0, 2.5))]
-        finally:
-            cli._clear_worker_cache()
-        assert [code for _, code in codes] == [0, 0, 0, 0]
+        values = {"T": 0.1, "solver": "direct", "u0": {"kind": "constant", "value": 1.5}}
+        points = [(s, p, 1.0) for s, p in product((0.3, 0.7), (2.0, 2.5))]
+        results = cli._sweep_worker((k5_path, str(tmp_path), values, points))
+        assert results == [(cli._sweep_tag(*point), 0) for point in points]
         assert spies["decompose"].call_count == 1
         assert spies["kernel_weights"].call_count == 2
 
