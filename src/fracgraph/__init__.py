@@ -48,13 +48,11 @@ from .operators import (
 from .flow import (
     FlowConfig,
     FlowState,
-    FrozenCoefficient,
     StepStats,
     Trajectory,
     evolve_direct,
     picard_solve,
     rhs_direct,
-    solve_frozen,
     steady_state,
     step,
 )

@@ -377,9 +377,6 @@ def _float_list(text: str) -> list[float]:
 
 def _add_flow_flags(sub):
     sub.add_argument("--config", help="JSON config file; flags override its fields")
-    sub.add_argument("--s", type=float, default=None)
-    sub.add_argument("--p", type=float, default=None)
-    sub.add_argument("--q", type=float, default=None)
     sub.add_argument("--T", type=float, default=None)
     sub.add_argument("--dt-out", dest="dt_out", type=float, default=None)
     sub.add_argument("--atol", type=float, default=None)
@@ -388,9 +385,9 @@ def _add_flow_flags(sub):
     sub.add_argument("--picard-tol", dest="picard_tol", type=float, default=None)
     sub.add_argument("--picard-max", dest="picard_max", type=int, default=None)
     sub.add_argument("--solver", choices=["direct", "picard"], default=None)
-    sub.add_argument("--u0-constant", type=float, default=None)
-    sub.add_argument("--u0-random", nargs=2, type=float, metavar=("LOW", "HIGH"),
-                     default=None)
+    u0 = sub.add_mutually_exclusive_group()
+    u0.add_argument("--u0-constant", type=float, default=None)
+    u0.add_argument("--u0-random", nargs=2, type=float, metavar=("LOW", "HIGH"), default=None)
     sub.add_argument("--seed", type=int, default=None, help="seed of a random-uniform u0")
     sub.add_argument("--output-dir", default="out")
 
@@ -415,12 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         sub = subs.add_parser(name, help=extra_help)
         sub.add_argument("graph")
+        # a sweep takes its exponents from --s-list, --p-list and --q-list only
+        for exponent in ("--s", "--p", "--q"):
+            sub.add_argument(exponent, type=float, default=None)
         _add_flow_flags(sub)
         if name == "evolve":
             sub.add_argument("--emit-plots", action="store_true")
         sub.set_defaults(func=func)
 
-    sw = subs.add_parser("sweep", help="cartesian parameter sweep over s/p/q")
+    # no abbreviations, so that --q is a usage error, not a short --q-list
+    sw = subs.add_parser("sweep", help="cartesian parameter sweep over s/p/q", allow_abbrev=False)
     sw.add_argument("graph")
     _add_flow_flags(sw)
     sw.add_argument("--s-list", type=_float_list, required=True)

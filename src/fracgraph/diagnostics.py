@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NonPositiveState
-from .flow import FlowConfig, Trajectory, rhs_direct, steady_state
+from .flow import MAX_PRINCIPLE_SLACK, FlowConfig, Trajectory, rhs_direct, steady_state
 from .graph import Graph, _check_length, integrate
 from .operators import _BLOCK_ROWS, FractionalKernel, dirichlet_p_energy
 
@@ -183,7 +183,7 @@ def build_report(
         steady_state_error=float(np.max(np.abs(traj.final - steady_state(graph, traj.u0, q)))),
         final_time_derivative_sup=float(np.max(np.abs(dudt_final))),
         check_table=(
-            Check("max_principle", excursion, 1e-9),
+            Check("max_principle", excursion, MAX_PRINCIPLE_SLACK),
             Check("mass_conservation", drift, 1e-8 * abs(mass0)),
             Check("dissipation_bound", lhs, rhs + slack * (rhs + 1.0)),
             Check("energy_identity", residual, max(1e-8, 10.0 * config.dt_out**2)),

@@ -12,12 +12,12 @@ Two solvers:
   accepted step.
 
 * picard_solve: frozen-coefficient iteration.  Each sweep solves the linear-
-  in-coefficient flow  a(x,t) du/dt + (-Delta)_p^s u = 0  with
-  a = q u_prev^(q-1), u_prev the previous sweep's continuous extension (the
-  first sweep freezes at the initial datum); sweeps stop when consecutive
-  trajectories agree in the sup norm on the output grid.  The extension is
-  C^1 across steps, so a sweep steps on the error test alone, as
-  evolve_direct does.
+  in-coefficient flow  a(x,t) du/dt + (-Delta)_p^s u = 0, where the
+  coefficient is a function of t: a = q u_prev(t)^(q-1), u_prev the previous
+  sweep's continuous extension (the first sweep freezes a at the initial
+  datum); sweeps stop when consecutive trajectories agree in the sup norm on
+  the output grid.  The extension is C^1 across steps, so a sweep steps on
+  the error test alone, as evolve_direct does.
 
 One step controller, _accept_step, serves both _integrate and step().
 
@@ -50,11 +50,9 @@ __all__ = [
     "FlowState",
     "StepStats",
     "Trajectory",
-    "FrozenCoefficient",
     "rhs_direct",
     "step",
     "evolve_direct",
-    "solve_frozen",
     "picard_solve",
     "steady_state",
 ]
@@ -98,6 +96,9 @@ MAX_OUTPUT_INTERVALS = 10**7
 # Largest number of steps, accepted plus rejected, of one integration; the most
 # that a test or a benchmark solve takes is 294.
 MAX_STEPS = 10_000
+# How far a trajectory may leave [min u0, max u0] before it violates the
+# maximum principle; the solvers enforce it and verify reports it.
+MAX_PRINCIPLE_SLACK = 1e-9
 
 _SAFETY = 0.9
 _SHRINK = 0.2
@@ -235,38 +236,6 @@ class Trajectory:
     @property
     def final(self) -> np.ndarray:
         return self.values[-1]
-
-
-@dataclass(frozen=True)
-class FrozenCoefficient:
-    """Time-dependent coefficient a(x,t) = q u_prev(x,t)^(q-1) of a previous iterate.
-
-    ``steps`` are the iterate's accepted steps (t, h, u, stages) in time
-    order; u_prev(t) is the continuous extension of the step that contains t,
-    and past the last step its end state, which also covers a steady-state
-    snap.  Values stay inside (0, q * max(max u0^(q-1), min u0^(q-1))] by the
-    maximum principle, up to solver tolerance.
-    """
-
-    steps: list
-    q: float
-    starts: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.steps:
-            raise DomainError("a frozen coefficient needs at least one step")
-        object.__setattr__(self, "starts", np.array([t for t, *_ in self.steps]))
-
-    @classmethod
-    def constant(cls, times: np.ndarray, u_ref: np.ndarray, q: float) -> "FrozenCoefficient":
-        stages = np.zeros((7, len(u_ref)))
-        return cls(steps=[(float(times[0]), float(times[-1] - times[0]), u_ref, stages)], q=q)
-
-    def __call__(self, t: float) -> np.ndarray:
-        k = max(0, int(np.searchsorted(self.starts, t, side="right")) - 1)
-        t0, h, u, stages = self.steps[k]
-        u_t = _dense_output(u, h, stages, np.array([min(1.0, (t - t0) / h)]))[0]
-        return self.q * u_t ** (self.q - 1.0)
 
 
 def _check_state(graph: Graph, u: np.ndarray, name: str) -> np.ndarray:
@@ -449,63 +418,60 @@ def step(kernel: FractionalKernel, state: FlowState, dt: float, config: FlowConf
     ``_integrate`` uses: dt is halved on positivity loss and shrunk on
     error-test failure until acceptance.
     """
-    f = _make_rhs(kernel, config, None)
+    p, q, eps = config.p, config.q, config.eps_reg
+
+    def f(t, u):
+        return rhs_direct(kernel, u, p, q, eps)
+
     t, u = state.t, _check_state(kernel.graph, state.u, "u")
     h, u_new, _, err, _ = _accept_step(f, t, u, f(t, u), dt, 1e-14 * max(config.T, dt),
                                        config, StepStats())
     return FlowState(t=t + h, u=u_new), err
 
 
-def _make_rhs(kernel: FractionalKernel, config: FlowConfig, frozen: FrozenCoefficient | None):
-    p, q, eps = config.p, config.q, config.eps_reg
-    if frozen is None:
-        def f(t, u):
-            return rhs_direct(kernel, u, p, q, eps)
-    else:
-        def f(t, u):
-            return -frac_p_laplacian(kernel, u, p, eps) / frozen(t)
-    return f
-
-
-def _check_bounds(values: np.ndarray, u0: np.ndarray, stats: StepStats, slack: float = 1e-9):
+def _check_bounds(values: np.ndarray, u0: np.ndarray, stats: StepStats):
     """Maximum principle on the samples and on every accepted state."""
     lo, hi = float(np.min(u0)), float(np.max(u0))
     top = max(float(np.max(values)), stats.state_max)
     bottom = min(float(np.min(values)), stats.state_min)
     excess = max(top - hi, lo - bottom)
-    if excess > slack:
+    if excess > MAX_PRINCIPLE_SLACK:
         raise BoundViolation(
             f"trajectory leaves [{lo:.6g}, {hi:.6g}] by {excess:.3e}"
         )
 
 
-def _solve(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig,
-           frozen: FrozenCoefficient | None = None, steps: list | None = None) -> Trajectory:
-    """Integrate on the output grid and enforce the max-principle band."""
+def _solve(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig, f,
+           steps: list | None = None) -> Trajectory:
+    """Integrate du/dt = f(t, u) on the output grid and enforce the max-principle band."""
     u0 = _check_state(kernel.graph, u0, "u0")
     times = config.output_times()
-    values, stats = _integrate(_make_rhs(kernel, config, frozen), u0, times, config,
-                               kernel.graph, steps)
+    values, stats = _integrate(f, u0, times, config, kernel.graph, steps)
     _check_bounds(values, u0, stats)
     return Trajectory(times=times, values=values, stats=stats)
 
 
 def evolve_direct(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig) -> Trajectory:
     """Integrate the nonlinear flow directly; enforces the max-principle band."""
-    return _solve(kernel, u0, config)
+    p, q, eps = config.p, config.q, config.eps_reg
+    return _solve(kernel, u0, config, lambda t, u: rhs_direct(kernel, u, p, q, eps))
 
 
-def solve_frozen(
-    kernel: FractionalKernel,
-    a: FrozenCoefficient,
-    u0: np.ndarray,
-    config: FlowConfig,
-) -> Trajectory:
-    """Integrate the frozen-coefficient flow  a(x,t) du/dt + (-Delta)_p^s u = 0."""
-    low = min(float(np.min(a(t))) for t, *_ in a.steps)
-    if low <= 0.0:
-        raise NonPositiveState(f"min a = {low}")
-    return _solve(kernel, u0, config, a)
+def _swept_coefficient(steps: list, q: float):
+    """a(t) = q u_prev(t)^(q-1) on a sweep's accepted steps (t, h, u, stages).
+
+    u_prev(t) is the continuous extension of the step that contains t, and
+    past the last step its end state, which also covers a steady-state snap.
+    """
+    starts = np.array([t for t, *_ in steps])
+
+    def a(t):
+        k = max(0, int(np.searchsorted(starts, t, side="right")) - 1)
+        t0, h, u, stages = steps[k]
+        u_t = _dense_output(u, h, stages, np.array([min(1.0, (t - t0) / h)]))[0]
+        return q * u_t ** (q - 1.0)
+
+    return a
 
 
 def picard_solve(
@@ -521,20 +487,23 @@ def picard_solve(
     trajectory's stats count the work of every sweep (``StepStats.add_work``).
     """
     u0 = _check_state(kernel.graph, u0, "u0")
-    a, prev = FrozenCoefficient.constant(config.output_times(), u0, config.q), u0
+    p, q, eps = config.p, config.q, config.eps_reg
+    a0 = q * u0 ** (q - 1.0)
+    a, prev = (lambda t: a0), u0
     history: list[float] = []
     work = StepStats()
     for it in range(1, config.picard_max + 1):
         steps: list = []
-        traj = _solve(kernel, u0, config, a, steps)
+        traj = _solve(kernel, u0, config,
+                      lambda t, u: -frac_p_laplacian(kernel, u, p, eps) / a(t), steps)
         traj.stats.add_work(work)
         work = traj.stats
         dist = float(np.max(np.abs(traj.values - prev)))
         history.append(dist)
         # a sweep that snaps before its first step does not depend on a
-        if config.q == 1.0 or dist < config.picard_tol or not steps:
+        if q == 1.0 or dist < config.picard_tol or not steps:
             return traj, it, history
-        a, prev = FrozenCoefficient(steps, config.q), traj.values
+        a, prev = _swept_coefficient(steps, q), traj.values
     raise PicardNotConverged(history)
 
 

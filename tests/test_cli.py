@@ -332,6 +332,16 @@ class TestEvolveCommand:
                      "--output-dir", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["u0"]["seed"] == 0
 
+    @pytest.mark.parametrize("command", ["evolve", "verify", "sweep"])
+    def test_two_u0_flags_are_usage_error(self, k2_path, tmp_path, capsys, command):
+        grid = ["--s-list", "0.5", "--p-list", "2", "--q-list", "1"] if command == "sweep" else []
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, k2_path, *grid, "--u0-constant", "1.5", "--u0-random", "0.5", "2",
+                  "--T", "0.1", "--output-dir", str(tmp_path / "o")])
+        assert exc_info.value.code == 2
+        assert "not allowed with argument --u0-constant" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_output_grid_bound_is_usage_error(self, k2_path, tmp_path, capsys):
         with wall_clock_limit(20):
             code = main(["evolve", k2_path, "--T", "1", "--dt-out", "1e-300",
@@ -523,6 +533,17 @@ class TestSweepCommand:
                      "--output-dir", str(tmp_path / "o")] + flags)
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["--s", "--p", "--q"])
+    def test_single_exponent_flag_is_usage_error(self, k2_path, tmp_path, capsys, flag):
+        # the lists set every exponent, so a single value would be dropped; nor
+        # may --q pass as an abbreviated --q-list
+        with pytest.raises(SystemExit) as exc_info:
+            main(["sweep", k2_path, flag, "0.9", "--s-list", "0.3", "--p-list", "2",
+                  "--q-list", "1", "--T", "0.1", "--output-dir", str(tmp_path / "o")])
+        assert exc_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 0.9" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_pool_has_no_more_workers_than_solves(self, k2_path, tmp_path, serial_pools):

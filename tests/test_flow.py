@@ -6,7 +6,7 @@ import pytest
 
 import fracgraph as fg
 from fracgraph import flow
-from fracgraph.flow import MAX_OUTPUT_INTERVALS, _check_bounds, _integrate
+from fracgraph.flow import MAX_OUTPUT_INTERVALS, _check_bounds, _integrate, _solve
 from conftest import make_random_graph, wall_clock_limit
 from linear_flow_reference import LinearFlow
 
@@ -285,41 +285,23 @@ class TestLinearFlow:
 
 
 class TestSolveFrozen:
-    def test_constant_initial_datum(self, k2_kernel):
-        cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0)
-        times = cfg.output_times()
-        a = fg.FrozenCoefficient.constant(times, np.full(2, 1.3), 2.0)
-        traj = fg.solve_frozen(k2_kernel, a, np.full(2, 1.3), cfg)
-        np.testing.assert_allclose(traj.values, 1.3, atol=1e-12)
-
-    def test_q1_coefficient_collapse(self, k2_kernel):
-        u0 = np.array([1.4, 0.6])
-        cfg = fg.FlowConfig(s=0.5, p=2.5, q=1.0, T=1.0)
-        times = cfg.output_times()
-        a = fg.FrozenCoefficient.constant(times, u0, 1.0)
-        frozen = fg.solve_frozen(k2_kernel, a, u0, cfg)
-        direct = fg.evolve_direct(k2_kernel, u0, cfg)
-        np.testing.assert_array_equal(frozen.values, direct.values)
+    """The frozen-coefficient flow a du/dt + (-Delta)_p^s u = 0, through _solve."""
 
     def test_constant_coefficient_is_time_rescaled_direct_flow(self, k2_kernel):
-        # a = q c^{q-1} constant: the frozen flow over [0, T] matches the
-        # q'=1 direct flow over [0, T/a]
+        # a = q c^{q-1} constant: the flow over [0, T] matches the q'=1
+        # direct flow over [0, T/a]
         u0 = np.array([1.4, 0.6])
         q, c = 2.0, 1.5
         a_val = q * c ** (q - 1.0)
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=q, T=1.0)
-        a = fg.FrozenCoefficient.constant(cfg.output_times(), np.full(2, c), q)
-        frozen = fg.solve_frozen(k2_kernel, a, u0, cfg)
+        frozen = _solve(k2_kernel, u0, cfg,
+                        lambda t, u: -fg.frac_p_laplacian(k2_kernel, u, 2.0, cfg.eps_reg) / a_val)
 
         cfg1 = fg.FlowConfig(
             s=0.5, p=2.0, q=1.0, T=1.0 / a_val, dt_out=cfg.dt_out / a_val
         )
         direct = fg.evolve_direct(k2_kernel, u0, cfg1)
         np.testing.assert_allclose(frozen.values, direct.values, atol=1e-9)
-
-    def test_coefficient_without_steps_is_rejected(self):
-        with pytest.raises(fg.DomainError):
-            fg.FrozenCoefficient([], 2.0)
 
 
 class TestPicard:
@@ -329,7 +311,7 @@ class TestPicard:
         traj, iters, history = fg.picard_solve(k2_kernel, u0, cfg)
         assert iters == 1
         direct = fg.evolve_direct(k2_kernel, u0, cfg)
-        assert np.max(np.abs(traj.values - direct.values)) <= 1e-13
+        np.testing.assert_array_equal(traj.values, direct.values)
 
     def test_constant_initial_datum_one_iteration(self, k2_kernel):
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0)
@@ -504,16 +486,13 @@ class TestNonFiniteState:
             _integrate(lambda t, u: -u, np.array([1.0, np.nan]), cfg.output_times(), cfg, k2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("solver", ["direct", "frozen", "picard"])
+    @pytest.mark.parametrize("solver", ["direct", "picard"])
     def test_solvers_reject_nonfinite_u0(self, k2_kernel, solver, bad):
         cfg = fg.FlowConfig(s=0.5, p=2.5, q=2.0, T=1.0)
         u0 = np.array([1.0, bad])
         with wall_clock_limit(10), pytest.raises(fg.DomainError):
             if solver == "direct":
                 fg.evolve_direct(k2_kernel, u0, cfg)
-            elif solver == "frozen":
-                a = fg.FrozenCoefficient.constant(cfg.output_times(), np.ones(2), 2.0)
-                fg.solve_frozen(k2_kernel, a, u0, cfg)
             else:
                 fg.picard_solve(k2_kernel, u0, cfg)
 
