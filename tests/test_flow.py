@@ -287,6 +287,25 @@ class TestLinearFlow:
 class TestSolveFrozen:
     """The frozen-coefficient flow a du/dt + (-Delta)_p^s u = 0, through _solve."""
 
+    def test_constant_initial_datum(self, k2_kernel):
+        cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0)
+        u0 = np.full(2, 1.3)
+        a = cfg.q * u0 ** (cfg.q - 1.0)
+        traj = _solve(k2_kernel, u0, cfg,
+                      lambda t, u: -fg.frac_p_laplacian(k2_kernel, u, cfg.p, cfg.eps_reg) / a)
+        np.testing.assert_allclose(traj.values, 1.3, atol=1e-12)
+
+    def test_q1_coefficient_collapse(self, k2_kernel):
+        # at q = 1 the coefficient q u0^(q-1) is all ones, so the frozen flow
+        # is the direct flow step for step
+        u0 = np.array([1.4, 0.6])
+        cfg = fg.FlowConfig(s=0.5, p=2.5, q=1.0, T=1.0)
+        a = cfg.q * u0 ** (cfg.q - 1.0)
+        frozen = _solve(k2_kernel, u0, cfg,
+                        lambda t, u: -fg.frac_p_laplacian(k2_kernel, u, cfg.p, cfg.eps_reg) / a)
+        direct = fg.evolve_direct(k2_kernel, u0, cfg)
+        np.testing.assert_array_equal(frozen.values, direct.values)
+
     def test_constant_coefficient_is_time_rescaled_direct_flow(self, k2_kernel):
         # a = q c^{q-1} constant: the flow over [0, T] matches the q'=1
         # direct flow over [0, T/a]
