@@ -47,7 +47,6 @@ from .operators import (
 )
 from .flow import (
     FlowConfig,
-    FlowState,
     StepStats,
     Trajectory,
     evolve_direct,
@@ -61,7 +60,6 @@ from .diagnostics import (
     build_report,
     dissipation_check,
     energy_identity_residual,
-    gradient_decay,
     mass,
     max_principle_check,
     time_derivative_sup,

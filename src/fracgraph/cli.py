@@ -22,10 +22,10 @@ import numpy as np
 from . import __version__
 from .diagnostics import build_report, mass
 from .errors import FracGraphError, PositivityViolation
-from .flow import FlowConfig, Trajectory, evolve_direct, picard_solve, steady_state
+from .flow import FlowConfig, Trajectory, _check_state, evolve_direct, picard_solve, steady_state
 from .graph import Graph, _json_number, graph_from_json
 from .operators import FractionalKernel, build_kernel, dirichlet_p_energy
-from .spectral import decompose, kernel_weights, kernel_weights_oracle
+from .spectral import kernel_weights_oracle
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -116,15 +116,10 @@ def _svg_lineplot(path: Path, times: np.ndarray, series: dict[str, np.ndarray], 
 def _make_u0(graph: Graph, spec) -> tuple[np.ndarray, dict]:
     try:
         u0, meta = _parse_u0(graph, spec)
+        # _check_state's typed errors (length, finiteness, positivity) are ValueErrors
+        return _check_state(graph, u0, "u0"), meta
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise UsageError(f"bad u0 {spec!r}: {exc}") from exc
-    if u0.shape != (graph.n,):
-        raise UsageError(f"u0 has shape {u0.shape}, graph has {graph.n} vertices")
-    if not np.isfinite(u0).all():
-        raise UsageError("u0 must be finite")
-    if np.min(u0) <= 0:
-        raise UsageError("u0 must be strictly positive")
-    return u0, meta
 
 
 def _parse_u0(graph: Graph, spec) -> tuple[np.ndarray, dict]:
@@ -181,6 +176,10 @@ def _resolve(args) -> dict:
         raise UsageError(f"bad config file: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
+    # a sweep's lists set every exponent, so a config file's would be dropped
+    if args.command == "sweep" and (dropped := sorted(data.keys() & {"s", "p", "q"})):
+        raise UsageError(f"config file sets {', '.join(dropped)}; a sweep takes s, p "
+                         "and q from --s-list, --p-list and --q-list only")
     flags = {**vars(args), "u0": None}
     if args.u0_constant is not None:
         flags["u0"] = {"kind": "constant", "value": args.u0_constant}
@@ -202,12 +201,12 @@ def cmd_kernel(args) -> int:
     if not 0.0 < args.s < 1.0:
         raise UsageError(f"s = {args.s}, need 0 < s < 1")
     out = _output_dir(args.output_dir)
-    dec = decompose(graph)
     try:
-        w = kernel_weights(dec, args.s)
+        kernel = build_kernel(graph, args.s)
     except PositivityViolation as exc:
         print(f"FAIL kernel positivity: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    w, dec = kernel.w, kernel.dec
     _write_kernel_csv(out / "kernel.csv", graph, w)
     (out / "eigenvalues.json").write_text(
         json.dumps({"eigenvalues": [float(v) for v in dec.eigenvalues]}, indent=2) + "\n"

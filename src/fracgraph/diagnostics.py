@@ -43,7 +43,6 @@ __all__ = [
     "energy_identity_residual",
     "dissipation_check",
     "max_principle_check",
-    "gradient_decay",
     "time_derivative_sup",
     "build_report",
 ]
@@ -104,7 +103,8 @@ def energy_identity_residual(
     traj: Trajectory, kernel: FractionalKernel, p: float, q: float
 ) -> float:
     """Scaled residual |LHS - RHS| / (|RHS| + 1) of the energy identity."""
-    return _energy_identity_residual(traj, kernel.graph, gradient_decay(traj, kernel, p), q)
+    energies = dirichlet_p_energy(kernel, traj.values, p)
+    return _energy_identity_residual(traj, kernel.graph, energies, q)
 
 
 def _dissipation_pass(traj: Trajectory, kernel: FractionalKernel, p: float, q: float,
@@ -145,11 +145,6 @@ def max_principle_check(traj: Trajectory, u0: np.ndarray | None = None) -> float
     return max(float(np.max(traj.values)) - hi, lo - float(np.min(traj.values)), 0.0)
 
 
-def gradient_decay(traj: Trajectory, kernel: FractionalKernel, p: float) -> np.ndarray:
-    """Dirichlet p-energy at every output time."""
-    return dirichlet_p_energy(kernel, traj.values, p)
-
-
 def time_derivative_sup(
     traj: Trajectory, kernel: FractionalKernel, p: float, q: float,
     eps_reg: float = FlowConfig.eps_reg,
@@ -169,7 +164,7 @@ def build_report(
     # one pass each for du/dt and the energy at every sample; the final du/dt
     # and the initial energy come from those passes
     lhs, dudt_final = _dissipation_pass(traj, kernel, p, q, config.eps_reg)
-    energies = gradient_decay(traj, kernel, p)
+    energies = dirichlet_p_energy(kernel, traj.values, p)
     energy0, energy_final = float(energies[0]), float(energies[-1])
     rhs = energy0 / (p * q)
     # widen the dissipation slack by the trapezoid error budget of the output grid

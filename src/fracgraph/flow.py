@@ -47,7 +47,6 @@ from .operators import FractionalKernel, frac_p_laplacian
 
 __all__ = [
     "FlowConfig",
-    "FlowState",
     "StepStats",
     "Trajectory",
     "rhs_direct",
@@ -154,14 +153,6 @@ class FlowConfig:
     def output_times(self) -> np.ndarray:
         n_out = max(1, round(self.T / self.dt_out))
         return np.linspace(0.0, self.T, n_out + 1)
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """Vertex function u at time t."""
-
-    t: float
-    u: np.ndarray
 
 
 @dataclass
@@ -411,10 +402,10 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
     return out, stats
 
 
-def step(kernel: FractionalKernel, state: FlowState, dt: float, config: FlowConfig):
-    """One accepted embedded 5(4) step starting from the suggested dt.
+def step(kernel: FractionalKernel, t: float, u: np.ndarray, dt: float, config: FlowConfig):
+    """One accepted embedded 5(4) step from u at time t, starting from the suggested dt.
 
-    Returns (new state, local error estimate), from the controller that
+    Returns (t_new, u_new, local error estimate), from the controller that
     ``_integrate`` uses: dt is halved on positivity loss and shrunk on
     error-test failure until acceptance.
     """
@@ -423,10 +414,10 @@ def step(kernel: FractionalKernel, state: FlowState, dt: float, config: FlowConf
     def f(t, u):
         return rhs_direct(kernel, u, p, q, eps)
 
-    t, u = state.t, _check_state(kernel.graph, state.u, "u")
+    u = _check_state(kernel.graph, u, "u")
     h, u_new, _, err, _ = _accept_step(f, t, u, f(t, u), dt, 1e-14 * max(config.T, dt),
                                        config, StepStats())
-    return FlowState(t=t + h, u=u_new), err
+    return t + h, u_new, err
 
 
 def _check_bounds(values: np.ndarray, u0: np.ndarray, stats: StepStats):

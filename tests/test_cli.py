@@ -140,9 +140,11 @@ class TestKernelCommand:
          {**K2_DOC, "vertices": [{"id": "a", "mu": True}, {"id": "b", "mu": 1.0}]},
          {**K2_DOC, "vertices": [{"id": "a", "mu": "2"}, {"id": "b", "mu": 1.0}]},
          {**K2_DOC, "edges": [{"u": "a", "v": "b", "w": "1.5"}]},
-         {**K2_DOC, "edges": [{"u": "a", "v": "b", "w": True}]}],
+         {**K2_DOC, "edges": [{"u": "a", "v": "b", "w": True}]},
+         {**K2_DOC, "vertices": [{"id": "a", "mu": 1.0}, {"id": "a", "mu": 1.0}]},
+         {**K2_DOC, "vertices": [{"id": "a", "mu": 10**400}, {"id": "b", "mu": 1.0}]}],
         ids=["edge-entry", "mu-list", "w-null", "vertices-number", "mu-bool", "mu-string",
-             "w-string", "w-bool"])
+             "w-string", "w-bool", "duplicate-id", "mu-overflow"])
     def test_malformed_graph_document_is_usage_error(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -341,6 +343,33 @@ class TestEvolveCommand:
         assert exc_info.value.code == 2
         assert "not allowed with argument --u0-constant" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not-json"])
+    def test_unreadable_config_is_usage_error(self, k2_path, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        code = main(["evolve", k2_path, "--config", str(cfg),
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: bad config file: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "verify"])
+    @pytest.mark.parametrize("config, message", [
+        ({"solver": "rk4"}, "unknown solver 'rk4'"),
+        ({"u0": [1.0, 2.0, 3.0]}, "u0 has shape (3,), expected (2,)"),
+        ({"u0": {"kind": "gauss"}}, "unknown u0 generator kind: 'gauss'")],
+        ids=["solver", "u0-length", "u0-kind"])
+    def test_bad_config_value_is_named(self, k2_path, tmp_path, capsys, command, config,
+                                       message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 0.1, **config}))
+        code = main([command, k2_path, "--config", str(cfg),
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_output_grid_bound_is_usage_error(self, k2_path, tmp_path, capsys):
         with wall_clock_limit(20):
@@ -546,6 +575,34 @@ class TestSweepCommand:
         assert f"unrecognized arguments: {flag} 0.9" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("config, keys", [({"s": 0.9}, "s"), ({"q": 3, "T": 0.1}, "q"),
+                                              ({"s": 0.9, "p": 7, "q": 3}, "p, q, s")],
+                             ids=["s", "q", "all"])
+    def test_config_exponents_are_usage_error(self, k2_path, tmp_path, capsys, config, keys):
+        # the lists set every exponent, so the file's would be dropped; evolve
+        # takes the same file's
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["sweep", k2_path, "--config", str(cfg), "--s-list", "0.3", "--p-list", "2",
+                     "--q-list", "1", "--T", "0.1", "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: config file sets {keys}; ")
+        assert not (tmp_path / "o").exists()
+        out = tmp_path / "evolve"
+        assert main(["evolve", k2_path, "--config", str(cfg), "--T", "0.1",
+                     "--output-dir", str(out)]) == 0
+        recorded = json.loads((out / "summary.json").read_text())["config"]
+        assert all(recorded[key] == value for key, value in config.items())
+
+    def test_config_without_exponents_runs(self, k2_path, tmp_path, serial_pools):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 0.1, "atol": 1e-8, "u0": [1.0, 2.0]}))
+        out = tmp_path / "o"
+        assert main(["sweep", k2_path, "--config", str(cfg), "--s-list", "0.3", "--p-list", "2",
+                     "--q-list", "1", "--output-dir", str(out)]) == 0
+        recorded = json.loads((out / "s0.3_p2.0_q1.0" / "summary.json").read_text())["config"]
+        assert (recorded["T"], recorded["atol"]) == (0.1, 1e-8)
+
     def test_pool_has_no_more_workers_than_solves(self, k2_path, tmp_path, serial_pools):
         code = main(["sweep", k2_path, "--s-list", "0.3,0.7", "--p-list", "2",
                      "--q-list", "1", "--T", "0.1", "--workers", "1000",
@@ -596,31 +653,28 @@ class TestSweepCommand:
         assert spies["kernel_weights"].call_count == 2
 
 
-# Cheap valid values of every --config key (T <= 0.1, tolerances >= 1e-12), and
+# Valid values of every --config key, short and long horizons, loose and tight
+# tolerances: the steady-state snap or the step budget ends each run.  Then
 # invalid ones: wrong type, bool, null, NaN, +-inf, zero, negative, non-integral.
 _FUZZ_VALID = {
-    "s": [0.3, 0.7], "p": [1.5, 2.0, 3.0], "q": [0.5, 1.0, 2.0], "T": [0.05, 0.1],
-    "dt_out": [0.01, 0.05], "atol": [1e-6, 1e-12], "rtol": [0.0, 1e-9],
+    "s": [0.3, 0.7], "p": [1.5, 2.0, 3.0], "q": [0.5, 1.0, 2.0], "T": [0.05, 0.1, 10.0, 1e6],
+    "dt_out": [0.01, 0.05], "atol": [1e-6, 1e-12, 1e-14], "rtol": [0.0, 1e-9, 1e-14],
     "eps_reg": [0.0, 1e-12], "picard_tol": [1e-6], "picard_max": [1, 20],
     "solver": ["direct", "picard"],
     "u0": [[1.0, 2.0], {"kind": "constant", "value": 1.5},
            {"kind": "random-uniform", "low": 0.5, "high": 2.0, "seed": 3}],
 }
 _FUZZ_INVALID = ["x", [], {}, True, False, None, math.nan, math.inf, -math.inf, 0, -1.0, 2.5]
-# T is always given, and never as a value that runs past 0.1 (null means T = 1)
-_FUZZ_T_INVALID = [v for v in _FUZZ_INVALID
-                   if v is not None and not (isinstance(v, (int, float)) and v > 0.1)]
 _FUZZ_KEYS = [f.name for f in fields(fg.FlowConfig)] + ["solver", "u0"]
 
 
 @st.composite
 def fuzz_configs(draw):
-    """A config of cheap valid values with up to two keys set to invalid ones."""
+    """A config of valid values with up to two keys set to invalid ones."""
     config = draw(st.fixed_dictionaries(
-        {"T": st.sampled_from(_FUZZ_VALID["T"])},
-        optional={key: st.sampled_from(_FUZZ_VALID[key]) for key in _FUZZ_KEYS if key != "T"}))
+        {}, optional={key: st.sampled_from(_FUZZ_VALID[key]) for key in _FUZZ_KEYS}))
     for key in draw(st.lists(st.sampled_from(_FUZZ_KEYS), max_size=2, unique=True)):
-        config[key] = draw(st.sampled_from(_FUZZ_T_INVALID if key == "T" else _FUZZ_INVALID))
+        config[key] = draw(st.sampled_from(_FUZZ_INVALID))
     return config
 
 

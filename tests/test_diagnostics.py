@@ -125,7 +125,7 @@ class TestGradientDecay:
     def test_nonincreasing_p2(self, k5_kernel):
         u0 = np.random.default_rng(6).uniform(0.5, 2.0, 5)
         traj, _ = run_flow(k5_kernel, u0, s=0.5, p=2.0, q=1.0, T=5.0)
-        energies = fg.gradient_decay(traj, k5_kernel, 2.0)
+        energies = fg.dirichlet_p_energy(k5_kernel, traj.values, 2.0)
         assert energies[-1] <= energies[0] * (1.0 + 1e-8) + 1e-12
         assert energies[-1] <= 1e-4 * energies[0]
 
@@ -146,7 +146,8 @@ class TestBlocks:
         integrand = [fg.integrate(k5_kernel.graph,
                                   u ** (q - 1.0) * fg.rhs_direct(k5_kernel, u, p, q, 1e-12) ** 2)
                      for u in traj.values]
-        np.testing.assert_allclose(fg.gradient_decay(traj, k5_kernel, p), energies, rtol=1e-12)
+        np.testing.assert_allclose(fg.dirichlet_p_energy(k5_kernel, traj.values, p), energies,
+                                   rtol=1e-12)
         lhs, _, _ = fg.dissipation_check(traj, k5_kernel, p, q)
         assert lhs == pytest.approx(np.trapezoid(integrand, traj.times), rel=1e-12)
 

@@ -21,6 +21,10 @@ class TestValidate:
         codes = {v.code for v in fg.validate(g)}
         assert "NonPositiveWeight" in codes
 
+    def test_bad_shape(self):
+        g = fg.Graph(mu=np.ones(3), weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert fg.validate(g) == [fg.Violation("BadShape", "weights shape (2, 2) != (3,3)")]
+
     def test_disconnected(self):
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 1.0
@@ -187,6 +191,23 @@ class TestJsonFormat:
         }
         g = fg.graph_from_json(json.dumps(doc))
         assert g.mu.tolist() == [2.0, 1.0] and g.weights[0, 1] == 3.0
+
+    def test_rejects_duplicate_vertex_id(self):
+        doc = {
+            "vertices": [{"id": "a", "mu": 1.0}, {"id": "a", "mu": 2.0}],
+            "edges": [],
+        }
+        with pytest.raises(ValueError, match="^duplicate vertex ids$"):
+            fg.graph_from_json(json.dumps(doc))
+
+    def test_rejects_overflowing_measure(self):
+        # json.loads reads 10**400 as an int, which no float holds
+        doc = {
+            "vertices": [{"id": "a", "mu": 10**400}, {"id": "b", "mu": 1.0}],
+            "edges": [{"u": "a", "v": "b", "w": 1.0}],
+        }
+        with pytest.raises(ValueError, match="^vertex measures must be numbers: int too large"):
+            fg.graph_from_json(json.dumps(doc))
 
     def test_rejects_duplicate_edge(self):
         doc = {
