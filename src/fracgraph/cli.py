@@ -114,21 +114,13 @@ def _svg_lineplot(path: Path, times: np.ndarray, series: dict[str, np.ndarray], 
 
 
 def _make_u0(graph: Graph, spec) -> tuple[np.ndarray, dict]:
+    """u0 and its record from a vector or a generator spec; any fault is a usage error."""
     try:
-        u0, meta = _parse_u0(graph, spec)
-        # _check_state's typed errors (length, finiteness, positivity) are ValueErrors
-        return _check_state(graph, u0, "u0"), meta
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
-        raise UsageError(f"bad u0 {spec!r}: {exc}") from exc
-
-
-def _parse_u0(graph: Graph, spec) -> tuple[np.ndarray, dict]:
-    if isinstance(spec, list):
-        u0 = np.array([_json_number(v, "u0 entry") for v in spec])
-        meta = {"kind": "explicit"}
-    elif isinstance(spec, dict):
-        kind = spec.get("kind")
-        if kind == "constant":
+        kind = spec.get("kind") if isinstance(spec, dict) else None
+        if isinstance(spec, list):
+            u0 = np.array([_json_number(v, "u0 entry") for v in spec])
+            meta = {"kind": "explicit"}
+        elif kind == "constant":
             value = _json_number(spec["value"], "value")
             u0 = np.full(graph.n, value)
             meta = {"kind": "constant", "value": value}
@@ -138,16 +130,19 @@ def _parse_u0(graph: Graph, spec) -> tuple[np.ndarray, dict]:
             if type(seed) is not int:  # not a bool either
                 raise ValueError(f"seed = {seed!r} is not an integer")
             if not (0.0 < low < np.inf and 0.0 < high < np.inf):
-                raise UsageError("random-uniform u0 bounds must be positive and finite")
+                raise ValueError("random-uniform u0 bounds must be positive and finite")
             rng = np.random.Generator(np.random.Philox(seed))
             u0 = rng.uniform(low, high, size=graph.n)
             meta = {"kind": "random-uniform", "low": low, "high": high,
                     "generator": "philox", "seed": seed}
+        elif isinstance(spec, dict):
+            raise ValueError(f"unknown u0 generator kind: {kind!r}")
         else:
-            raise UsageError(f"unknown u0 generator kind: {kind!r}")
-    else:
-        raise UsageError("u0 must be a vector or a generator spec")
-    return u0, meta
+            raise ValueError("u0 must be a vector or a generator spec")
+        # _check_state's typed errors (length, finiteness, positivity) are ValueErrors
+        return _check_state(graph, u0, "u0"), meta
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise UsageError(f"bad u0 {spec!r}: {exc}") from exc
 
 
 # Flags and config files set FlowConfig's fields; one left unset takes FlowConfig's
@@ -155,6 +150,12 @@ def _parse_u0(graph: Graph, spec) -> tuple[np.ndarray, dict]:
 _FLOW_KEYS = tuple(f.name for f in fields(FlowConfig))
 _CLI_DEFAULTS = {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "solver": "direct",
                  "u0": {"kind": "constant", "value": 1.0}}
+# Each solver returns (trajectory, Picard iterations, Picard history).  The
+# lambdas look the solvers up when called, so a patched module global is used.
+_SOLVERS = {
+    "direct": lambda kernel, u0, config: (evolve_direct(kernel, u0, config), None, None),
+    "picard": lambda kernel, u0, config: picard_solve(kernel, u0, config),
+}
 
 
 def _flow_config(values: dict) -> FlowConfig:
@@ -193,6 +194,9 @@ def _resolve(args) -> dict:
         if not (isinstance(values["u0"], dict) and values["u0"].get("kind") == "random-uniform"):
             raise UsageError("--seed needs a random-uniform u0")
         values["u0"] = {**values["u0"], "seed": args.seed}
+    # a JSON solver may be a list or an object, which `in` cannot hash
+    if not (isinstance(values["solver"], str) and values["solver"] in _SOLVERS):
+        raise UsageError(f"unknown solver {values['solver']!r}")
     return values
 
 
@@ -231,16 +235,6 @@ def cmd_kernel(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _run_solver(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig, solver: str):
-    if solver == "picard":
-        traj, iters, history = picard_solve(kernel, u0, config)
-    elif solver == "direct":
-        traj, iters, history = evolve_direct(kernel, u0, config), None, None
-    else:
-        raise UsageError(f"unknown solver {solver!r}")
-    return traj, iters, history
-
-
 def _setup(args):
     """Set-up of evolve and verify: kernel, config, solver, u0 and its record, output dir."""
     values = _resolve(args)
@@ -256,7 +250,7 @@ def _evolve_and_write(kernel: FractionalKernel, config: FlowConfig, solver: str,
     """Solve, then write summary.json, trajectory.csv and, with emit_plots, flow.svg."""
     summary = {"solver": solver, "config": asdict(config), "u0": u0_meta}
     try:
-        traj, iters, history = _run_solver(kernel, u0, config, solver)
+        traj, iters, history = _SOLVERS[solver](kernel, u0, config)
     except FracGraphError as exc:
         summary["error"] = type(exc).__name__
         summary["message"] = str(exc)
@@ -295,7 +289,7 @@ def cmd_verify(args) -> int:
     kernel, config, solver, u0, u0_meta, out = _setup(args)
 
     try:
-        traj, iters, _ = _run_solver(kernel, u0, config, solver)
+        traj, iters, _ = _SOLVERS[solver](kernel, u0, config)
     except FracGraphError as exc:
         print(f"FAIL solve: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -383,7 +377,7 @@ def _add_flow_flags(sub):
     sub.add_argument("--eps-reg", dest="eps_reg", type=float, default=None)
     sub.add_argument("--picard-tol", dest="picard_tol", type=float, default=None)
     sub.add_argument("--picard-max", dest="picard_max", type=int, default=None)
-    sub.add_argument("--solver", choices=["direct", "picard"], default=None)
+    sub.add_argument("--solver", choices=_SOLVERS, default=None)
     u0 = sub.add_mutually_exclusive_group()
     u0.add_argument("--u0-constant", type=float, default=None)
     u0.add_argument("--u0-random", nargs=2, type=float, metavar=("LOW", "HIGH"), default=None)

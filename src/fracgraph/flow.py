@@ -160,9 +160,7 @@ class StepStats:
     """What one integration did.
 
     A step is rejected for a failed error test or for a lost positivity (a
-    trial state or a stage argument not positive).  ``state_min`` and
-    ``state_max`` bound every accepted state, samples or not, for the
-    maximum-principle check.
+    trial state or a stage argument not positive).
     """
 
     accepted: int = 0
@@ -172,8 +170,6 @@ class StepStats:
     h_min: float = math.inf
     h_max: float = 0.0
     snap_time: float | None = None
-    state_min: float = math.inf
-    state_max: float = -math.inf
 
     @property
     def rejected(self) -> int:
@@ -183,8 +179,7 @@ class StepStats:
     def add_work(self, earlier: "StepStats") -> None:
         """Count an earlier run's steps, rejections and RHS evaluations too.
 
-        Step sizes range over both runs; the snap time and the state bounds
-        stay this run's.
+        Step sizes range over both runs; the snap time stays this run's.
         """
         self.accepted += earlier.accepted
         self.rejected_error += earlier.rejected_error
@@ -333,8 +328,6 @@ def _accept_step(f, t: float, u: np.ndarray, f0: np.ndarray, h: float, h_floor: 
         if err_norm <= 1.0:
             stats.accepted += 1
             stats.h_min, stats.h_max = min(stats.h_min, h), max(stats.h_max, h)
-            stats.state_min = min(stats.state_min, float(np.min(u_new)))
-            stats.state_max = max(stats.state_max, float(np.max(u_new)))
             return h, u_new, k, err, h_next
         stats.rejected_error += 1
         h = h_next
@@ -352,6 +345,10 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
     when a list is given.  StepBudgetExceeded ends a run that has taken
     MAX_STEPS steps, accepted plus rejected, short of the horizon.
 
+    Every accepted state and each block of samples that a step makes must lie
+    in [min u0, max u0] up to MAX_PRINCIPLE_SLACK, else BoundViolation ends the
+    run; the snap's constant, a power mean of such a state, lies there too.
+
     Steady-state snap: once max(u) - min(u) falls below 1000x the local step
     tolerance, the state is replaced by its mass-consistent constant and held
     for the rest of the horizon.  The maximum principle (restarted at that
@@ -364,6 +361,12 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
     t, horizon = float(times[0]), float(times[-1])
     h_floor = 1e-14 * horizon
     stats = StepStats()
+    lo, hi = float(np.min(u0)), float(np.max(u0))
+
+    def check_band(states):
+        excess = max(float(np.max(states)) - hi, lo - float(np.min(states)))
+        if excess > MAX_PRINCIPLE_SLACK:
+            raise BoundViolation(f"trajectory leaves [{lo:.6g}, {hi:.6g}] by {excess:.3e}")
 
     def counted(ti, ui):
         stats.rhs_evals += 1
@@ -373,7 +376,6 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
     out[0] = u0
     filled = 1  # samples out[:filled] are done
     u = u0.copy()
-    stats.state_min, stats.state_max = float(np.min(u)), float(np.max(u))
     f_cur = counted(t, u)
     h = _initial_step(counted, t, u, f_cur, atol, rtol, horizon - t)
 
@@ -387,6 +389,7 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
             break
         h, u_new, k, _, h_next = _accept_step(counted, t, u, f_cur, min(h, horizon - t),
                                               h_floor, config, stats)
+        check_band(u_new)
         t_new = t + h
         if horizon - t_new <= 1e-12 * horizon:  # land exactly on the horizon
             t_new = horizon
@@ -397,6 +400,7 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
             out[filled:end] = _dense_output(u, h, k, (times[filled:end] - t) / h)
             if times[end - 1] == t_new:
                 out[end - 1] = u_new
+            check_band(out[filled:end])
             filled = end
         t, u, f_cur, h = t_new, u_new, k[6], h_next
     return out, stats
@@ -420,25 +424,12 @@ def step(kernel: FractionalKernel, t: float, u: np.ndarray, dt: float, config: F
     return t + h, u_new, err
 
 
-def _check_bounds(values: np.ndarray, u0: np.ndarray, stats: StepStats):
-    """Maximum principle on the samples and on every accepted state."""
-    lo, hi = float(np.min(u0)), float(np.max(u0))
-    top = max(float(np.max(values)), stats.state_max)
-    bottom = min(float(np.min(values)), stats.state_min)
-    excess = max(top - hi, lo - bottom)
-    if excess > MAX_PRINCIPLE_SLACK:
-        raise BoundViolation(
-            f"trajectory leaves [{lo:.6g}, {hi:.6g}] by {excess:.3e}"
-        )
-
-
 def _solve(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig, f,
            steps: list | None = None) -> Trajectory:
-    """Integrate du/dt = f(t, u) on the output grid and enforce the max-principle band."""
+    """Integrate du/dt = f(t, u) on the output grid; ``_integrate`` enforces the band."""
     u0 = _check_state(kernel.graph, u0, "u0")
     times = config.output_times()
     values, stats = _integrate(f, u0, times, config, kernel.graph, steps)
-    _check_bounds(values, u0, stats)
     return Trajectory(times=times, values=values, stats=stats)
 
 

@@ -123,6 +123,16 @@ class TestKernelCommand:
         )
         assert code == 2
 
+    def test_positivity_violation_is_a_failed_check(self, k2_path, tmp_path, capsys,
+                                                    monkeypatch):
+        def violating(graph, s):
+            raise fg.PositivityViolation("forced")
+
+        monkeypatch.setattr(cli, "build_kernel", violating)
+        code = main(["kernel", k2_path, "--s", "0.5", "--output-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "FAIL kernel positivity: forced\n"
+
     def test_malformed_graph_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -358,9 +368,16 @@ class TestEvolveCommand:
     @pytest.mark.parametrize("command", ["evolve", "verify"])
     @pytest.mark.parametrize("config, message", [
         ({"solver": "rk4"}, "unknown solver 'rk4'"),
+        ({"solver": []}, "unknown solver []"),
+        ({"solver": {}}, "unknown solver {}"),
         ({"u0": [1.0, 2.0, 3.0]}, "u0 has shape (3,), expected (2,)"),
-        ({"u0": {"kind": "gauss"}}, "unknown u0 generator kind: 'gauss'")],
-        ids=["solver", "u0-length", "u0-kind"])
+        ({"u0": {"kind": "gauss"}}, "bad u0 {'kind': 'gauss'}: unknown u0 generator kind: "
+                                    "'gauss'"),
+        ({"u0": "flat"}, "bad u0 'flat': u0 must be a vector or a generator spec"),
+        ({"u0": {"kind": "random-uniform", "low": 0.0, "high": 2.0}},
+         "bounds must be positive and finite")],
+        ids=["solver", "solver-list", "solver-object", "u0-length", "u0-kind", "u0-string",
+             "u0-bounds"])
     def test_bad_config_value_is_named(self, k2_path, tmp_path, capsys, command, config,
                                        message):
         cfg = tmp_path / "cfg.json"
@@ -370,6 +387,7 @@ class TestEvolveCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "o").exists()
 
     def test_output_grid_bound_is_usage_error(self, k2_path, tmp_path, capsys):
         with wall_clock_limit(20):
@@ -631,6 +649,18 @@ class TestSweepCommand:
         assert spies["decompose"].call_count == 2  # one per share
         assert spies["kernel_weights"].call_count == kernels  # one per s in a share
 
+    @pytest.mark.parametrize("solver", ["rk4", [], {}], ids=["name", "list", "object"])
+    def test_config_solver_is_checked_before_any_run(self, k2_path, tmp_path, capsys, solver):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"solver": solver}))
+        code = main(["sweep", k2_path, "--config", str(cfg), "--s-list", "0.3,0.7",
+                     "--p-list", "2", "--q-list", "1", "--T", "0.1", "--workers", "2",
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: unknown solver {solver!r}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_missing_graph_fails_every_tag(self, tmp_path, capsys):
         code = main(["sweep", str(tmp_path / "nope.json"), "--s-list", "0.3,0.7",
                      "--p-list", "2", "--q-list", "1,2", "--workers", "2",
@@ -749,6 +779,17 @@ class TestMisc:
         finally:
             cli._parser.cache_clear()
         assert spy.call_count == 1
+
+    def test_library_error_outside_a_solve_fails_the_run(self, k2_path, tmp_path, capsys,
+                                                          monkeypatch):
+        # an eigensolve that does not converge is a failed run, not a crash
+        def diverging(graph, s):
+            raise fg.NoConvergence("forced")
+
+        monkeypatch.setattr(cli, "build_kernel", diverging)
+        code = main(["evolve", k2_path, "--T", "0.1", "--output-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: NoConvergence: forced\n"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -6,7 +6,7 @@ import pytest
 
 import fracgraph as fg
 from fracgraph import flow
-from fracgraph.flow import MAX_OUTPUT_INTERVALS, _check_bounds, _integrate, _solve
+from fracgraph.flow import MAX_OUTPUT_INTERVALS, _integrate, _solve
 from conftest import make_random_graph, wall_clock_limit
 from linear_flow_reference import LinearFlow
 
@@ -419,9 +419,7 @@ class TestPicard:
             assert getattr(traj.stats, name) == sum(getattr(st, name) for st in sweeps)
         assert traj.stats.h_min == min(st.h_min for st in sweeps)
         assert traj.stats.h_max == max(st.h_max for st in sweeps)
-        last = sweeps[-1]
-        for name in ("snap_time", "state_min", "state_max"):
-            assert getattr(traj.stats, name) == getattr(last, name)
+        assert traj.stats.snap_time == sweeps[-1].snap_time
 
     def test_not_converged_raises_with_history(self, k2_kernel):
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0, picard_max=2, picard_tol=1e-16)
@@ -579,20 +577,30 @@ class TestDenseOutput:
         assert traj.stats.accepted < 50
         assert traj.times[-1] == cfg.T
 
-    def test_excursion_between_samples_is_caught(self, k2):
+    @staticmethod
+    def sine_rate(t, u):
         # u(t) = u0 + sin(2 pi t) is back at u0 at every sample t = 0, 0.5, 1,
         # but its accepted states leave the band [2, 3] in between
-        u0 = np.array([2.0, 3.0])
+        return np.full_like(u, 2.0 * np.pi * np.cos(2.0 * np.pi * t))
+
+    def test_excursion_between_samples_is_caught(self, k2):
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0, dt_out=0.5)
+        with pytest.raises(fg.BoundViolation, match=r"trajectory leaves \[2, 3\] by "):
+            _integrate(self.sine_rate, np.array([2.0, 3.0]), cfg.output_times(), cfg, k2)
+
+    def test_band_ends_a_long_run_at_once(self, k2_kernel):
+        # the band is checked as each step is made, so a run that leaves it
+        # stops within its first few steps, not at T or at the step budget
+        cfg = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1000.0, dt_out=0.5)
+        calls = []
 
         def f(t, u):
-            return np.full_like(u, 2.0 * np.pi * np.cos(2.0 * np.pi * t))
+            calls.append(t)
+            return self.sine_rate(t, u)
 
-        values, stats = _integrate(f, u0, cfg.output_times(), cfg, k2)
-        np.testing.assert_allclose(values, np.tile(u0, (3, 1)), atol=1e-6)
-        assert stats.state_min < 1.5 and stats.state_max > 3.5
-        with pytest.raises(fg.BoundViolation):
-            _check_bounds(values, u0, stats)
+        with wall_clock_limit(10), pytest.raises(fg.BoundViolation):
+            _solve(k2_kernel, np.array([2.0, 3.0]), cfg, f)
+        assert max(calls) < 1.0
 
 
 class TestStepStats:
@@ -620,7 +628,7 @@ class TestStepStats:
             calls.append(t)
             if len(calls) == 3:
                 raise fg.NonPositiveState("forced")
-            return -u
+            return 1.5 - u  # stays in the band [1, 2]
 
         _, st = _integrate(f, np.array([1.0, 2.0]), cfg.output_times(), cfg, k2)
         assert st.rejected_positivity == 1
@@ -676,6 +684,19 @@ class TestInitialStep:
         assert h == pytest.approx(0.01, rel=1e-12)
         assert probes == [h]
         with wall_clock_limit(20), pytest.raises(fg.StepSizeUnderflow):
+            _integrate(f, u0, cfg.output_times(), cfg, k2)
+
+    def test_infinite_rate_underflows(self, k2):
+        # an infinite first rate gives a zero starting step, which the
+        # controller refuses
+        cfg = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0)
+
+        def f(t, u):
+            return np.full_like(u, -np.inf)
+
+        u0 = np.array([1.0, 2.0])
+        assert flow._initial_step(f, 0.0, u0, f(0.0, u0), cfg.atol, cfg.rtol, cfg.T) == 0.0
+        with wall_clock_limit(10), pytest.raises(fg.StepSizeUnderflow):
             _integrate(f, u0, cfg.output_times(), cfg, k2)
 
     @pytest.mark.parametrize("s, p, q", AUDIT_PARAMS)
