@@ -29,7 +29,6 @@ from .graph import (
 from .spectral import (
     SpectralDecomposition,
     decompose,
-    fractional_laplacian_spectral,
     fractional_power_quadrature,
     kernel_weights,
     kernel_weights_oracle,

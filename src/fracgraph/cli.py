@@ -158,9 +158,10 @@ _SOLVERS = {
 }
 
 
-def _flow_config(values: dict) -> FlowConfig:
+def _flow_config(values: dict, n: int) -> FlowConfig:
     try:
-        return FlowConfig(**{key: values[key] for key in _FLOW_KEYS if key in values})
+        config = FlowConfig(**{key: values[key] for key in _FLOW_KEYS if key in values})
+        return config._require_size(n)
     except FracGraphError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -239,7 +240,7 @@ def _setup(args):
     """Set-up of evolve and verify: kernel, config, solver, u0 and its record, output dir."""
     values = _resolve(args)
     graph = _load_graph(args.graph)
-    config = _flow_config(values)
+    config = _flow_config(values, graph.n)
     u0, u0_meta = _make_u0(graph, values["u0"])
     out = _output_dir(args.output_dir)
     return build_kernel(graph, config.s), config, values["solver"], u0, u0_meta, out
@@ -327,7 +328,7 @@ def _sweep_worker(share) -> list[tuple[str, int]]:
     codes, kernel = [], None
     for tag, (s, p, q) in zip(tags, points):
         try:
-            config = _flow_config({**values, "s": s, "p": p, "q": q})
+            config = _flow_config({**values, "s": s, "p": p, "q": q}, graph.n)
             out = _output_dir(Path(outdir) / tag)
             if kernel is None or kernel.s != config.s:
                 dec, kernel = kernel and kernel.dec, None  # hold one kernel at a time
@@ -368,15 +369,12 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v]
 
 
-def _add_flow_flags(sub):
+def _add_flow_flags(sub, skip=()):
+    # a float flag per FlowConfig field; FlowConfig stores an integral picard_max as an int
+    for key in _FLOW_KEYS:
+        if key not in skip:
+            sub.add_argument("--" + key.replace("_", "-"), type=float, default=None)
     sub.add_argument("--config", help="JSON config file; flags override its fields")
-    sub.add_argument("--T", type=float, default=None)
-    sub.add_argument("--dt-out", dest="dt_out", type=float, default=None)
-    sub.add_argument("--atol", type=float, default=None)
-    sub.add_argument("--rtol", type=float, default=None)
-    sub.add_argument("--eps-reg", dest="eps_reg", type=float, default=None)
-    sub.add_argument("--picard-tol", dest="picard_tol", type=float, default=None)
-    sub.add_argument("--picard-max", dest="picard_max", type=int, default=None)
     sub.add_argument("--solver", choices=_SOLVERS, default=None)
     u0 = sub.add_mutually_exclusive_group()
     u0.add_argument("--u0-constant", type=float, default=None)
@@ -405,9 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         sub = subs.add_parser(name, help=extra_help)
         sub.add_argument("graph")
-        # a sweep takes its exponents from --s-list, --p-list and --q-list only
-        for exponent in ("--s", "--p", "--q"):
-            sub.add_argument(exponent, type=float, default=None)
         _add_flow_flags(sub)
         if name == "evolve":
             sub.add_argument("--emit-plots", action="store_true")
@@ -416,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     # no abbreviations, so that --q is a usage error, not a short --q-list
     sw = subs.add_parser("sweep", help="cartesian parameter sweep over s/p/q", allow_abbrev=False)
     sw.add_argument("graph")
-    _add_flow_flags(sw)
+    # a sweep takes its exponents from --s-list, --p-list and --q-list only
+    _add_flow_flags(sw, skip=("s", "p", "q"))
     sw.add_argument("--s-list", type=_float_list, required=True)
     sw.add_argument("--p-list", type=_float_list, required=True)
     sw.add_argument("--q-list", type=_float_list, required=True)

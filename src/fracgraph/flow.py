@@ -92,6 +92,8 @@ _DP_P = np.array([
 
 # Largest number of output intervals T/dt_out; each sample stores a state.
 MAX_OUTPUT_INTERVALS = 10**7
+# Largest number of values, samples x vertices, one run stores: 128 MiB of floats.
+MAX_SAMPLE_VALUES = 2**24
 # Largest number of steps, accepted plus rejected, of one integration; the most
 # that a test or a benchmark solve takes is 294.
 MAX_STEPS = 10_000
@@ -153,6 +155,12 @@ class FlowConfig:
     def output_times(self) -> np.ndarray:
         n_out = max(1, round(self.T / self.dt_out))
         return np.linspace(0.0, self.T, n_out + 1)
+
+    def _require_size(self, n: int) -> "FlowConfig":
+        """This config, if its samples on n vertices hold at most MAX_SAMPLE_VALUES values."""
+        if (values := (max(1, round(self.T / self.dt_out)) + 1) * n) > MAX_SAMPLE_VALUES:
+            raise DomainError(f"{values} output values, at most {MAX_SAMPLE_VALUES} allowed")
+        return self
 
 
 @dataclass
@@ -427,6 +435,7 @@ def step(kernel: FractionalKernel, t: float, u: np.ndarray, dt: float, config: F
 def _solve(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig, f,
            steps: list | None = None) -> Trajectory:
     """Integrate du/dt = f(t, u) on the output grid; ``_integrate`` enforces the band."""
+    config._require_size(kernel.n)
     u0 = _check_state(kernel.graph, u0, "u0")
     times = config.output_times()
     values, stats = _integrate(f, u0, times, config, kernel.graph, steps)

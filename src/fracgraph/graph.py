@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,8 +43,13 @@ class Violation:
         return f"{self.code}: {self.detail}"
 
 
+class _Rebuilt:
+    def __reduce__(self):  # pickle and deepcopy rebuild through the constructor and its checks
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
 @dataclass(frozen=True)
-class Graph:
+class Graph(_Rebuilt):
     """Connected finite weighted graph with positive vertex measure.
 
     Attributes

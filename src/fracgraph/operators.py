@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ExponentOutOfRange
-from .graph import Graph, _check_length
+from .graph import Graph, _Rebuilt, _check_length
 from .spectral import SpectralDecomposition, decompose, kernel_weights
 
 __all__ = [
@@ -60,7 +60,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FractionalKernel:
+class FractionalKernel(_Rebuilt):
     """Exponent s with its dense symmetric kernel matrix W (zero diagonal) and row sums W 1."""
 
     graph: Graph

@@ -26,7 +26,7 @@ from .errors import (
     PositivityViolation,
     QuadratureNotConverged,
 )
-from .graph import Graph, _check_length
+from .graph import Graph, _Rebuilt
 
 __all__ = [
     "SpectralDecomposition",
@@ -35,7 +35,6 @@ __all__ = [
     "kernel_weights",
     "kernel_weights_oracle",
     "fractional_power_quadrature",
-    "fractional_laplacian_spectral",
 ]
 
 # The fixed grid of fractional_power_quadrature: tau = log t in [_TAU_MIN,
@@ -46,7 +45,7 @@ _CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(_Rebuilt):
     """Eigenpairs of -Delta, mu-orthonormal, eigenvalues ascending.
 
     ``phi[i]`` is the i-th eigenfunction; lambda_0 is exactly 0 and phi[0] is
@@ -98,21 +97,9 @@ def decompose(graph: Graph) -> SpectralDecomposition:
     return SpectralDecomposition(graph=graph, eigenvalues=vals, phi=phi)
 
 
-def _eigen_sum(dec: SpectralDecomposition, c: np.ndarray) -> np.ndarray:
-    """The matrix sum_i c_i phi_i(x) phi_i(y)."""
-    return dec.phi.T @ (c[:, None] * dec.phi)
-
-
-def _eigen_powers(dec: SpectralDecomposition, s: float) -> np.ndarray:
-    """lambda_i^s, with 0^s = 0 for the zero eigenvalue."""
-    powers = np.where(dec.eigenvalues > 0, dec.eigenvalues, 1.0) ** s
-    powers[dec.eigenvalues <= 0] = 0.0
-    return powers
-
-
 def _assemble_kernel(dec: SpectralDecomposition, powers: np.ndarray) -> np.ndarray:
     """Kernel -mu(x)mu(y) sum_i powers_i phi_i(x)phi_i(y), symmetrised, zero diagonal."""
-    w = _eigen_sum(dec, powers)
+    w = dec.phi.T @ (powers[:, None] * dec.phi)
     scale = np.outer(dec.graph.mu, dec.graph.mu)
     np.negative(scale, out=scale)
     w *= scale
@@ -127,7 +114,9 @@ def spectral_weight_matrix(dec: SpectralDecomposition, s: float) -> np.ndarray:
 
     No range check on s; s = 1 recovers the edge weights w exactly.
     """
-    return _assemble_kernel(dec, _eigen_powers(dec, s))
+    powers = np.where(dec.eigenvalues > 0, dec.eigenvalues, 1.0) ** s
+    powers[dec.eigenvalues <= 0] = 0.0  # 0^s = 0 for the zero eigenvalue
+    return _assemble_kernel(dec, powers)
 
 
 def kernel_weights(dec: SpectralDecomposition, s: float) -> np.ndarray:
@@ -201,14 +190,3 @@ def kernel_weights_oracle(dec: SpectralDecomposition, s: float) -> np.ndarray:
         raise ExponentOutOfRange(f"s = {s}, need 0 < s < 1")
     powers = [fractional_power_quadrature(lam, s) for lam in dec.eigenvalues]
     return _assemble_kernel(dec, np.array(powers))
-
-
-def fractional_laplacian_spectral(
-    dec: SpectralDecomposition, s: float, u: np.ndarray
-) -> np.ndarray:
-    """(-Delta)^s u via the spectral sum sum_i lambda_i^s <u, phi_i>_mu phi_i."""
-    if not 0.0 < s < 1.0:
-        raise ExponentOutOfRange(f"s = {s}, need 0 < s < 1")
-    u = _check_length(dec.graph, u, "u")
-    coeffs = dec.phi @ (u * dec.graph.mu)
-    return (_eigen_powers(dec, s) * coeffs) @ dec.phi

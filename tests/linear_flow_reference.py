@@ -11,10 +11,25 @@ mu-orthonormal eigenpairs (lambda_i, phi_i) of -Delta, l_i = lambda_i^s
 All three come from the decomposition the kernel was assembled from, with no
 quadrature and no time stepping, so they are exact references for the
 stepper, its continuous extension and the audit's integrals.  The powers
-l_i are taken here, not through the library's own helper.
+l_i are taken here, not through the library's kernel assembly.  The same
+eigenbasis gives (-Delta)^s u itself, the reference of the kernel's operator.
 """
 
 import numpy as np
+
+
+def eigen_powers(dec, s):
+    """lambda_i^s, with 0 for lambda_0 = 0."""
+    lam = dec.eigenvalues
+    powers = np.zeros_like(lam)
+    powers[lam > 0] = lam[lam > 0] ** s
+    return powers
+
+
+def fractional_laplacian_spectral(dec, s, u):
+    """(-Delta)^s u via the spectral sum sum_i lambda_i^s <u, phi_i>_mu phi_i."""
+    coeffs = dec.phi @ (u * dec.graph.mu)
+    return (eigen_powers(dec, s) * coeffs) @ dec.phi
 
 
 class LinearFlow:
@@ -22,9 +37,7 @@ class LinearFlow:
 
     def __init__(self, kernel, u0):
         dec = kernel.dec
-        lam = dec.eigenvalues
-        self.powers = np.zeros_like(lam)
-        self.powers[lam > 0] = lam[lam > 0] ** kernel.s
+        self.powers = eigen_powers(dec, kernel.s)
         self.coeffs = dec.phi @ (u0 * kernel.graph.mu)
         self.phi = dec.phi
 

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import math
@@ -396,6 +397,34 @@ class TestEvolveCommand:
         assert code == 2
         assert "output intervals" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evolve", "verify"])
+    def test_stored_values_bound_is_usage_error(self, k2_path, tmp_path, capsys, monkeypatch,
+                                                command):
+        # T = 1 at dt_out = 0.005 stores 201 samples of 2 vertices
+        monkeypatch.setattr(flow, "MAX_SAMPLE_VALUES", 401)
+        monkeypatch.setattr(cli, "build_kernel", mock.Mock(side_effect=AssertionError))
+        code = main([command, k2_path, "--T", "1", "--dt-out", "0.005",
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: 402 output values, at most 401 allowed\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_picard_max_flag_takes_an_integral_float(self, k2_path, tmp_path):
+        out = tmp_path / "o"
+        assert main(["evolve", k2_path, "--T", "0.1", "--solver", "picard", "--q", "2",
+                     "--picard-max", "1e2", "--output-dir", str(out)]) == 0
+        recorded = json.loads((out / "summary.json").read_text())["config"]["picard_max"]
+        assert recorded == 100 and type(recorded) is int
+
+    @pytest.mark.parametrize("command", ["evolve", "verify"])
+    def test_fractional_picard_max_flag_is_usage_error(self, k2_path, tmp_path, capsys,
+                                                       command):
+        code = main([command, k2_path, "--T", "0.1", "--picard-max", "2.5",
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: bad regularization or Picard parameters\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestVerifyCommand:
     def test_all_checks_pass(self, k5_path, tmp_path, capsys):
@@ -661,6 +690,20 @@ class TestSweepCommand:
         assert out == "" and err == f"error: unknown solver {solver!r}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_stored_values_bound_fails_every_tag(self, k2_path, tmp_path, capsys, monkeypatch,
+                                                 serial_pools):
+        monkeypatch.setattr(flow, "MAX_SAMPLE_VALUES", 401)
+        monkeypatch.setattr(cli, "build_kernel", mock.Mock(side_effect=AssertionError))
+        code = main(["sweep", k2_path, "--s-list", "0.3,0.7", "--p-list", "2", "--q-list", "1",
+                     "--T", "1", "--dt-out", "0.005", "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        tags = ["s0.3_p2.0_q1.0", "s0.7_p2.0_q1.0"]
+        assert out.splitlines() == [f"FAIL {tag}" for tag in tags]
+        assert err.splitlines() == [f"sweep {tag}: 402 output values, at most 401 allowed"
+                                    for tag in tags]
+        assert list((tmp_path / "o").iterdir()) == []
+
     def test_missing_graph_fails_every_tag(self, tmp_path, capsys):
         code = main(["sweep", str(tmp_path / "nope.json"), "--s-list", "0.3,0.7",
                      "--p-list", "2", "--q-list", "1,2", "--workers", "2",
@@ -768,6 +811,38 @@ class TestGraphFuzz:
 
 
 class TestMisc:
+    @staticmethod
+    def subcommands():
+        return next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_flow_flags_follow_flow_config(self):
+        commands = self.subcommands()
+        for command, skipped in [("evolve", ()), ("verify", ()), ("sweep", ("s", "p", "q"))]:
+            actions = {a.dest: a for a in commands[command]._actions}
+            for name in cli._FLOW_KEYS:
+                assert (name in actions) is (name not in skipped), (command, name)
+                if name not in skipped:
+                    action = actions[name]
+                    assert action.option_strings == ["--" + name.replace("_", "-")]
+                    assert action.type is float and action.default is None
+        assert cli._FLOW_KEYS == tuple(f.name for f in fields(fg.FlowConfig))
+
+    def test_flag_sets(self):
+        commands = self.subcommands()
+        flow_flags = {"--T", "--dt-out", "--atol", "--rtol", "--eps-reg", "--picard-tol",
+                      "--picard-max", "--config", "--solver", "--u0-constant", "--u0-random",
+                      "--seed", "--output-dir", "-h", "--help"}
+        expected = {
+            "kernel": {"--s", "--output-dir", "-h", "--help"},
+            "evolve": flow_flags | {"--s", "--p", "--q", "--emit-plots"},
+            "verify": flow_flags | {"--s", "--p", "--q"},
+            "sweep": flow_flags | {"--s-list", "--p-list", "--q-list", "--workers"},
+        }
+        for command, flags in expected.items():
+            found = {o for a in commands[command]._actions for o in a.option_strings}
+            assert found == flags, command
+
     def test_parser_is_built_once(self, k2_path, tmp_path, monkeypatch):
         spy = mock.Mock(wraps=cli.build_parser)
         monkeypatch.setattr(cli, "build_parser", spy)

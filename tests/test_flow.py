@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -517,6 +518,19 @@ class TestFlowConfig:
         for dt_out in (1.0 / (limit + 1), 1e-300, 5e-324):
             with pytest.raises(fg.DomainError, match="output intervals"):
                 fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0, dt_out=dt_out)
+
+    def test_stored_values_are_bounded(self, k2_kernel, monkeypatch):
+        # criterion 08's finest grid, 1 280 001 samples of 8 vertices, must fit
+        assert flow.MAX_SAMPLE_VALUES >= 1_280_001 * 8
+        cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0, dt_out=0.005)  # 201 samples of 2
+        u0 = np.array([1.0, 2.0])
+        monkeypatch.setattr(flow, "MAX_SAMPLE_VALUES", 402)
+        assert fg.evolve_direct(k2_kernel, u0, cfg).values.shape == (201, 2)
+        monkeypatch.setattr(flow, "MAX_SAMPLE_VALUES", 401)
+        monkeypatch.setattr(flow, "_integrate", mock.Mock(side_effect=AssertionError))
+        for solve in (fg.evolve_direct, fg.picard_solve):
+            with pytest.raises(fg.DomainError, match="402 output values, at most 401"):
+                solve(k2_kernel, u0, cfg)
 
 
 class TestNonFiniteState:

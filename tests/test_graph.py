@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -84,6 +86,22 @@ class TestValidate:
             g.weights[0, 1] = -1.0
         with pytest.raises(ValueError):
             g.mu[0] = 0.0
+
+    @pytest.mark.parametrize("copier", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_are_read_only_and_validated_anew(self, copier, monkeypatch):
+        g = fg.random_connected_graph(np.random.default_rng(6), 6)
+        twin = copier(g)
+        for a, b in ((twin.mu, g.mu), (twin.weights, g.weights)):
+            assert a is not b and not a.flags.writeable
+            np.testing.assert_array_equal(a, b)
+            with pytest.raises(ValueError):
+                a[0] = -1.0
+        assert twin.labels == g.labels
+        spy = mock.Mock(wraps=fg.validate)
+        monkeypatch.setattr(fg.graph, "validate", spy)
+        fg.decompose(twin)
+        assert spy.call_count == 1
 
 
 class TestIntegrate:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 import dense_reference as dense
 import fracgraph as fg
 from conftest import make_random_graph
+from linear_flow_reference import fractional_laplacian_spectral
 
 
 def random_kernel(seed, n=None, s=0.5):
@@ -24,6 +28,22 @@ class TestBuildKernel:
     def test_decomposition_of_another_graph_is_rejected(self, k2, k5):
         with pytest.raises(fg.DomainError):
             fg.build_kernel(k5, 0.5, fg.decompose(k2))
+
+    @pytest.mark.parametrize("copier", [lambda k: pickle.loads(pickle.dumps(k)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_keep_read_only_arrays(self, copier):
+        kern = random_kernel(6, n=6)
+        twin = copier(kern)
+        assert twin.dec.graph is twin.graph and twin.s == kern.s
+        for name in ("w", "row_sums"):
+            assert not getattr(twin, name).flags.writeable
+            np.testing.assert_array_equal(getattr(twin, name), getattr(kern, name))
+        for name in ("eigenvalues", "phi"):
+            assert not getattr(twin.dec, name).flags.writeable
+            np.testing.assert_array_equal(getattr(twin.dec, name), getattr(kern.dec, name))
+        assert not twin.graph.weights.flags.writeable
+        np.testing.assert_array_equal(fg.build_kernel(twin.graph, 0.3, twin.dec).w,
+                                      fg.build_kernel(kern.graph, 0.3, kern.dec).w)
 
 
 class TestGradientNorm:
@@ -59,7 +79,7 @@ class TestFracLaplacian:
     def test_matches_spectral_form(self, seed):
         kern = random_kernel(seed)
         u = np.random.default_rng(seed).normal(size=kern.n)
-        ref = fg.fractional_laplacian_spectral(kern.dec, kern.s, u)
+        ref = fractional_laplacian_spectral(kern.dec, kern.s, u)
         out = fg.frac_laplacian(kern, u)
         np.testing.assert_allclose(out, ref, atol=1e-10 * (np.abs(ref).max() + 1.0))
 
