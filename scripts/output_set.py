@@ -1,0 +1,224 @@
+#!/usr/bin/env python3
+"""Run a fixed set of fracgraph commands, and compare two such runs file by file.
+
+    python3 scripts/output_set.py run DIR [--src SRC]
+    python3 scripts/output_set.py compare A B
+
+`run` keeps, for each command, its output files and its stdout, stderr and
+exit code under DIR/<name>/.  Each command runs in its own child process, so
+that the stderr of a sweep's workers is kept too, with the `fracgraph` package
+from SRC (default: the src/ of the checkout holding this script).  The set:
+`verify` at four (s, p, q) with both solvers and the 12-point `sweep` on two
+random graphs of 500 vertices, `evolve --solver picard --emit-plots`, `kernel`
+on K2, a stiff path that exhausts the step budget (exit 1), an unknown solver
+in a config file and a `sweep` with a fractional `--picard-max` (exit 2).
+
+`compare` prints one line per file that either run holds: "identical", or for
+CSV and JSON the largest absolute and relative difference of each numeric
+column or field that differs, or else the first differing line.  It exits 0
+only when every file is identical.  To compare a commit with its parent:
+
+    git worktree add ../parent HEAD~1
+    python3 scripts/output_set.py run ../runs/parent --src ../parent/src
+    python3 scripts/output_set.py run ../runs/head
+    python3 scripts/output_set.py compare ../runs/parent ../runs/head
+
+Outputs depend on the BLAS build, so compare only runs made on one machine.
+"""
+
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the generator graphs of the benchmark: n = 500, default_rng([seed, 1])
+GRAPH_CODE = """
+import sys
+import numpy as np
+import fracgraph
+n, seed, path = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+graph = fracgraph.random_connected_graph(np.random.default_rng([seed, 1]), n,
+                                         extra_edge_prob=8.0 / n)
+open(path, "w").write(fracgraph.graph_to_json(graph))
+"""
+SEEDS = (1, 2)
+AUDIT = ((0.3, 1.5, 0.5), (0.5, 2.0, 1.0), (0.7, 2.5, 1.5), (0.5, 3.0, 2.0))
+DOCS = {
+    "k2.json": {"vertices": [{"id": "a", "mu": 1.0}, {"id": "b", "mu": 2.0}],
+                "edges": [{"u": "a", "v": "b", "w": 1.0}]},
+    # a stiff edge next to a slow one: the step budget ends the run (exit 1)
+    "path3.json": {"vertices": [{"id": v, "mu": 1.0} for v in "abc"],
+                   "edges": [{"u": "a", "v": "b", "w": 1e6}, {"u": "b", "v": "c", "w": 1e-6}]},
+    "rk4.json": {"solver": "rk4"},
+}
+
+
+def commands():
+    """(name, CLI arguments) of each command; paths are relative to the run directory."""
+    grid = ["--T", "0.05", "--dt-out", "0.001"]
+    for seed in SEEDS:
+        graph = f"graphs/n500-seed{seed}.json"
+        u0 = ["--u0-random", "0.5", "2", "--seed", str(seed)]
+        for solver in ("direct", "picard"):
+            for s, p, q in AUDIT:
+                yield (f"verify-seed{seed}-{solver}-s{s}_p{p}_q{q}",
+                       ["verify", graph, "--solver", solver, "--s", str(s), "--p", str(p),
+                        "--q", str(q), *grid, *u0])
+        yield (f"sweep-seed{seed}",
+               ["sweep", graph, "--s-list", "0.25,0.5,0.75", "--p-list", "1.5,2.5",
+                "--q-list", "1,2", "--workers", "2", "--T", "0.005", "--dt-out", "0.001", *u0])
+    yield ("evolve-picard-plots",
+           ["evolve", "graphs/n500-seed1.json", "--solver", "picard", "--q", "2", *grid,
+            "--u0-random", "0.5", "2", "--seed", "1", "--emit-plots"])
+    yield "kernel-k2", ["kernel", "graphs/k2.json", "--s", "0.5"]
+    yield ("stiff-path", ["verify", "graphs/path3.json", "--s", "0.99", "--T", "1e6",
+                          "--u0-random", "0.5", "2"])
+    yield "unknown-solver", ["evolve", "graphs/k2.json", "--config", "graphs/rk4.json"]
+    yield ("sweep-picard-max", ["sweep", "graphs/k2.json", "--s-list", "0.3,0.5", "--p-list", "2",
+                                "--q-list", "1", "--picard-max", "2.5", "--workers", "1"])
+
+
+def run(root: Path, src: Path) -> int:
+    if root.exists() and any(root.iterdir()):
+        sys.exit(f"error: {root} is not empty")
+    (root / "graphs").mkdir(parents=True, exist_ok=True)
+    env = {**os.environ, "PYTHONPATH": str(src.resolve())}
+    env.pop("FRACGRAPH_OUTPUT_DIR", None)  # it would redirect every command's output
+    for name, doc in DOCS.items():
+        (root / "graphs" / name).write_text(json.dumps(doc) + "\n")
+    for seed in SEEDS:
+        subprocess.run([sys.executable, "-c", GRAPH_CODE, "500", str(seed),
+                        f"graphs/n500-seed{seed}.json"], cwd=root, env=env, check=True)
+    for name, args in commands():
+        (root / name).mkdir()
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "fracgraph.cli", *args,
+                               "--output-dir", f"{name}/out"],
+                              cwd=root, env=env, capture_output=True, text=True)
+        (root / name / "stdout.txt").write_text(done.stdout)
+        (root / name / "stderr.txt").write_text(done.stderr)
+        (root / name / "exit_code.txt").write_text(f"{done.returncode}\n")
+        print(f"{name}: exit {done.returncode} ({time.perf_counter() - start:.1f} s)")
+    return 0
+
+
+def _number(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _gap(a: float, b: float) -> tuple[float, float]:
+    """Absolute and relative difference; NaN equals NaN."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0, 0.0
+    d = abs(a - b)
+    return (d, d / max(abs(a), abs(b))) if math.isfinite(d) else (math.inf, math.inf)
+
+
+def _csv_pairs(a: str, b: str):
+    """{column: [(x, y), ...]} of numeric cells, or None unless all else is equal."""
+    rows_a = [line.split(",") for line in a.splitlines()]
+    rows_b = [line.split(",") for line in b.splitlines()]
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return None
+    header = rows_a[0]
+    pairs = {}
+    for row_a, row_b in zip(rows_a, rows_b):
+        for col, x, y in zip(header, row_a, row_b):
+            if x != y:
+                nx, ny = _number(x), _number(y)
+                if nx is None or ny is None:
+                    return None
+                pairs.setdefault(col, []).append((nx, ny))
+    return pairs
+
+
+def _leaves(obj, path=""):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(obj, list):
+        for value in obj:  # every element of a list counts toward one field
+            yield from _leaves(value, f"{path}[]")
+    else:
+        yield path, obj
+
+
+def _json_pairs(a: str, b: str):
+    """{field: [(x, y), ...]} of numeric leaves, or None unless all else is equal."""
+    try:
+        leaves_a, leaves_b = list(_leaves(json.loads(a))), list(_leaves(json.loads(b)))
+    except ValueError:
+        return None
+    if [p for p, _ in leaves_a] != [p for p, _ in leaves_b]:
+        return None
+    pairs = {}
+    for (path, x), (_, y) in zip(leaves_a, leaves_b):
+        if x != y or type(x) is not type(y):
+            if not all(type(v) in (int, float) for v in (x, y)):
+                return None
+            pairs.setdefault(path, []).append((float(x), float(y)))
+    return pairs
+
+
+def _describe(name: str, a: bytes, b: bytes) -> str:
+    """How file b differs from file a, in one line."""
+    text_a, text_b = a.decode(errors="replace"), b.decode(errors="replace")
+    parse = {".csv": _csv_pairs, ".json": _json_pairs}.get(Path(name).suffix)
+    pairs = parse(text_a, text_b) if parse else None
+    if pairs:
+        gaps = {col: [_gap(x, y) for x, y in values] for col, values in pairs.items()}
+        worst = sorted(((max(g[1] for g in v), max(g[0] for g in v), col)
+                        for col, v in gaps.items()), reverse=True)
+        parts = [f"{col} abs {d:.3e} rel {r:.3e}" for r, d, col in worst[:8]]
+        more = f"; {len(worst) - 8} more" if len(worst) > 8 else ""
+        return f"{len(worst)} numeric columns or fields differ: " + "; ".join(parts) + more
+    lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
+    for i, (x, y) in enumerate(zip(lines_a, lines_b), 1):
+        if x != y:
+            return f"line {i}: {x[:80]!r} != {y[:80]!r}"
+    return f"{len(lines_a)} lines != {len(lines_b)} lines"
+
+
+def compare(a: Path, b: Path) -> int:
+    names = sorted({p.relative_to(root).as_posix() for root in (a, b) for p in root.rglob("*")})
+    same = True
+    for name in names:
+        pa, pb = a / name, b / name
+        if not (pa.exists() and pb.exists()):
+            same = False
+            print(f"{name}: only in {a if pa.exists() else b}")
+        elif pa.is_dir() != pb.is_dir():
+            same = False
+            print(f"{name}: a directory in one run only")
+        elif pa.is_file():
+            data_a, data_b = pa.read_bytes(), pb.read_bytes()
+            same &= data_a == data_b
+            print(f"{name}: {'identical' if data_a == data_b else _describe(name, data_a, data_b)}")
+    return 0 if same else 1
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    subs = parser.add_subparsers(dest="command", required=True)
+    r = subs.add_parser("run", help="run the command set into DIR")
+    r.add_argument("dir", type=Path)
+    r.add_argument("--src", type=Path, default=SRC, help="directory holding the fracgraph package")
+    c = subs.add_parser("compare", help="compare two runs; exit 0 only when identical")
+    c.add_argument("a", type=Path)
+    c.add_argument("b", type=Path)
+    args = parser.parse_args()
+    return run(args.dir, args.src) if args.command == "run" else compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

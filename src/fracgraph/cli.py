@@ -351,6 +351,9 @@ def cmd_sweep(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise UsageError(f"--workers {args.workers}, need at least 1")
     values = _resolve(args)
+    # run-wide faults, once; those of the graph file, u0 and the size at its n stay
+    # per tag, since loading the graph here would grow every forked worker
+    _flow_config(values, 2)  # a graph has at least 2 vertices
     out = _output_dir(args.output_dir)
     # a forking pool starts all its workers at once, so start no idle ones
     workers = min(args.workers or os.cpu_count() or 1, len(combos))

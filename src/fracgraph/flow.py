@@ -90,10 +90,11 @@ _DP_P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 
-# Largest number of output intervals T/dt_out; each sample stores a state.
-MAX_OUTPUT_INTERVALS = 10**7
 # Largest number of values, samples x vertices, one run stores: 128 MiB of floats.
 MAX_SAMPLE_VALUES = 2**24
+# Largest number of output intervals T/dt_out: the most whose samples fit on the
+# smallest graph, 2 vertices, so that a config no solve could take is refused.
+MAX_OUTPUT_INTERVALS = MAX_SAMPLE_VALUES // 2 - 1
 # Largest number of steps, accepted plus rejected, of one integration; the most
 # that a test or a benchmark solve takes is 294.
 MAX_STEPS = 10_000
@@ -152,13 +153,16 @@ class FlowConfig:
             raise DomainError(f"T/dt_out = {intervals:g} output intervals, "
                               f"at most {MAX_OUTPUT_INTERVALS} allowed")
 
+    def _samples(self) -> int:
+        """Number of output times, both ends included."""
+        return max(1, round(self.T / self.dt_out)) + 1
+
     def output_times(self) -> np.ndarray:
-        n_out = max(1, round(self.T / self.dt_out))
-        return np.linspace(0.0, self.T, n_out + 1)
+        return np.linspace(0.0, self.T, self._samples())
 
     def _require_size(self, n: int) -> "FlowConfig":
         """This config, if its samples on n vertices hold at most MAX_SAMPLE_VALUES values."""
-        if (values := (max(1, round(self.T / self.dt_out)) + 1) * n) > MAX_SAMPLE_VALUES:
+        if (values := self._samples() * n) > MAX_SAMPLE_VALUES:
             raise DomainError(f"{values} output values, at most {MAX_SAMPLE_VALUES} allowed")
         return self
 
@@ -305,15 +309,17 @@ def _initial_step(f, t: float, u0: np.ndarray, f0: np.ndarray, atol: float, rtol
     return min(100.0 * h0, h1, h_max)
 
 
-def _accept_step(f, t: float, u: np.ndarray, f0: np.ndarray, h: float, h_floor: float,
+def _accept_step(f, t: float, u: np.ndarray, f0: np.ndarray, h: float,
                  config: FlowConfig, stats: StepStats):
     """The step controller: retry a step of size h from (t, u) until one is accepted.
 
     A trial that loses positivity (its state, or a stage argument that raises
-    NonPositiveState) halves h; the error test rescales it.  Returns the
+    NonPositiveState) halves h; the error test rescales it.  A step below
+    1e-14 max(T, h), h as given, raises StepSizeUnderflow.  Returns the
     accepted h, state and stages, the sup norm of the error estimate, and the
     next h; counts every trial in ``stats``.
     """
+    h_floor = 1e-14 * max(config.T, h)
     tol = config.atol + config.rtol * float(np.max(np.abs(u)))
     while True:
         if not h >= h_floor:  # a NaN h fails too
@@ -367,7 +373,6 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
     """
     atol, rtol = config.atol, config.rtol
     t, horizon = float(times[0]), float(times[-1])
-    h_floor = 1e-14 * horizon
     stats = StepStats()
     lo, hi = float(np.min(u0)), float(np.max(u0))
 
@@ -396,7 +401,7 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
             stats.snap_time = t
             break
         h, u_new, k, _, h_next = _accept_step(counted, t, u, f_cur, min(h, horizon - t),
-                                              h_floor, config, stats)
+                                              config, stats)
         check_band(u_new)
         t_new = t + h
         if horizon - t_new <= 1e-12 * horizon:  # land exactly on the horizon
@@ -427,8 +432,7 @@ def step(kernel: FractionalKernel, t: float, u: np.ndarray, dt: float, config: F
         return rhs_direct(kernel, u, p, q, eps)
 
     u = _check_state(kernel.graph, u, "u")
-    h, u_new, _, err, _ = _accept_step(f, t, u, f(t, u), dt, 1e-14 * max(config.T, dt),
-                                       config, StepStats())
+    h, u_new, _, err, _ = _accept_step(f, t, u, f(t, u), dt, config, StepStats())
     return t + h, u_new, err
 
 

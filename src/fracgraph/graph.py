@@ -78,6 +78,8 @@ class Graph(_Rebuilt):
 
         It takes them without the copy that construction makes, so only the
         builders in this module, which own the arrays they pass, may call it.
+        Keep it: the n x n copy it skips raised the sweep-n500 benchmark's peak
+        RSS from 45.9-46.4 MB to 47.8-48.6 MB when the builders constructed.
         """
         graph = object.__new__(cls)
         object.__setattr__(graph, "labels", labels)

@@ -690,19 +690,33 @@ class TestSweepCommand:
         assert out == "" and err == f"error: unknown solver {solver!r}\n"
         assert not (tmp_path / "o").exists()
 
-    def test_stored_values_bound_fails_every_tag(self, k2_path, tmp_path, capsys, monkeypatch,
+    def test_stored_values_bound_fails_every_tag(self, k5_path, tmp_path, capsys, monkeypatch,
                                                  serial_pools):
-        monkeypatch.setattr(flow, "MAX_SAMPLE_VALUES", 401)
+        # 201 samples: 402 values on 2 vertices pass the run-wide check, 1005 on K5 do not
+        monkeypatch.setattr(flow, "MAX_SAMPLE_VALUES", 500)
         monkeypatch.setattr(cli, "build_kernel", mock.Mock(side_effect=AssertionError))
-        code = main(["sweep", k2_path, "--s-list", "0.3,0.7", "--p-list", "2", "--q-list", "1",
+        code = main(["sweep", k5_path, "--s-list", "0.3,0.7", "--p-list", "2", "--q-list", "1",
                      "--T", "1", "--dt-out", "0.005", "--output-dir", str(tmp_path / "o")])
         assert code == 2
         out, err = capsys.readouterr()
         tags = ["s0.3_p2.0_q1.0", "s0.7_p2.0_q1.0"]
         assert out.splitlines() == [f"FAIL {tag}" for tag in tags]
-        assert err.splitlines() == [f"sweep {tag}: 402 output values, at most 401 allowed"
+        assert err.splitlines() == [f"sweep {tag}: 1005 output values, at most 500 allowed"
                                     for tag in tags]
         assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--picard-max", "2.5"], "bad regularization or Picard parameters"),
+        (["--dt-out", "0.005"], "402 output values, at most 401 allowed")],
+        ids=["picard-max", "stored-values"])
+    def test_run_wide_fault_is_one_usage_error(self, k2_path, tmp_path, capsys, monkeypatch,
+                                               serial_pools, flags, message):
+        monkeypatch.setattr(flow, "MAX_SAMPLE_VALUES", 401)
+        code = main(["sweep", k2_path, "--s-list", "0.3,0.5", "--p-list", "2", "--q-list", "1",
+                     "--T", "1", *flags, "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "o").exists() and not serial_pools
 
     def test_missing_graph_fails_every_tag(self, tmp_path, capsys):
         code = main(["sweep", str(tmp_path / "nope.json"), "--s-list", "0.3,0.7",

@@ -513,6 +513,8 @@ class TestFlowConfig:
     def test_output_grid_is_bounded(self):
         limit = MAX_OUTPUT_INTERVALS
         assert limit > 1_280_000  # test_08 samples ~1.28M output intervals
+        # the most intervals whose samples fit MAX_SAMPLE_VALUES on 2 vertices
+        assert (limit + 1) * 2 == flow.MAX_SAMPLE_VALUES
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0, dt_out=1.0 / limit)
         assert round(cfg.T / cfg.dt_out) == limit
         for dt_out in (1.0 / (limit + 1), 1e-300, 5e-324):
