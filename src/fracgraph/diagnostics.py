@@ -86,7 +86,7 @@ def mass(graph: Graph, u: np.ndarray, q: float) -> float | np.ndarray:
     u = _check_length(graph, u, "u", stack=True)
     if np.min(u) <= 0.0 and not float(q).is_integer():
         raise NonPositiveState(f"min u = {np.min(u)} with non-integer q = {q}")
-    masses = np.array([math.fsum(row) for row in u.reshape(-1, graph.n) ** q * graph.mu])
+    masses = np.array([math.fsum(r) for r in (u.reshape(-1, graph.n) ** q * graph.mu).tolist()])
     return float(masses[0]) if u.ndim == 1 else masses
 
 

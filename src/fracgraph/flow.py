@@ -257,10 +257,11 @@ def rhs_direct(
 
     A stack u (m, n) gives the right-hand side at each of its rows.
     """
-    u = _check_length(kernel.graph, u, "u", stack=True)
-    if np.min(u) <= 0.0:
-        raise NonPositiveState(f"min u = {np.min(u)}")
-    return -frac_p_laplacian(kernel, u, p, eps_reg) / (q * u ** (q - 1.0))
+    lap = frac_p_laplacian(kernel, u, p, eps_reg)  # checks the shape of u
+    u = np.asarray(u, dtype=float)
+    if (low := u.min()) <= 0.0:
+        raise NonPositiveState(f"min u = {low}")
+    return -lap / (q * u ** (q - 1.0))
 
 
 def _trial_step(f, t: float, u: np.ndarray, h: float, f0: np.ndarray):

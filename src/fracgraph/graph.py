@@ -179,11 +179,11 @@ def _connected(w: np.ndarray) -> bool:
     The search advances a whole level at a time: the next frontier is every
     unseen vertex that a positive entry in a row of the current one reaches.
     """
-    seen = np.zeros(w.shape[0], dtype=bool)
+    adjacent, seen = w > 0, np.zeros(w.shape[0], dtype=bool)
     seen[0] = True
     frontier = np.zeros(1, dtype=int)
     while frontier.size:
-        reached = (w[frontier] > 0).any(axis=0) & ~seen
+        reached = adjacent[frontier].any(axis=0) & ~seen
         seen |= reached
         frontier = np.flatnonzero(reached)
     return bool(seen.all())
@@ -354,12 +354,15 @@ def graph_to_json(graph: Graph) -> str:
     """Serialize to the same interchange format accepted by graph_from_json.
 
     The edges are the positive entries of the upper triangle, in row-major order.
+    The text is json.dumps(document, indent=2)'s, laid out here because that
+    encoder runs in pure Python; json still spells each label, its C encoder each number.
     """
-    labels, w = graph.labels, graph.weights
-    vertices = [{"id": lab, "mu": m} for lab, m in zip(labels, graph.mu.tolist())]
-    i, j = np.nonzero(np.triu(w > 0, 1))
-    edges = [
-        {"u": labels[a], "v": labels[b], "w": x}
-        for a, b, x in zip(i.tolist(), j.tolist(), w[i, j].tolist())
-    ]
-    return json.dumps({"vertices": vertices, "edges": edges}, indent=2)
+    labels = [json.dumps(lab) for lab in graph.labels]
+    i, j = np.nonzero(np.triu(graph.weights > 0, 1))
+    mus, ws = (json.dumps(x.tolist())[1:-1].split(", ") for x in (graph.mu, graph.weights[i, j]))
+    vertices = [f'"id": {lab},\n      "mu": {m}' for lab, m in zip(labels, mus)]
+    edges = [f'"u": {labels[a]},\n      "v": {labels[b]},\n      "w": {x}'
+             for a, b, x in zip(i.tolist(), j.tolist(), ws)]
+    lists = tuple("[\n    {\n      " + "\n    },\n    {\n      ".join(objects) + "\n    }\n  ]"
+                  if objects else "[]" for objects in (vertices, edges))
+    return '{\n  "vertices": %s,\n  "edges": %s\n}' % lists

@@ -91,9 +91,11 @@ def decompose(graph: Graph) -> SpectralDecomposition:
 
     phi = np.ascontiguousarray(psi.T)
     phi /= rmu
-    # deterministic sign: largest-magnitude entry of each eigenfunction positive
-    peak = phi[np.arange(len(vals)), np.argmax(np.abs(phi), axis=1)]
-    phi *= np.where(peak < 0, -1.0, 1.0)[:, None]
+    # deterministic sign: the first largest-magnitude entry of each eigenfunction
+    # positive; that entry is its first maximum or its first minimum
+    rows, hi, lo = np.arange(len(vals)), np.argmax(phi, axis=1), np.argmin(phi, axis=1)
+    top, bottom = phi[rows, hi], -phi[rows, lo]
+    phi *= np.where((bottom > top) | ((bottom == top) & (lo < hi)), -1.0, 1.0)[:, None]
     return SpectralDecomposition(graph=graph, eigenvalues=vals, phi=phi)
 
 

@@ -92,6 +92,7 @@ class TestKernelCommand:
         assert rows[0][2] == "0.70710678118654746"
         assert rows[0][1] == "0"
         report = json.loads((out / "kernel_report.json").read_text())
+        assert list(report) == ["s", "min_offdiagonal", "oracle_max_relative_deviation"]
         assert report["oracle_max_relative_deviation"] <= 1e-6
         assert report["min_offdiagonal"] > 0
         eigs = json.loads((out / "eigenvalues.json").read_text())["eigenvalues"]

@@ -441,6 +441,11 @@ class TestSteadyState:
             np.sqrt(5.0), rel=1e-12
         )
 
+    @pytest.mark.parametrize("q", [0.0, -1.0, float("inf"), float("nan")])
+    def test_q_out_of_range(self, k2, q):
+        with pytest.raises(fg.ExponentOutOfRange, match="need finite q > 0"):
+            fg.steady_state(k2, np.ones(2), q)
+
     def test_between_extremes(self):
         g = make_random_graph(6)
         u0 = np.random.default_rng(6).uniform(0.5, 2.0, g.n)

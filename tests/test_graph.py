@@ -327,7 +327,7 @@ class TestAgainstLoopReference:
 
     def test_benchmark_sized_document(self):
         n = 500
-        g = fg.random_connected_graph(np.random.default_rng(1), n, extra_edge_prob=8 / n)
+        g = _escaped(fg.random_connected_graph(np.random.default_rng(1), n, extra_edge_prob=8 / n))
         text = fg.graph_to_json(g)
         assert text == ref.graph_to_json(g)
         assert fg.graph_from_json(text).weights.tobytes() == ref.graph_from_json(text).weights.tobytes()
@@ -352,6 +352,15 @@ class TestAgainstLoopReference:
         for n in range(2, 61):
             g = fg.random_connected_graph(np.random.default_rng(n), n, extra_edge_prob=prob)
             assert fg.graph_to_json(g) == ref.graph_to_json(g)
+            assert fg.graph_to_json(_escaped(g)) == ref.graph_to_json(_escaped(g))
+
+    def test_graph_to_json_spells_numbers_as_json(self):
+        # unvalidated graphs: non-finite measures and weights, no edge at all
+        inf, nan = math.inf, math.nan
+        w = np.array([[0.0, inf, -inf], [inf, 0.0, 1e-300], [-inf, 1e-300, 0.0]])
+        for g in (fg.Graph(mu=[nan, -0.0, 1e300], weights=w),
+                  fg.Graph(mu=[1.0, 2.0], weights=np.zeros((2, 2)))):
+            assert fg.graph_to_json(g) == ref.graph_to_json(g)
 
     def test_library_graphs_own_read_only_arrays(self, k5):
         # built without the copy a caller's arrays get, so no writable alias
@@ -362,6 +371,13 @@ class TestAgainstLoopReference:
                 assert a.base is None and not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[0] = 1.0
+
+
+def _escaped(g):
+    """g with labels that JSON escapes: quotes, backslashes, control and non-ASCII
+    characters, and the ", " that separates numbers in a JSON list."""
+    labels = tuple(f'v{i} "\\\n\t\u00e9\u2603\U0001f600, ' for i in range(g.n))
+    return fg.Graph(g.mu, g.weights, labels)
 
 
 def _same_state(a, b):

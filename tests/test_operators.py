@@ -203,6 +203,14 @@ class TestEnergies:
             (2.0**-0.5 + 1.0) ** 0.5, rel=1e-13
         )
 
+    @pytest.mark.parametrize("p", [0.5, -2.0, float("nan")])
+    def test_p_out_of_range(self, k2_kernel, p):
+        u = np.array([1.0, 0.0])
+        with pytest.raises(fg.ExponentOutOfRange, match="need p >= 1"):
+            fg.dirichlet_p_energy(k2_kernel, u, p)
+        with pytest.raises(fg.ExponentOutOfRange, match="need p >= 1"):
+            fg.sobolev_norm(k2_kernel, u, p)
+
 
 class TestStacks:
     """A stack of states (m, n) gives, row by row, what single calls give."""
@@ -247,6 +255,12 @@ class TestIntegrationByParts:
         res = fg.ibp_residual(kern, u, u, 2.0)
         energy = fg.dirichlet_p_energy(kern, u, 2.0)
         assert res <= 1e-10 * (2.0 * energy + 1.0)
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, float("nan")])
+    def test_p_out_of_range(self, k2_kernel, p):
+        u = np.array([1.0, 0.0])
+        with pytest.raises(fg.ExponentOutOfRange, match="need p > 1"):
+            fg.ibp_residual(k2_kernel, u, u, p)
 
     @given(seed=st.integers(0, 5_000), p=st.sampled_from([1.5, 2.0, 2.7, 3.0]))
     @settings(max_examples=40, deadline=None)

@@ -69,7 +69,8 @@ class TestKernelWeights:
         w = fg.kernel_weights(fg.decompose(g), s)
         off = ~np.eye(g.n, dtype=bool)
         assert np.all(w[off] > 0)
-        np.testing.assert_allclose(w, w.T, atol=1e-12 * w.max())
+        # the kernel is (w + w.T) / 2, exactly symmetric since addition commutes
+        assert np.array_equal(w, w.T)
 
     def test_s1_collapse_to_edge_weights(self):
         g = make_random_graph(17, n=8)
@@ -107,6 +108,17 @@ class TestQuadratureOracle:
     def test_k2_closed_form(self, k2):
         w = fg.kernel_weights_oracle(fg.decompose(k2), 0.5)
         assert w[0, 1] == pytest.approx(2.0**-0.5, rel=1e-10)
+
+    @pytest.mark.parametrize("s", [0.0, 1.0, -0.5, float("nan")])
+    def test_exponent_range(self, k2, s):
+        with pytest.raises(fg.ExponentOutOfRange, match="need 0 < s < 1"):
+            fg.fractional_power_quadrature(2.0, s)
+        with pytest.raises(fg.ExponentOutOfRange, match="need 0 < s < 1"):
+            fg.kernel_weights_oracle(fg.decompose(k2), s)
+
+    def test_negative_eigenvalue(self):
+        with pytest.raises(fg.DomainError, match="lam = -1e-12, need lam >= 0"):
+            fg.fractional_power_quadrature(-1e-12, 0.5)
 
     def test_coarse_grid_raises_typed_error(self, k2, monkeypatch):
         # 8 Simpson panels differ from 4 by far more than the check tolerance
