@@ -215,7 +215,7 @@ def cmd_kernel(args) -> int:
     }
     (out / "kernel_report.json").write_text(json.dumps(report, indent=2) + "\n")
 
-    # _assemble_kernel returns (w + w.T) / 2, which IEEE addition makes exactly symmetric
+    # _assemble_kernel returns -C^T C from a symmetric rank-k update, exactly symmetric
     ok = report["min_offdiagonal"] > 0
     print(f"{'PASS' if ok else 'FAIL'} kernel positivity/symmetry "
           f"(min offdiag {report['min_offdiagonal']:.3e}, "

@@ -364,13 +364,14 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
     in [min u0, max u0] up to MAX_PRINCIPLE_SLACK, else BoundViolation ends the
     run; the snap's constant, a power mean of such a state, lies there too.
 
-    Steady-state snap: once max(u) - min(u) falls below 1000x the local step
-    tolerance, the state is replaced by its mass-consistent constant and held
-    for the rest of the horizon.  The maximum principle (restarted at that
-    instant) confines the exact solution to the collapsed band, so the error
-    committed is below the spread, itself far below every diagnostic
-    tolerance.  Without the snap, the regularized degenerate factor (p < 2)
-    makes the post-collapse phase artificially stiff for an explicit pair.
+    Steady-state snap: once max(u) - min(u) falls below 10 (p >= 2) or 1000
+    (p < 2) local step tolerances, the state is replaced by its mass-consistent
+    constant and held for the rest of the horizon.  The maximum principle
+    (restarted at that instant) confines the exact solution to the collapsed
+    band, so the error committed is below the spread.  Without the snap, the
+    regularized degenerate factor (p < 2) makes the post-collapse phase
+    artificially stiff for an explicit pair; at p >= 2 the pair stays cheap
+    there, so the snap waits until its error is a few step tolerances.
     """
     atol, rtol = config.atol, config.rtol
     t, horizon = float(times[0]), float(times[-1])
@@ -396,7 +397,7 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
     while t < horizon:
         if stats.accepted + stats.rejected >= MAX_STEPS:
             raise StepBudgetExceeded(f"{MAX_STEPS} steps reached t = {t:.6g} of {horizon:.6g}")
-        snap_tol = 1e3 * (atol + rtol * float(np.max(np.abs(u))))
+        snap_tol = (10.0 if config.p >= 2.0 else 1e3) * (atol + rtol * float(np.max(np.abs(u))))
         if float(np.max(u)) - float(np.min(u)) <= snap_tol:
             out[filled:] = steady_state(graph, u, config.q)
             stats.snap_time = t

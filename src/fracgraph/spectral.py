@@ -72,9 +72,8 @@ def decompose(graph: Graph) -> SpectralDecomposition:
     """
     graph.require_valid()
     rmu = np.sqrt(graph.mu)
-    s_mat = np.outer(rmu, rmu)
+    s_mat = np.outer(-rmu, rmu)
     np.divide(graph.weights, s_mat, out=s_mat)
-    np.negative(s_mat, out=s_mat)
     np.fill_diagonal(s_mat, graph.degrees / graph.mu)
     try:
         vals, psi = np.linalg.eigh(s_mat)
@@ -89,8 +88,7 @@ def decompose(graph: Graph) -> SpectralDecomposition:
     vals = vals.copy()
     vals[0] = 0.0
 
-    phi = np.ascontiguousarray(psi.T)
-    phi /= rmu
+    phi = np.divide(psi.T, rmu, order="C")
     # deterministic sign: the first largest-magnitude entry of each eigenfunction
     # positive; that entry is its first maximum or its first minimum
     rows, hi, lo = np.arange(len(vals)), np.argmax(phi, axis=1), np.argmin(phi, axis=1)
@@ -100,15 +98,15 @@ def decompose(graph: Graph) -> SpectralDecomposition:
 
 
 def _assemble_kernel(dec: SpectralDecomposition, powers: np.ndarray) -> np.ndarray:
-    """Kernel -mu(x)mu(y) sum_i powers_i phi_i(x)phi_i(y), symmetrised, zero diagonal."""
-    w = dec.phi.T @ (powers[:, None] * dec.phi)
-    scale = np.outer(dec.graph.mu, dec.graph.mu)
-    np.negative(scale, out=scale)
-    w *= scale
-    np.add(w, w.T, out=scale)
-    scale *= 0.5
-    np.fill_diagonal(scale, 0.0)
-    return scale
+    """Kernel -C^T C, C = diag(sqrt(powers)) phi diag(mu), with a zero diagonal.
+
+    numpy computes c.T @ c as a symmetric rank-k update: exactly symmetric."""
+    c = dec.phi * dec.graph.mu
+    c *= np.sqrt(powers)[:, None]
+    w = c.T @ c
+    np.negative(w, out=w)
+    np.fill_diagonal(w, 0.0)
+    return w
 
 
 def spectral_weight_matrix(dec: SpectralDecomposition, s: float) -> np.ndarray:

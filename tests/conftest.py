@@ -43,6 +43,10 @@ def philox_g40():
     return random_connected_graph(np.random.Generator(np.random.Philox(42)), 40)
 
 
+# the fractional orders that the kernel checks run at, from near 0 to near 1
+REFERENCE_S = (0.05, 0.3, 0.7, 0.99)
+
+
 def make_random_graph(seed, n=None, weight_range=(0.2, 5.0), mu_range=(0.2, 5.0)):
     rng = np.random.default_rng(seed)
     if n is None:

@@ -4,8 +4,9 @@ spectral set-up, for tests only.
 These are the per-edge, per-entry, per-pair and per-eigenvector loops the
 library first used.  The library now runs them as whole-array passes; tests
 compare the two for equal matrices, equal Violation lists, equal exceptions,
-equal random streams and JSON text, and bitwise equal eigenfunctions and
-kernels.
+equal random streams and JSON text, and bitwise equal eigenfunctions.  The
+library's kernel is the symmetric product -C^T C, which rounds differently
+from the averaged product here, so kernels are compared within a tolerance.
 """
 
 import json

@@ -89,7 +89,7 @@ class TestKernelCommand:
         assert main(["kernel", k2_path, "--s", "0.5", "--output-dir", str(out)]) == 0
         header, rows = read_csv_matrix(out / "kernel.csv")
         assert header == ["", "a", "b"]
-        assert rows[0][2] == "0.70710678118654746"
+        assert rows[0][2] == "0.70710678118654724"
         assert rows[0][1] == "0"
         report = json.loads((out / "kernel_report.json").read_text())
         assert list(report) == ["s", "min_offdiagonal", "oracle_max_relative_deviation"]

@@ -379,7 +379,7 @@ class TestPicard:
         # the first sweep snaps before its first step, so it keeps no step
         # to freeze a coefficient on, and every later sweep would repeat it
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0)
-        u0 = np.array([1.1, 1.1 + 1e-7])
+        u0 = np.array([1.1, 1.1 + 1e-9])
         traj, iters, _ = fg.picard_solve(k2_kernel, u0, cfg)
         assert iters == 1 and traj.stats.snap_time == 0.0
         np.testing.assert_array_equal(traj.values[1:], fg.steady_state(k2_kernel.graph, u0, 2.0))
