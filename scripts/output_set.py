@@ -14,9 +14,13 @@ on K2, a stiff path that exhausts the step budget (exit 1), an unknown solver
 in a config file and a `sweep` with a fractional `--picard-max` (exit 2).
 
 `compare` prints one line per file that either run holds: "identical", or for
-CSV and JSON the largest absolute and relative difference of each numeric
-column or field that differs, or else the first differing line.  It exits 0
-only when every file is identical.  To compare a commit with its parent:
+CSV and JSON the largest absolute difference of each numeric column or field
+that differs, or else the first differing line.  Next to it stands, for a CSV
+column or a JSON list, the difference scaled by the column's or list's largest
+magnitude in either run, and for any other JSON field the relative difference.
+A last line gives the largest scaled difference over all CSV columns (inf when
+a CSV differs in more than its numbers).  It exits 0 only when every file is
+identical.  To compare a commit with its parent:
 
     git worktree add ../parent HEAD~1
     python3 scripts/output_set.py run ../runs/parent --src ../parent/src
@@ -123,22 +127,31 @@ def _gap(a: float, b: float) -> tuple[float, float]:
     return (d, d / max(abs(a), abs(b))) if math.isfinite(d) else (math.inf, math.inf)
 
 
+def _widen(scales: dict, key: str, *values) -> None:
+    """Raise scales[key] to the largest finite magnitude among values."""
+    for v in values:
+        if v is not None and math.isfinite(v):
+            scales[key] = max(scales.get(key, 0.0), abs(v))
+
+
 def _csv_pairs(a: str, b: str):
-    """{column: [(x, y), ...]} of numeric cells, or None unless all else is equal."""
+    """{column: ([(x, y), ...] of its differing cells, its largest magnitude in
+    either run)}, or None unless all else is equal."""
     rows_a = [line.split(",") for line in a.splitlines()]
     rows_b = [line.split(",") for line in b.splitlines()]
-    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b] or rows_a[0] != rows_b[0]:
         return None
     header = rows_a[0]
-    pairs = {}
-    for row_a, row_b in zip(rows_a, rows_b):
+    pairs, scales = {}, {}
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
         for col, x, y in zip(header, row_a, row_b):
+            nx, ny = _number(x), _number(y)
+            _widen(scales, col, nx, ny)
             if x != y:
-                nx, ny = _number(x), _number(y)
                 if nx is None or ny is None:
                     return None
                 pairs.setdefault(col, []).append((nx, ny))
-    return pairs
+    return {col: (values, scales.get(col, 0.0)) for col, values in pairs.items()}
 
 
 def _leaves(obj, path=""):
@@ -153,44 +166,59 @@ def _leaves(obj, path=""):
 
 
 def _json_pairs(a: str, b: str):
-    """{field: [(x, y), ...]} of numeric leaves, or None unless all else is equal."""
+    """{field: ([(x, y), ...] of its differing numeric leaves, its largest
+    magnitude in either run if it is in a list, else None)}, or None unless
+    all else is equal."""
     try:
         leaves_a, leaves_b = list(_leaves(json.loads(a))), list(_leaves(json.loads(b)))
     except ValueError:
         return None
     if [p for p, _ in leaves_a] != [p for p, _ in leaves_b]:
         return None
-    pairs = {}
+    pairs, scales = {}, {}
     for (path, x), (_, y) in zip(leaves_a, leaves_b):
+        numbers = [float(v) for v in (x, y) if type(v) in (int, float)]
+        _widen(scales, path, *numbers)
         if x != y or type(x) is not type(y):
-            if not all(type(v) in (int, float) for v in (x, y)):
+            if len(numbers) < 2:
                 return None
-            pairs.setdefault(path, []).append((float(x), float(y)))
-    return pairs
+            pairs.setdefault(path, []).append(tuple(numbers))
+    return {path: (values, scales.get(path, 0.0) if "[]" in path else None)
+            for path, values in pairs.items()}
 
 
-def _describe(name: str, a: bytes, b: bytes) -> str:
-    """How file b differs from file a, in one line."""
+def _describe(name: str, a: bytes, b: bytes) -> tuple[str, float]:
+    """How file b differs from file a, in one line, and the largest scaled
+    difference of its CSV columns: 0 for any other file, inf for a CSV whose
+    text differs outside its numbers."""
     text_a, text_b = a.decode(errors="replace"), b.decode(errors="replace")
-    parse = {".csv": _csv_pairs, ".json": _json_pairs}.get(Path(name).suffix)
+    suffix = Path(name).suffix
+    parse, csv = {".csv": _csv_pairs, ".json": _json_pairs}.get(suffix), suffix == ".csv"
     pairs = parse(text_a, text_b) if parse else None
     if pairs:
-        gaps = {col: [_gap(x, y) for x, y in values] for col, values in pairs.items()}
-        worst = sorted(((max(g[1] for g in v), max(g[0] for g in v), col)
-                        for col, v in gaps.items()), reverse=True)
-        parts = [f"{col} abs {d:.3e} rel {r:.3e}" for r, d, col in worst[:8]]
-        more = f"; {len(worst) - 8} more" if len(worst) > 8 else ""
-        return f"{len(worst)} numeric columns or fields differ: " + "; ".join(parts) + more
+        figures = []
+        for col, (values, scale) in pairs.items():
+            d = max(_gap(x, y)[0] for x, y in values)
+            if scale is None:  # a scalar field
+                figures.append((max(_gap(x, y)[1] for x, y in values), d, col, "rel"))
+            else:  # a CSV column or a JSON list: scaled by its largest magnitude
+                figures.append((d / scale if 0.0 < d < math.inf else d, d, col, "scaled"))
+        figures.sort(reverse=True)
+        parts = [f"{col} abs {d:.3e} {kind} {r:.3e}" for r, d, col, kind in figures[:8]]
+        more = f"; {len(figures) - 8} more" if len(figures) > 8 else ""
+        return (f"{len(figures)} numeric columns or fields differ: " + "; ".join(parts) + more,
+                figures[0][0] if csv else 0.0)
     lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
+    worst = math.inf if csv else 0.0
     for i, (x, y) in enumerate(zip(lines_a, lines_b), 1):
         if x != y:
-            return f"line {i}: {x[:80]!r} != {y[:80]!r}"
-    return f"{len(lines_a)} lines != {len(lines_b)} lines"
+            return f"line {i}: {x[:80]!r} != {y[:80]!r}", worst
+    return f"{len(lines_a)} lines != {len(lines_b)} lines", worst
 
 
 def compare(a: Path, b: Path) -> int:
     names = sorted({p.relative_to(root).as_posix() for root in (a, b) for p in root.rglob("*")})
-    same = True
+    same, worst = True, 0.0
     for name in names:
         pa, pb = a / name, b / name
         if not (pa.exists() and pb.exists()):
@@ -201,8 +229,14 @@ def compare(a: Path, b: Path) -> int:
             print(f"{name}: a directory in one run only")
         elif pa.is_file():
             data_a, data_b = pa.read_bytes(), pb.read_bytes()
-            same &= data_a == data_b
-            print(f"{name}: {'identical' if data_a == data_b else _describe(name, data_a, data_b)}")
+            if data_a == data_b:
+                print(f"{name}: identical")
+                continue
+            same = False
+            line, scaled = _describe(name, data_a, data_b)
+            worst = max(worst, scaled)
+            print(f"{name}: {line}")
+    print(f"largest scaled difference of a CSV column: {worst:.3e}")
     return 0 if same else 1
 
 

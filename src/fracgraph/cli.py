@@ -21,8 +21,9 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import build_report, mass
-from .errors import FracGraphError, PositivityViolation
-from .flow import FlowConfig, _check_state, evolve_direct, picard_solve, steady_state
+from .errors import DomainError, FracGraphError, PositivityViolation
+from .flow import (FlowConfig, _check_overflow, _check_state, _span, evolve_direct, picard_solve,
+                   steady_state)
 from .graph import Graph, _json_number, graph_from_json
 from .operators import FractionalKernel, build_kernel, dirichlet_p_energy
 from .spectral import kernel_weights_oracle
@@ -69,10 +70,7 @@ def _svg_lineplot(path: Path, times: np.ndarray, series: dict[str, np.ndarray], 
     """Minimal SVG line plot: one polyline per series, light axes, no deps."""
     width, height, margin = 640, 400, 50
     t0, t1 = float(times[0]), float(times[-1])
-    ys = np.concatenate(list(series.values()))
-    y0, y1 = float(np.min(ys)), float(np.max(ys))
-    if y1 == y0:
-        y0, y1 = y0 - 1.0, y1 + 1.0
+    y0, y1 = _span(np.concatenate(list(series.values())))
 
     def sx(t):
         return margin + (t - t0) / (t1 - t0) * (width - 2 * margin)
@@ -133,6 +131,14 @@ def _make_u0(graph: Graph, spec) -> tuple[np.ndarray, dict]:
         raise UsageError(f"bad u0 {spec!r}: {exc}") from exc
 
 
+def _check_u0_overflow(graph: Graph, u0: np.ndarray, spec, q: float) -> None:
+    """A usage error if the flow from u0, made from spec, overflows at q."""
+    try:
+        _check_overflow(graph, u0, q)
+    except DomainError as exc:
+        raise UsageError(f"bad u0 {spec!r}: {exc}") from exc
+
+
 # Flags and config files set FlowConfig's fields; one left unset takes FlowConfig's
 # default.  The CLI's own defaults: fields FlowConfig has none for, solver and u0.
 _FLOW_KEYS = tuple(f.name for f in fields(FlowConfig))
@@ -148,8 +154,7 @@ _SOLVERS = {
 
 def _flow_config(values: dict, n: int) -> FlowConfig:
     try:
-        config = FlowConfig(**{key: values[key] for key in _FLOW_KEYS if key in values})
-        return config._require_size(n)
+        return FlowConfig(**{k: values[k] for k in _FLOW_KEYS if k in values})._require_size(n)
     except FracGraphError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -229,6 +234,7 @@ def _setup(args):
     graph = _load_graph(args.graph)
     config = _flow_config(values, graph.n)
     u0, u0_meta = _make_u0(graph, values["u0"])
+    _check_u0_overflow(graph, u0, values["u0"], config.q)
     out = _output_dir(args.output_dir)
     return build_kernel(graph, config.s), config, values["solver"], u0, u0_meta, out
 
@@ -304,7 +310,8 @@ def _sweep_worker(share) -> list[tuple[str, int]]:
 
     The graph is loaded and u0 drawn once.  A kernel is built where s changes,
     reusing the first one's decomposition, and one is held at a time.  An input
-    error fails its own tag, or every tag when it is in the graph or u0.
+    error fails its own tag, or every tag when it is in the graph or u0; a u0
+    whose flow overflows at a tag's q fails that tag.
     """
     graph_path, outdir, values, points = share
     tags = [_sweep_tag(*point) for point in points]
@@ -318,6 +325,7 @@ def _sweep_worker(share) -> list[tuple[str, int]]:
     for tag, (s, p, q) in zip(tags, points):
         try:
             config = _flow_config({**values, "s": s, "p": p, "q": q}, graph.n)
+            _check_u0_overflow(graph, u0, values["u0"], q)
             out = _output_dir(Path(outdir) / tag)
             if kernel is None or kernel.s != config.s:
                 dec, kernel = kernel and kernel.dec, None  # hold one kernel at a time

@@ -32,7 +32,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NonPositiveState
-from .flow import MAX_PRINCIPLE_SLACK, FlowConfig, Trajectory, rhs_direct, steady_state
+from .flow import (MAX_PRINCIPLE_SLACK, FlowConfig, Trajectory, _band_excess, _span,
+                   rhs_direct, steady_state)
 from .graph import Graph, _check_length, integrate
 from .operators import _BLOCK_ROWS, FractionalKernel, dirichlet_p_energy
 
@@ -139,10 +140,7 @@ def dissipation_check(
 
 def max_principle_check(traj: Trajectory, u0: np.ndarray | None = None) -> float:
     """Largest excursion outside [min u0, max u0] over the whole grid (0 if none)."""
-    if u0 is None:
-        u0 = traj.u0
-    lo, hi = float(np.min(u0)), float(np.max(u0))
-    return max(float(np.max(traj.values)) - hi, lo - float(np.min(traj.values)), 0.0)
+    return max(_band_excess(_span(traj.u0 if u0 is None else u0), _span(traj.values)), 0.0)
 
 
 def time_derivative_sup(

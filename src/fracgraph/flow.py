@@ -92,9 +92,6 @@ _DP_P = np.array([
 
 # Largest number of values, samples x vertices, one run stores: 128 MiB of floats.
 MAX_SAMPLE_VALUES = 2**24
-# Largest number of output intervals T/dt_out: the most whose samples fit on the
-# smallest graph, 2 vertices, so that a config no solve could take is refused.
-MAX_OUTPUT_INTERVALS = MAX_SAMPLE_VALUES // 2 - 1
 # Largest number of steps, accepted plus rejected, of one integration; the most
 # that a test or a benchmark solve takes is 294.
 MAX_STEPS = 10_000
@@ -148,10 +145,9 @@ class FlowConfig:
                 and 1 <= self.picard_max < math.inf and float(self.picard_max).is_integer()):
             raise DomainError("bad regularization or Picard parameters")
         object.__setattr__(self, "picard_max", int(self.picard_max))
-        intervals = self.T / self.dt_out
-        if not intervals < math.inf or round(intervals) > MAX_OUTPUT_INTERVALS:
-            raise DomainError(f"T/dt_out = {intervals:g} output intervals, "
-                              f"at most {MAX_OUTPUT_INTERVALS} allowed")
+        if not (intervals := self.T / self.dt_out) < math.inf:
+            raise DomainError(f"T/dt_out = {intervals:g} output intervals, need a finite count")
+        self._require_size(2)  # a graph has at least 2 vertices
 
     def _samples(self) -> int:
         """Number of output times, both ends included."""
@@ -162,9 +158,13 @@ class FlowConfig:
 
     def _require_size(self, n: int) -> "FlowConfig":
         """This config, if its samples on n vertices hold at most MAX_SAMPLE_VALUES values."""
-        if (values := self._samples() * n) > MAX_SAMPLE_VALUES:
-            raise DomainError(f"{values} output values, at most {MAX_SAMPLE_VALUES} allowed")
+        if (values := float(self._samples()) * n) > MAX_SAMPLE_VALUES:  # exact below 2^53
+            raise DomainError(f"{values:.15g} output values, at most {MAX_SAMPLE_VALUES} allowed")
         return self
+
+    def _step_tolerance(self, u_max: float) -> float:
+        """atol + rtol max|u| of a positive state u whose largest value is u_max."""
+        return self.atol + self.rtol * u_max
 
 
 @dataclass
@@ -246,6 +246,32 @@ def _check_state(graph: Graph, u: np.ndarray, name: str) -> np.ndarray:
     return u
 
 
+def _span(states: np.ndarray) -> tuple[float, float]:
+    """The smallest and the largest value of states."""
+    return float(np.min(states)), float(np.max(states))
+
+
+def _band_excess(band: tuple[float, float], span: tuple[float, float]) -> float:
+    """How far states of span (min, max) leave band (lo, hi); not positive inside it."""
+    return max(span[1] - band[1], band[0] - span[0])
+
+
+def _check_overflow(graph: Graph, u0: np.ndarray, q: float) -> None:
+    """Refuse a positive u0 whose flow at q overflows, before any step.
+
+    Every state lies in [min u0, max u0] (maximum principle), so it suffices
+    that the rate's divisor q u^(q-1) is finite and positive, and the bounds
+    vol u^q and vol u^(q+1) of the mass and energy integrands finite, at both.
+    """
+    ends = np.array(_span(u0))
+    with np.errstate(over="ignore"):
+        divisor = q * ends ** (q - 1.0)
+        integrals = graph.volume() * np.concatenate([ends**q, ends ** (q + 1.0)])
+    if not (np.isfinite(integrals).all() and np.isfinite(divisor).all() and divisor.min() > 0):
+        raise DomainError(f"the flow from [min u0, max u0] = [{ends[0]:.6g}, {ends[1]:.6g}] "
+                          f"at q = {q:g} overflows a float")
+
+
 def rhs_direct(
     kernel: FractionalKernel,
     u: np.ndarray,
@@ -283,18 +309,17 @@ def _dense_output(u: np.ndarray, h: float, k: np.ndarray, x: np.ndarray) -> np.n
     return u + h * (powers @ _DP_P.T @ k)
 
 
-def _initial_step(f, t: float, u0: np.ndarray, f0: np.ndarray, atol: float, rtol: float,
+def _initial_step(f, t: float, u0: np.ndarray, f0: np.ndarray, tol: float,
                   h_max: float) -> float:
     """Starting step from two probes of the right-hand side, at most h_max.
 
     Hairer-Norsett-Wanner I, II.4, normed like the controller (sup norm over
-    atol + rtol max|u0|): an explicit Euler step h0 = 0.01 |u0| / |f0| probes
-    f once more, and the step is sized so that h^5 max(|f0|, |f1 - f0| / h0)
-    is 0.01 of the tolerance.  A probe state that is not positive leaves h0.
+    tol): an explicit Euler step h0 = 0.01 |u0| / |f0| probes f once more,
+    and the step is sized so that h^5 max(|f0|, |f1 - f0| / h0) is 0.01 of
+    tol.  A probe state that is not positive leaves h0.
     """
-    scale = atol + rtol * float(np.max(np.abs(u0)))
-    d0 = float(np.max(np.abs(u0))) / scale
-    d1 = float(np.max(np.abs(f0))) / scale
+    d0 = float(np.max(np.abs(u0))) / tol
+    d1 = float(np.max(np.abs(f0))) / tol
     if d1 == 0.0:
         return h_max
     h0 = min(h_max, 0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 1e-6)
@@ -304,30 +329,29 @@ def _initial_step(f, t: float, u0: np.ndarray, f0: np.ndarray, atol: float, rtol
         f1 = f(t + h0, u0 + h0 * f0)
     except NonPositiveState:
         return h0
-    d2 = float(np.max(np.abs(f1 - f0))) / scale / h0
+    d2 = float(np.max(np.abs(f1 - f0))) / tol / h0
     rate = max(d1, d2)
     h1 = (0.01 / rate) ** _ORDER_EXP if rate > 1e-15 else max(1e-6, 1e-3 * h0)
     return min(100.0 * h0, h1, h_max)
 
 
-def _accept_step(f, t: float, u: np.ndarray, f0: np.ndarray, h: float,
-                 config: FlowConfig, stats: StepStats):
+def _accept_step(f, t: float, u: np.ndarray, f0: np.ndarray, h: float, tol: float,
+                 T: float, stats: StepStats):
     """The step controller: retry a step of size h from (t, u) until one is accepted.
 
     A trial that loses positivity (its state, or a stage argument that raises
-    NonPositiveState) halves h; the error test rescales it.  A step below
-    1e-14 max(T, h), h as given, raises StepSizeUnderflow.  Returns the
-    accepted h, state and stages, the sup norm of the error estimate, and the
-    next h; counts every trial in ``stats``.
+    NonPositiveState) halves h; the error test against tol rescales it.  A
+    step below 1e-14 max(T, h), h as given, raises StepSizeUnderflow.  Returns
+    the accepted h, state, span (min, max) and stages, the sup norm of the
+    error estimate, and the next h; counts every trial in ``stats``.
     """
-    h_floor = 1e-14 * max(config.T, h)
-    tol = config.atol + config.rtol * float(np.max(np.abs(u)))
+    h_floor = 1e-14 * max(T, h)
     while True:
         if not h >= h_floor:  # a NaN h fails too
             raise StepSizeUnderflow(f"dt = {h:.3e} at t = {t:.6g}")
         try:
             u_new, err_vec, k = _trial_step(f, t, u, h, f0)
-            lost_positivity = bool(np.min(u_new) <= 0.0)
+            lost_positivity = (low := float(np.min(u_new))) <= 0.0
         except NonPositiveState:
             lost_positivity = True
         if lost_positivity:
@@ -343,7 +367,7 @@ def _accept_step(f, t: float, u: np.ndarray, f0: np.ndarray, h: float,
         if err_norm <= 1.0:
             stats.accepted += 1
             stats.h_min, stats.h_max = min(stats.h_min, h), max(stats.h_max, h)
-            return h, u_new, k, err, h_next
+            return h, u_new, (low, float(np.max(u_new))), k, err, h_next
         stats.rejected_error += 1
         h = h_next
 
@@ -373,14 +397,12 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
     artificially stiff for an explicit pair; at p >= 2 the pair stays cheap
     there, so the snap waits until its error is a few step tolerances.
     """
-    atol, rtol = config.atol, config.rtol
     t, horizon = float(times[0]), float(times[-1])
     stats = StepStats()
-    lo, hi = float(np.min(u0)), float(np.max(u0))
+    lo, hi = band = span = _span(u0)
 
-    def check_band(states):
-        excess = max(float(np.max(states)) - hi, lo - float(np.min(states)))
-        if excess > MAX_PRINCIPLE_SLACK:
+    def check_band(span):
+        if (excess := _band_excess(band, span)) > MAX_PRINCIPLE_SLACK:
             raise BoundViolation(f"trajectory leaves [{lo:.6g}, {hi:.6g}] by {excess:.3e}")
 
     def counted(ti, ui):
@@ -392,19 +414,19 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
     filled = 1  # samples out[:filled] are done
     u = u0.copy()
     f_cur = counted(t, u)
-    h = _initial_step(counted, t, u, f_cur, atol, rtol, horizon - t)
+    h = _initial_step(counted, t, u, f_cur, config._step_tolerance(hi), horizon - t)
 
     while t < horizon:
         if stats.accepted + stats.rejected >= MAX_STEPS:
             raise StepBudgetExceeded(f"{MAX_STEPS} steps reached t = {t:.6g} of {horizon:.6g}")
-        snap_tol = (10.0 if config.p >= 2.0 else 1e3) * (atol + rtol * float(np.max(np.abs(u))))
-        if float(np.max(u)) - float(np.min(u)) <= snap_tol:
+        tol = config._step_tolerance(span[1])
+        if span[1] - span[0] <= (10.0 if config.p >= 2.0 else 1e3) * tol:
             out[filled:] = steady_state(graph, u, config.q)
             stats.snap_time = t
             break
-        h, u_new, k, _, h_next = _accept_step(counted, t, u, f_cur, min(h, horizon - t),
-                                              config, stats)
-        check_band(u_new)
+        h, u_new, span, k, _, h_next = _accept_step(counted, t, u, f_cur, min(h, horizon - t),
+                                                    tol, config.T, stats)
+        check_band(span)
         t_new = t + h
         if horizon - t_new <= 1e-12 * horizon:  # land exactly on the horizon
             t_new = horizon
@@ -415,7 +437,7 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
             out[filled:end] = _dense_output(u, h, k, (times[filled:end] - t) / h)
             if times[end - 1] == t_new:
                 out[end - 1] = u_new
-            check_band(out[filled:end])
+            check_band(_span(out[filled:end]))
             filled = end
         t, u, f_cur, h = t_new, u_new, k[6], h_next
     return out, stats
@@ -428,13 +450,12 @@ def step(kernel: FractionalKernel, t: float, u: np.ndarray, dt: float, config: F
     ``_integrate`` uses: dt is halved on positivity loss and shrunk on
     error-test failure until acceptance.
     """
-    p, q, eps = config.p, config.q, config.eps_reg
-
     def f(t, u):
-        return rhs_direct(kernel, u, p, q, eps)
+        return rhs_direct(kernel, u, config.p, config.q, config.eps_reg)
 
     u = _check_state(kernel.graph, u, "u")
-    h, u_new, _, err, _ = _accept_step(f, t, u, f(t, u), dt, config, StepStats())
+    tol = config._step_tolerance(float(np.max(u)))
+    h, u_new, _, _, err, _ = _accept_step(f, t, u, f(t, u), dt, tol, config.T, StepStats())
     return t + h, u_new, err
 
 
@@ -443,13 +464,17 @@ def _solve(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig, f,
     """Integrate du/dt = f(t, u) on the output grid; ``_integrate`` enforces the band."""
     config._require_size(kernel.n)
     u0 = _check_state(kernel.graph, u0, "u0")
+    _check_overflow(kernel.graph, u0, config.q)
     times = config.output_times()
     values, stats = _integrate(f, u0, times, config, kernel.graph, steps)
     return Trajectory(times=times, values=values, stats=stats)
 
 
 def evolve_direct(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig) -> Trajectory:
-    """Integrate the nonlinear flow directly; enforces the max-principle band."""
+    """Integrate the nonlinear flow directly; enforces the max-principle band.
+
+    A u0 whose flow overflows a float is a DomainError, raised before any step.
+    """
     p, q, eps = config.p, config.q, config.eps_reg
     return _solve(kernel, u0, config, lambda t, u: rhs_direct(kernel, u, p, q, eps))
 
@@ -482,8 +507,10 @@ def picard_solve(
     sweep freezes the coefficient at the initial datum; at q = 1 the
     coefficient does not depend on the iterate, so one sweep is exact.  The
     trajectory's stats count the work of every sweep (``StepStats.add_work``).
+    A u0 whose flow overflows a float is a DomainError, raised before any sweep.
     """
     u0 = _check_state(kernel.graph, u0, "u0")
+    _check_overflow(kernel.graph, u0, config.q)
     p, q, eps = config.p, config.q, config.eps_reg
     a0 = q * u0 ** (q - 1.0)
     a, prev = (lambda t: a0), u0
@@ -508,9 +535,11 @@ def steady_state(graph: Graph, u0: np.ndarray, q: float) -> float:
     """Long-time constant limit c = ( int u0^q dmu / int 1 dmu )^(1/q).
 
     Mass int u^q dmu is conserved, and the only zeros of (-Delta)_p^s on a
-    connected graph are constants, which pins the limit.
+    connected graph are constants, which pins the limit.  A u0 whose flow
+    overflows is a DomainError.
     """
     u0 = _check_state(graph, u0, "u0")
     if not 0.0 < q < math.inf:
         raise ExponentOutOfRange(f"q = {q}, need finite q > 0")
+    _check_overflow(graph, u0, q)
     return (integrate(graph, u0**q) / graph.volume()) ** (1.0 / q)

@@ -183,6 +183,19 @@ class TestEvolveCommand:
         assert summary["steady_state_error"] >= 0.0
         assert summary["steps_accepted"] > 0
 
+    def test_solver_failure_writes_only_the_summary(self, k2_path, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(cli, "evolve_direct",
+                            mock.Mock(side_effect=fg.StepBudgetExceeded("forced")))
+        out = tmp_path / "out"
+        code = main(["evolve", k2_path, "--T", "0.1", "--emit-plots", "--output-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr() == ("", "FAIL solver: StepBudgetExceeded: forced\n")
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["error"], summary["message"]) == ("StepBudgetExceeded", "forced")
+        assert summary["solver"] == "direct" and summary["config"]["T"] == 0.1
+        assert sorted(path.name for path in out.iterdir()) == ["summary.json"]
+
     def test_deterministic_for_fixed_seed(self, k5_path, tmp_path):
         outputs = []
         for name in ("a", "b"):
@@ -396,7 +409,7 @@ class TestEvolveCommand:
             code = main(["evolve", k2_path, "--T", "1", "--dt-out", "1e-300",
                          "--output-dir", str(tmp_path / "o")])
         assert code == 2
-        assert "output intervals" in capsys.readouterr().err
+        assert "output values" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["evolve", "verify"])
     def test_stored_values_bound_is_usage_error(self, k2_path, tmp_path, capsys, monkeypatch,
@@ -408,6 +421,17 @@ class TestEvolveCommand:
                      "--output-dir", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err == "error: 402 output values, at most 401 allowed\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "verify"])
+    @pytest.mark.parametrize("flags", [["--u0-constant", "1e308"],
+                                       ["--q", "12", "--u0-random", "1e30", "2e30", "--seed", "1"]],
+                             ids=["mass", "divisor"])
+    def test_overflowing_u0_is_usage_error(self, k2_path, tmp_path, capsys, command, flags):
+        code = main([command, k2_path, "--T", "1", *flags, "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad u0 {") and "overflows a float" in err
         assert not (tmp_path / "o").exists()
 
     def test_picard_max_flag_takes_an_integral_float(self, k2_path, tmp_path):
@@ -718,6 +742,18 @@ class TestSweepCommand:
         assert code == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "o").exists() and not serial_pools
+
+    def test_overflowing_u0_fails_only_its_tags(self, k2_path, tmp_path, capsys, serial_pools):
+        # u0 ~ 1e30 overflows q u^(q-1) at q = 12 only
+        out = tmp_path / "o"
+        code = main(["sweep", k2_path, "--s-list", "0.5", "--p-list", "2", "--q-list", "1,12",
+                     "--T", "0.1", "--u0-random", "1e30", "2e30", "--seed", "1",
+                     "--output-dir", str(out)])
+        assert code == 2
+        printed, err = capsys.readouterr()
+        assert printed.splitlines() == ["ok s0.5_p2.0_q1.0", "FAIL s0.5_p2.0_q12.0"]
+        assert err.startswith("sweep s0.5_p2.0_q12.0: bad u0 {") and err.count("\n") == 1
+        assert [path.name for path in out.iterdir()] == ["s0.5_p2.0_q1.0"]
 
     def test_missing_graph_fails_every_tag(self, tmp_path, capsys):
         code = main(["sweep", str(tmp_path / "nope.json"), "--s-list", "0.3,0.7",

@@ -7,7 +7,7 @@ import pytest
 
 import fracgraph as fg
 from fracgraph import flow
-from fracgraph.flow import MAX_OUTPUT_INTERVALS, _integrate, _solve
+from fracgraph.flow import _integrate, _solve
 from conftest import make_random_graph, wall_clock_limit
 from linear_flow_reference import LinearFlow
 
@@ -93,7 +93,7 @@ class TestStep:
             return rhs(t, u)
 
         _integrate(f, u0, cfg.output_times(), cfg, kern.graph)
-        h0 = flow._initial_step(rhs, 0.0, u0, rhs(0.0, u0), cfg.atol, cfg.rtol, cfg.T)
+        h0 = flow._initial_step(rhs, 0.0, u0, rhs(0.0, u0), cfg._step_tolerance(u0.max()), cfg.T)
         t_new, u_new, _ = fg.step(kern, 0.0, u0, h0, cfg)
         assert 0.0 < t_new < cfg.dt_out  # the first step is not clamped
         # the last stage of the accepted trial is evaluated at its new state
@@ -516,15 +516,16 @@ class TestFlowConfig:
         assert cfg.picard_max == 3 and isinstance(cfg.picard_max, int)
 
     def test_output_grid_is_bounded(self):
-        limit = MAX_OUTPUT_INTERVALS
-        assert limit > 1_280_000  # test_08 samples ~1.28M output intervals
         # the most intervals whose samples fit MAX_SAMPLE_VALUES on 2 vertices
-        assert (limit + 1) * 2 == flow.MAX_SAMPLE_VALUES
+        limit = flow.MAX_SAMPLE_VALUES // 2 - 1
+        assert limit > 1_280_000  # test_08 samples ~1.28M output intervals
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0, dt_out=1.0 / limit)
         assert round(cfg.T / cfg.dt_out) == limit
-        for dt_out in (1.0 / (limit + 1), 1e-300, 5e-324):
-            with pytest.raises(fg.DomainError, match="output intervals"):
+        for dt_out in (1.0 / (limit + 1), 1e-300):  # finite grids over the cap
+            with pytest.raises(fg.DomainError, match="output values"):
                 fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0, dt_out=dt_out)
+        with pytest.raises(fg.DomainError, match="output intervals"):  # T/dt_out = inf
+            fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0, dt_out=5e-324)
 
     def test_stored_values_are_bounded(self, k2_kernel, monkeypatch):
         # criterion 08's finest grid, 1 280 001 samples of 8 vertices, must fit
@@ -560,6 +561,33 @@ class TestNonFiniteState:
                 fg.evolve_direct(k2_kernel, u0, cfg)
             else:
                 fg.picard_solve(k2_kernel, u0, cfg)
+
+
+class TestOverflowingU0:
+    """A u0 whose flow overflows a float is refused before any step."""
+
+    @pytest.mark.parametrize("u0, q", [
+        ([1e308, 1e308], 1.0),  # vol u^q
+        ([1e200, 1e200], 1.0),  # vol u^(q+1) alone
+        ([1e30, 2e30], 12.0),  # q u^(q-1) at max u0, so du/dt would read 0
+        ([1e-320, 1.0], 0.01),  # q u^(q-1) at min u0
+        ([1e-300, 1.0], 3.0),  # q u^(q-1) underflows to 0, the rate's divisor
+    ], ids=["mass", "energy", "divisor-max", "divisor-min", "divisor-zero"])
+    def test_refused_before_any_step(self, k2_kernel, monkeypatch, u0, q):
+        monkeypatch.setattr(flow, "_integrate", mock.Mock(side_effect=AssertionError))
+        cfg = fg.FlowConfig(s=0.5, p=2.0, q=q, T=1.0)
+        for solve in (fg.evolve_direct, fg.picard_solve):
+            with pytest.raises(fg.DomainError, match="overflows a float"):
+                solve(k2_kernel, np.array(u0), cfg)
+        with pytest.raises(fg.DomainError, match="overflows a float"):
+            fg.steady_state(k2_kernel.graph, np.array(u0), q)
+
+    def test_large_u0_that_fits_runs(self, k2_kernel):
+        # vol u^(q+1) = 2e300 is finite
+        u0 = np.array([1e150, 2e150])
+        assert fg.steady_state(k2_kernel.graph, u0, 1.0) == pytest.approx(1.5e150)
+        traj = fg.evolve_direct(k2_kernel, u0, fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=0.1))
+        assert np.isfinite(traj.values).all()
 
 
 AUDIT_PARAMS = [(0.3, 1.5, 0.5), (0.5, 2.0, 1.0), (0.7, 2.5, 1.5), (0.5, 3.0, 2.0)]
@@ -701,7 +729,7 @@ class TestInitialStep:
             return np.full_like(u, -1.0)
 
         u0 = np.array([1.0, 1e-12])
-        h = flow._initial_step(f, 0.0, u0, f(0.0, u0), cfg.atol, cfg.rtol, cfg.T)
+        h = flow._initial_step(f, 0.0, u0, f(0.0, u0), cfg._step_tolerance(u0.max()), cfg.T)
         assert h == pytest.approx(0.01, rel=1e-12)
         assert probes == [h]
         with wall_clock_limit(20), pytest.raises(fg.StepSizeUnderflow):
@@ -716,7 +744,8 @@ class TestInitialStep:
             return np.full_like(u, -np.inf)
 
         u0 = np.array([1.0, 2.0])
-        assert flow._initial_step(f, 0.0, u0, f(0.0, u0), cfg.atol, cfg.rtol, cfg.T) == 0.0
+        tol = cfg._step_tolerance(u0.max())
+        assert flow._initial_step(f, 0.0, u0, f(0.0, u0), tol, cfg.T) == 0.0
         with wall_clock_limit(10), pytest.raises(fg.StepSizeUnderflow):
             _integrate(f, u0, cfg.output_times(), cfg, k2)
 

@@ -48,6 +48,26 @@ class TestDecompose:
         assert dec.eigenvalues[0] == 0.0
         assert dec.eigenvalues[1] > 0.0
 
+    def test_eigensolver_failure_is_no_convergence(self, k2, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(fg.NoConvergence, match="did not converge") as info:
+            fg.decompose(k2)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_nonzero_smallest_eigenvalue_is_no_convergence(self, p3, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def shifted(a):
+            vals, vecs = eigh(a)
+            return vals + 1e-9, vecs  # the spectrum of p3 is 0, 1, 3
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(fg.NoConvergence, match="smallest eigenvalue 1.000e-09 is not"):
+            fg.decompose(p3)
+
 
 class TestKernelWeights:
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
