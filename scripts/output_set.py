@@ -9,9 +9,11 @@ exit code under DIR/<name>/.  Each command runs in its own child process, so
 that the stderr of a sweep's workers is kept too, with the `fracgraph` package
 from SRC (default: the src/ of the checkout holding this script).  The set:
 `verify` at four (s, p, q) with both solvers and the 12-point `sweep` on two
-random graphs of 500 vertices, `evolve --solver picard --emit-plots`, `kernel`
-on K2, a stiff path that exhausts the step budget (exit 1), an unknown solver
-in a config file and a `sweep` with a fractional `--picard-max` (exit 2).
+random graphs of 500 vertices, two `verify` runs to T = 2 that snap to the
+steady state (at p < 2, t ~ 0.45), `evolve --solver picard --emit-plots`,
+`kernel` on K2, a stiff path that exhausts the step budget (exit 1), an
+unknown solver in a config file and a `sweep` with a fractional
+`--picard-max` (exit 2).
 
 `compare` prints one line per file that either run holds: "identical", or for
 CSV and JSON the largest absolute difference of each numeric column or field
@@ -53,6 +55,8 @@ open(path, "w").write(fracgraph.graph_to_json(graph))
 """
 SEEDS = (1, 2)
 AUDIT = ((0.3, 1.5, 0.5), (0.5, 2.0, 1.0), (0.7, 2.5, 1.5), (0.5, 3.0, 2.0))
+# (s, p, q) of the runs long enough to snap, where the factor g^(p-2) is largest
+SNAP = ((0.3, 1.5, 0.5), (0.5, 1.2, 1.0))
 DOCS = {
     "k2.json": {"vertices": [{"id": "a", "mu": 1.0}, {"id": "b", "mu": 2.0}],
                 "edges": [{"u": "a", "v": "b", "w": 1.0}]},
@@ -77,6 +81,10 @@ def commands():
         yield (f"sweep-seed{seed}",
                ["sweep", graph, "--s-list", "0.25,0.5,0.75", "--p-list", "1.5,2.5",
                 "--q-list", "1,2", "--workers", "2", "--T", "0.005", "--dt-out", "0.001", *u0])
+    for s, p, q in SNAP:
+        yield (f"verify-snap-s{s}_p{p}_q{q}",
+               ["verify", "graphs/n500-seed1.json", "--s", str(s), "--p", str(p), "--q", str(q),
+                "--T", "2", "--dt-out", "0.02", "--u0-random", "0.5", "2", "--seed", "1"])
     yield ("evolve-picard-plots",
            ["evolve", "graphs/n500-seed1.json", "--solver", "picard", "--q", "2", *grid,
             "--u0-random", "0.5", "2", "--seed", "1", "--emit-plots"])

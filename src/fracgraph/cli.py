@@ -142,6 +142,7 @@ def _check_u0_overflow(graph: Graph, u0: np.ndarray, spec, q: float) -> None:
 # Flags and config files set FlowConfig's fields; one left unset takes FlowConfig's
 # default.  The CLI's own defaults: fields FlowConfig has none for, solver and u0.
 _FLOW_KEYS = tuple(f.name for f in fields(FlowConfig))
+_CONFIG_KEYS = (*_FLOW_KEYS, "solver", "u0")
 _CLI_DEFAULTS = {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "solver": "direct",
                  "u0": {"kind": "constant", "value": 1.0}}
 # Each solver returns (trajectory, Picard iterations, Picard history).  The
@@ -162,8 +163,9 @@ def _flow_config(values: dict, n: int) -> FlowConfig:
 def _resolve(args) -> dict:
     """Every FlowConfig field, "solver" and "u0": the flag, else --config, else the default.
 
-    A FlowConfig field that none of them sets is left out.  --seed sets the seed
-    of the u0 so resolved, which must be a random-uniform spec.
+    A FlowConfig field that none of them sets is left out, and a --config key
+    that is none of these is a usage error.  --seed sets the seed of the u0 so
+    resolved, which must be a random-uniform spec.
     """
     try:
         data = json.loads(Path(args.config).read_text()) if args.config else {}
@@ -171,6 +173,8 @@ def _resolve(args) -> dict:
         raise UsageError(f"bad config file: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
+    if unknown := sorted(data.keys() - _CONFIG_KEYS):
+        raise UsageError(f"config file sets unknown keys: {', '.join(unknown)}")
     # a sweep's lists set every exponent, so a config file's would be dropped
     if args.command == "sweep" and (dropped := sorted(data.keys() & {"s", "p", "q"})):
         raise UsageError(f"config file sets {', '.join(dropped)}; a sweep takes s, p "
@@ -183,7 +187,7 @@ def _resolve(args) -> dict:
         flags["u0"] = {"kind": "random-uniform", "low": low, "high": high}
     # sources in rising precedence, so that the last one to set a key wins
     values = {key: source[key] for source in (_CLI_DEFAULTS, data, flags)
-              for key in (*_FLOW_KEYS, "solver", "u0") if source.get(key) is not None}
+              for key in _CONFIG_KEYS if source.get(key) is not None}
     if args.seed is not None:
         if not (isinstance(values["u0"], dict) and values["u0"].get("kind") == "random-uniform"):
             raise UsageError("--seed needs a random-uniform u0")

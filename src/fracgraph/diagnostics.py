@@ -108,15 +108,15 @@ def energy_identity_residual(
     return _energy_identity_residual(traj, kernel.graph, energies, q)
 
 
-def _dissipation_pass(traj: Trajectory, kernel: FractionalKernel, p: float, q: float,
-                      eps_reg: float) -> tuple[float, np.ndarray]:
+def _dissipation_pass(traj: Trajectory, kernel: FractionalKernel, p: float,
+                      q: float) -> tuple[float, np.ndarray]:
     """The truncated dissipation integral of int u^(q-1) (du/dt)^2 dmu, and du/dt
     at the final sample (the last row of the last block)."""
     mu, values = kernel.graph.mu, traj.values
     integrand = np.empty(len(values))
     for i in range(0, len(values), _BLOCK_ROWS):
         u = values[i:i + _BLOCK_ROWS]
-        dudt = rhs_direct(kernel, u, p, q, eps_reg)
+        dudt = rhs_direct(kernel, u, p, q)
         integrand[i:i + _BLOCK_ROWS] = (u ** (q - 1.0) * dudt**2) @ mu
     return float(np.trapezoid(integrand, traj.times)), dudt[-1]
 
@@ -126,14 +126,13 @@ def dissipation_check(
     kernel: FractionalKernel,
     p: float,
     q: float,
-    eps_reg: float = FlowConfig.eps_reg,
     slack: float = 1e-6,
 ):
     """Truncated dissipation integral against its initial-energy bound.
 
     Returns (lhs, rhs, satisfied) with satisfied = lhs <= rhs + slack*(rhs+1).
     """
-    lhs, _ = _dissipation_pass(traj, kernel, p, q, eps_reg)
+    lhs, _ = _dissipation_pass(traj, kernel, p, q)
     rhs = dirichlet_p_energy(kernel, traj.u0, p) / (p * q)
     return lhs, rhs, lhs <= rhs + slack * (rhs + 1.0)
 
@@ -143,12 +142,9 @@ def max_principle_check(traj: Trajectory, u0: np.ndarray | None = None) -> float
     return max(_band_excess(_span(traj.u0 if u0 is None else u0), _span(traj.values)), 0.0)
 
 
-def time_derivative_sup(
-    traj: Trajectory, kernel: FractionalKernel, p: float, q: float,
-    eps_reg: float = FlowConfig.eps_reg,
-) -> float:
+def time_derivative_sup(traj: Trajectory, kernel: FractionalKernel, p: float, q: float) -> float:
     """max_x |du/dt(x, T)| reconstructed from the right-hand side at the final state."""
-    return float(np.max(np.abs(rhs_direct(kernel, traj.final, p, q, eps_reg))))
+    return float(np.max(np.abs(rhs_direct(kernel, traj.final, p, q))))
 
 
 def build_report(
@@ -161,7 +157,7 @@ def build_report(
     drift = float(np.max(np.abs(masses - mass0)))
     # one pass each for du/dt and the energy at every sample; the final du/dt
     # and the initial energy come from those passes
-    lhs, dudt_final = _dissipation_pass(traj, kernel, p, q, config.eps_reg)
+    lhs, dudt_final = _dissipation_pass(traj, kernel, p, q)
     energies = dirichlet_p_energy(kernel, traj.values, p)
     energy0, energy_final = float(energies[0]), float(energies[-1])
     rhs = energy0 / (p * q)

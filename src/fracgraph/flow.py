@@ -116,7 +116,6 @@ class FlowConfig:
     dt_out: float | None = None
     atol: float = 1e-9
     rtol: float = 1e-9
-    eps_reg: float = 1e-12
     picard_tol: float = 1e-10
     picard_max: int = 100
 
@@ -141,9 +140,10 @@ class FlowConfig:
         if not (0.0 < self.dt_out < math.inf and 0.0 < self.atol < math.inf
                 and 0.0 <= self.rtol < math.inf):
             raise DomainError("dt_out and atol must be positive, rtol nonnegative, all finite")
-        if not (0.0 <= self.eps_reg < math.inf and 0.0 < self.picard_tol < math.inf
-                and 1 <= self.picard_max < math.inf and float(self.picard_max).is_integer()):
-            raise DomainError("bad regularization or Picard parameters")
+        if not 0.0 < self.picard_tol < math.inf:
+            raise DomainError(f"picard_tol = {self.picard_tol}, need finite picard_tol > 0")
+        if not (1 <= self.picard_max < math.inf and float(self.picard_max).is_integer()):
+            raise DomainError(f"picard_max = {self.picard_max}, need an integer >= 1")
         object.__setattr__(self, "picard_max", int(self.picard_max))
         if not (intervals := self.T / self.dt_out) < math.inf:
             raise DomainError(f"T/dt_out = {intervals:g} output intervals, need a finite count")
@@ -393,9 +393,9 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
     constant and held for the rest of the horizon.  The maximum principle
     (restarted at that instant) confines the exact solution to the collapsed
     band, so the error committed is below the spread.  Without the snap, the
-    regularized degenerate factor (p < 2) makes the post-collapse phase
-    artificially stiff for an explicit pair; at p >= 2 the pair stays cheap
-    there, so the snap waits until its error is a few step tolerances.
+    factor g^(p-2), unbounded at p < 2 as the spread collapses, makes that
+    phase stiff for an explicit pair; at p >= 2 the pair stays cheap there,
+    so the snap waits until its error is a few step tolerances.
     """
     t, horizon = float(times[0]), float(times[-1])
     stats = StepStats()
@@ -451,7 +451,7 @@ def step(kernel: FractionalKernel, t: float, u: np.ndarray, dt: float, config: F
     error-test failure until acceptance.
     """
     def f(t, u):
-        return rhs_direct(kernel, u, config.p, config.q, config.eps_reg)
+        return rhs_direct(kernel, u, config.p, config.q)
 
     u = _check_state(kernel.graph, u, "u")
     tol = config._step_tolerance(float(np.max(u)))
@@ -475,8 +475,8 @@ def evolve_direct(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig) 
 
     A u0 whose flow overflows a float is a DomainError, raised before any step.
     """
-    p, q, eps = config.p, config.q, config.eps_reg
-    return _solve(kernel, u0, config, lambda t, u: rhs_direct(kernel, u, p, q, eps))
+    p, q = config.p, config.q
+    return _solve(kernel, u0, config, lambda t, u: rhs_direct(kernel, u, p, q))
 
 
 def _swept_coefficient(steps: list, q: float):
@@ -511,7 +511,7 @@ def picard_solve(
     """
     u0 = _check_state(kernel.graph, u0, "u0")
     _check_overflow(kernel.graph, u0, config.q)
-    p, q, eps = config.p, config.q, config.eps_reg
+    p, q = config.p, config.q
     a0 = q * u0 ** (q - 1.0)
     a, prev = (lambda t: a0), u0
     history: list[float] = []
@@ -519,7 +519,7 @@ def picard_solve(
     for it in range(1, config.picard_max + 1):
         steps: list = []
         traj = _solve(kernel, u0, config,
-                      lambda t, u: -frac_p_laplacian(kernel, u, p, eps) / a(t), steps)
+                      lambda t, u: -frac_p_laplacian(kernel, u, p) / a(t), steps)
         traj.stats.add_work(work)
         work = traj.stats
         dist = float(np.max(np.abs(traj.values - prev)))

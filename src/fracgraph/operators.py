@@ -12,7 +12,7 @@ derivative of (1/p) * int |grad^s u|^p dmu:
     (-Delta)_p^s u(x) = 1/(2 mu(x)) * sum_{y != x}
         (g(y)^(p-2) + g(x)^(p-2)) W_s(x,y) (u(x) - u(y)),
 
-with g the (optionally regularized) gradient length.
+with g the gradient length, and the factor g^(p-2) taken as 0 where g = 0.
 
 No pairwise-difference matrix is formed.  With the row sums r = W 1, cached
 on the kernel, each pairwise sum expands into products of W with vertex
@@ -111,12 +111,12 @@ def _squared_gradients(kernel: FractionalKernel, v: np.ndarray):
     return np.maximum(sq, 0.0) / (2.0 * kernel.graph.mu), diffusion
 
 
-def _p_laplacian(kernel: FractionalKernel, v: np.ndarray, p: float, eps_reg: float):
+def _p_laplacian(kernel: FractionalKernel, v: np.ndarray, p: float, eps_reg: float = 0.0):
     """((-Delta)_p^s v, g^(p-2)) for a centred v; p = 2 skips the gradients."""
     if p == 2.0:
         return (kernel.row_sums * v - _apply(kernel, v)[0]) / kernel.graph.mu, 1.0
     g2, diffusion = _squared_gradients(kernel, v)
-    gp = _regularized_power(g2, p, eps_reg)
+    gp = _gradient_power(g2 + eps_reg**2 if eps_reg > 0 else g2, p)
     wgp, wgpv = _apply(kernel, gp, gp * v)
     out = gp * diffusion + v * wgp - wgpv
     return out / (2.0 * kernel.graph.mu), gp
@@ -131,23 +131,17 @@ def frac_gradient_norms(kernel: FractionalKernel, u: np.ndarray) -> np.ndarray:
 def frac_laplacian(kernel: FractionalKernel, u: np.ndarray) -> np.ndarray:
     """(-Delta)^s u via the kernel form."""
     u = _check_length(kernel.graph, u, "u")
-    return _p_laplacian(kernel, _centred(u), 2.0, 0.0)[0]
+    return _p_laplacian(kernel, _centred(u), 2.0)[0]
 
 
-def _regularized_power(g2: np.ndarray, p: float, eps_reg: float) -> np.ndarray:
-    """g^(p-2) from g2 = g^2, with (g^2 + eps^2)^((p-2)/2) regularization.
+def _gradient_power(g2: np.ndarray, p: float) -> np.ndarray:
+    """g^(p-2) from g2 = g^2, and 0 where g = 0.
 
-    At eps_reg = 0 and p < 2 a zero gradient would give an infinite factor;
-    its paired differences are then all zero (W > 0 everywhere forces
-    u(x) = u(y) for every y), so the 0 * inf product is resolved to 0 by
-    zeroing the factor.
+    At p < 2 a zero gradient gives an infinite factor; its paired differences
+    are then all zero (W > 0 everywhere forces u(x) = u(y) for every y), so
+    the 0 * inf product is resolved to 0 by zeroing the factor.
     """
-    if eps_reg > 0:
-        return (g2 + eps_reg**2) ** ((p - 2.0) / 2.0)
-    out = np.zeros_like(g2)
-    pos = g2 > 0
-    out[pos] = g2[pos] ** ((p - 2.0) / 2.0)
-    return out
+    return np.power(g2, (p - 2.0) / 2.0, out=np.zeros_like(g2), where=g2 > 0)
 
 
 def frac_p_laplacian(
@@ -158,7 +152,8 @@ def frac_p_laplacian(
 ) -> np.ndarray:
     """Fractional p-Laplacian of u, or of each row of a stack u (m, n).
 
-    Reduces exactly to frac_laplacian at p = 2.
+    Reduces exactly to frac_laplacian at p = 2.  An eps_reg > 0 regularizes
+    the factor g^(p-2) to (g^2 + eps_reg^2)^((p-2)/2).
     """
     if not p > 1.0:
         raise ExponentOutOfRange(f"p = {p}, need p > 1")
@@ -203,7 +198,7 @@ def ibp_residual(
         int_V v (-Delta)_p^s u dmu
             = int_V |grad^s u|^(p-2) grad^s u . grad^s v dmu,
 
-    with the same gradient regularization applied on both sides.
+    with the same eps_reg (see frac_p_laplacian) on both sides.
     """
     if not p > 1.0:
         raise ExponentOutOfRange(f"p = {p}, need p > 1")

@@ -284,7 +284,7 @@ class TestEvolveCommand:
          {"u0": {"kind": "constant"}}, 3, {"picard_max": 2.5, "solver": "picard", "q": 2},
          {"u0": {"kind": "random-uniform", "low": 0.5, "high": 2.0, "seed": math.inf}},
          {"T": True}, {"q": True}, {"eps_reg": True}, {"picard_max": True},
-         {"T": True, "q": True, "eps_reg": True},
+         {"T": True, "q": True, "picard_tol": True},
          {"u0": {"kind": "constant", "value": True}},
          {"u0": {"kind": "constant", "value": "1.5"}},
          {"u0": ["1", 2]},
@@ -303,9 +303,27 @@ class TestEvolveCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["evolve", "verify", "sweep"])
+    @pytest.mark.parametrize("config, keys", [
+        ({"eps_reg": 1e-12}, "eps_reg"), ({"atoll": 1e-12, "T": 0.1}, "atoll"),
+        ({"eps_reg": 0.0, "atoll": 1e-12, "s_list": [0.5], "q": 2}, "atoll, eps_reg, s_list")],
+        ids=["eps-reg", "typo", "three"])
+    def test_unknown_config_key_is_usage_error(self, k2_path, tmp_path, capsys, monkeypatch,
+                                               serial_pools, command, config, keys):
+        # a dropped key would run at the default without a word
+        monkeypatch.setattr(cli, "build_kernel", mock.Mock(side_effect=AssertionError))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        lists = ["--s-list", "0.3", "--p-list", "2", "--q-list", "1"] if command == "sweep" else []
+        code = main([command, k2_path, "--config", str(cfg), *lists,
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: config file sets unknown keys: {keys}\n")
+        assert not (tmp_path / "o").exists() and not serial_pools
+
     def test_config_file_may_set_every_flow_field(self, k2_path, tmp_path, monkeypatch):
         values = {"s": 0.3, "p": 2.5, "q": 2.0, "T": 0.1, "dt_out": 0.02, "atol": 1e-8,
-                  "rtol": 1e-7, "eps_reg": 1e-10, "picard_tol": 1e-7, "picard_max": 30}
+                  "rtol": 1e-7, "picard_tol": 1e-7, "picard_max": 30}
         assert set(values) == {f.name for f in fields(fg.FlowConfig)}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**values, "solver": "picard", "u0": [1.0, 2.0]}))
@@ -447,7 +465,7 @@ class TestEvolveCommand:
         code = main([command, k2_path, "--T", "0.1", "--picard-max", "2.5",
                      "--output-dir", str(tmp_path / "o")])
         assert code == 2
-        assert capsys.readouterr().err == "error: bad regularization or Picard parameters\n"
+        assert capsys.readouterr().err == "error: picard_max = 2.5, need an integer >= 1\n"
         assert not (tmp_path / "o").exists()
 
 
@@ -731,7 +749,7 @@ class TestSweepCommand:
         assert list((tmp_path / "o").iterdir()) == []
 
     @pytest.mark.parametrize("flags, message", [
-        (["--picard-max", "2.5"], "bad regularization or Picard parameters"),
+        (["--picard-max", "2.5"], "picard_max = 2.5, need an integer >= 1"),
         (["--dt-out", "0.005"], "402 output values, at most 401 allowed")],
         ids=["picard-max", "stored-values"])
     def test_run_wide_fault_is_one_usage_error(self, k2_path, tmp_path, capsys, monkeypatch,
@@ -783,7 +801,7 @@ class TestSweepCommand:
 _FUZZ_VALID = {
     "s": [0.3, 0.7], "p": [1.5, 2.0, 3.0], "q": [0.5, 1.0, 2.0], "T": [0.05, 0.1, 10.0, 1e6],
     "dt_out": [0.01, 0.05], "atol": [1e-6, 1e-12, 1e-14], "rtol": [0.0, 1e-9, 1e-14],
-    "eps_reg": [0.0, 1e-12], "picard_tol": [1e-6], "picard_max": [1, 20],
+    "picard_tol": [1e-6], "picard_max": [1, 20],
     "solver": ["direct", "picard"],
     "u0": [[1.0, 2.0], {"kind": "constant", "value": 1.5},
            {"kind": "random-uniform", "low": 0.5, "high": 2.0, "seed": 3}],
@@ -881,7 +899,7 @@ class TestMisc:
 
     def test_flag_sets(self):
         commands = self.subcommands()
-        flow_flags = {"--T", "--dt-out", "--atol", "--rtol", "--eps-reg", "--picard-tol",
+        flow_flags = {"--T", "--dt-out", "--atol", "--rtol", "--picard-tol",
                       "--picard-max", "--config", "--solver", "--u0-constant", "--u0-random",
                       "--seed", "--output-dir", "-h", "--help"}
         expected = {

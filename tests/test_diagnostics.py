@@ -176,11 +176,11 @@ class TestBuildReport:
         report = fg.build_report(traj, k5_kernel, cfg)
         assert [spy.call_count for spy in spies.values()] == [1, 1, 1]
         monkeypatch.undo()
-        lhs, rhs, _ = fg.dissipation_check(traj, k5_kernel, 2.5, 1.5, cfg.eps_reg)
+        lhs, rhs, _ = fg.dissipation_check(traj, k5_kernel, 2.5, 1.5)
         assert report.dissipation_lhs == lhs
         assert report.dissipation_rhs == pytest.approx(rhs, rel=1e-13)
         assert report.final_time_derivative_sup == pytest.approx(
-            fg.time_derivative_sup(traj, k5_kernel, 2.5, 1.5, cfg.eps_reg), rel=1e-13)
+            fg.time_derivative_sup(traj, k5_kernel, 2.5, 1.5), rel=1e-13)
 
     def test_check_table_rows(self, k5_kernel):
         u0 = np.random.default_rng(8).uniform(0.5, 2.0, 5)
@@ -198,7 +198,7 @@ class TestBuildReport:
             diagnostics.Check("gradient_decay", report.final_gradient_energy,
                               report.initial_gradient_energy * (1 + 1e-8) + 1e-12),
         )
-        _, _, ok = fg.dissipation_check(traj, k5_kernel, 2.5, 1.5, cfg.eps_reg, slack)
+        _, _, ok = fg.dissipation_check(traj, k5_kernel, 2.5, 1.5, slack)
         assert report.check_table[2].passed == ok
 
     def test_check_passes_up_to_its_threshold(self):

@@ -86,7 +86,7 @@ class TestStep:
         calls = []
 
         def rhs(t, u):
-            return fg.rhs_direct(kern, u, p, q, cfg.eps_reg)
+            return fg.rhs_direct(kern, u, p, q)
 
         def f(t, u):
             calls.append((t, u.copy()))
@@ -304,7 +304,7 @@ class TestAgainstDop853:
         u0 = np.random.default_rng(3).uniform(0.5, 2.0, n)
         cfg = fg.FlowConfig(s=s, p=p, q=q, T=T, dt_out=T / 100)
         traj = fg.evolve_direct(kern, u0, cfg)
-        oracle = integrate.solve_ivp(lambda t, u: fg.rhs_direct(kern, u, p, q, cfg.eps_reg),
+        oracle = integrate.solve_ivp(lambda t, u: fg.rhs_direct(kern, u, p, q),
                                      (0.0, T), u0, method="DOP853", t_eval=traj.times,
                                      rtol=1e-13, atol=1e-15)
         assert oracle.success
@@ -320,7 +320,7 @@ class TestSolveFrozen:
         u0 = np.full(2, 1.3)
         a = cfg.q * u0 ** (cfg.q - 1.0)
         traj = _solve(k2_kernel, u0, cfg,
-                      lambda t, u: -fg.frac_p_laplacian(k2_kernel, u, cfg.p, cfg.eps_reg) / a)
+                      lambda t, u: -fg.frac_p_laplacian(k2_kernel, u, cfg.p) / a)
         np.testing.assert_allclose(traj.values, 1.3, atol=1e-12)
 
     def test_q1_coefficient_collapse(self, k2_kernel):
@@ -330,7 +330,7 @@ class TestSolveFrozen:
         cfg = fg.FlowConfig(s=0.5, p=2.5, q=1.0, T=1.0)
         a = cfg.q * u0 ** (cfg.q - 1.0)
         frozen = _solve(k2_kernel, u0, cfg,
-                        lambda t, u: -fg.frac_p_laplacian(k2_kernel, u, cfg.p, cfg.eps_reg) / a)
+                        lambda t, u: -fg.frac_p_laplacian(k2_kernel, u, cfg.p) / a)
         direct = fg.evolve_direct(k2_kernel, u0, cfg)
         np.testing.assert_array_equal(frozen.values, direct.values)
 
@@ -342,7 +342,7 @@ class TestSolveFrozen:
         a_val = q * c ** (q - 1.0)
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=q, T=1.0)
         frozen = _solve(k2_kernel, u0, cfg,
-                        lambda t, u: -fg.frac_p_laplacian(k2_kernel, u, 2.0, cfg.eps_reg) / a_val)
+                        lambda t, u: -fg.frac_p_laplacian(k2_kernel, u, 2.0) / a_val)
 
         cfg1 = fg.FlowConfig(
             s=0.5, p=2.0, q=1.0, T=1.0 / a_val, dt_out=cfg.dt_out / a_val
@@ -489,7 +489,7 @@ class TestFlowConfig:
             {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "dt_out": float("nan")},
             {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "atol": float("nan")},
             {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "rtol": float("inf")},
-            {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "eps_reg": float("nan")},
+            {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "picard_tol": 0.0},
             {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "picard_tol": float("nan")},
             {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "picard_max": float("inf")},
             {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "picard_max": 2.5},
@@ -505,7 +505,7 @@ class TestFlowConfig:
         with pytest.raises(fg.DomainError, match="not a number"):
             fg.FlowConfig(**kwargs)
 
-    @pytest.mark.parametrize("field", ["T", "q", "eps_reg", "picard_max", "dt_out"])
+    @pytest.mark.parametrize("field", ["T", "q", "picard_tol", "picard_max", "dt_out"])
     def test_bool_parameter_is_domain_error(self, field):
         kwargs = {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, field: True}
         with pytest.raises(fg.DomainError, match="not a number"):
@@ -608,7 +608,7 @@ class TestDenseOutput:
             clamped, accepted = [u0], 0
             for t0, t1 in zip(times, times[1:]):
                 values, stats = _integrate(
-                    lambda t, u: fg.rhs_direct(kern, u, p, q, cfg.eps_reg),
+                    lambda t, u: fg.rhs_direct(kern, u, p, q),
                     clamped[-1], np.array([t0, t1]), cfg, kern.graph,
                 )
                 clamped.append(values[-1])

@@ -45,7 +45,7 @@ def problem(n, k, s, p, q):
     """(kernel, u0, config, reference, step tolerance) of a case."""
     config = fg.FlowConfig(s=s, p=p, q=q, T=T)
     u0 = np.repeat([A0, B0], [k, n - k])
-    exact = TwoValueFlow(n, k, s, p, q, A0, B0, eps_reg=config.eps_reg)
+    exact = TwoValueFlow(n, k, s, p, q, A0, B0)
     return kernel(n, s), u0, config, exact, config.atol + config.rtol * A0
 
 
@@ -99,9 +99,9 @@ class TestSolvers:
     @pytest.mark.parametrize("case", CASES, ids=IDS)
     def test_direct_accepted_states(self, case):
         kern, u0, config, exact, tol = problem(*case)
-        p, q, eps = config.p, config.q, config.eps_reg
+        p, q = config.p, config.q
         steps = []
-        _solve(kern, u0, config, lambda t, u: fg.rhs_direct(kern, u, p, q, eps), steps)
+        _solve(kern, u0, config, lambda t, u: fg.rhs_direct(kern, u, p, q), steps)
         times = np.array([t for t, *_ in steps])
         states = np.array([u for _, _, u, _ in steps])
         assert np.max(np.abs(states - exact.samples(times))) <= 0.5 * tol
@@ -130,7 +130,7 @@ class TestSolvers:
         s, p, q = 0.5, 2.0, 2.0
         config = fg.FlowConfig(s=s, p=p, q=q, T=30.0)
         traj = fg.evolve_direct(kernel(n, s), np.repeat([A0, B0], [k, n - k]), config)
-        exact = TwoValueFlow(n, k, s, p, q, A0, B0, eps_reg=config.eps_reg)
+        exact = TwoValueFlow(n, k, s, p, q, A0, B0)
         post = np.flatnonzero(traj.times >= traj.stats.snap_time)
         error = np.max(np.abs(traj.values[post] - exact.samples(traj.times[post])))
         assert error <= 3.0 * (config.atol + config.rtol * A0)

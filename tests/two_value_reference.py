@@ -8,8 +8,8 @@ and b on the rest, and with the gap d = a - b the gradient lengths are
 
     |grad^s u|^2 = (n-k) W d^2 / 2  on the a vertices,  k W d^2 / 2  on the b ones.
 
-With sigma(d) = ((n-k) W d^2/2 + eps^2)^((p-2)/2) + (k W d^2/2 + eps^2)^((p-2)/2),
-the regularized factors of both groups summed, the flow is
+With sigma(d) = ((n-k) W d^2/2)^((p-2)/2) + (k W d^2/2)^((p-2)/2), the factors
+|grad^s u|^(p-2) of both groups summed, the flow is
 
     q a^(q-1) a' = -(n-k) (W d / 2) sigma(d),    q b^(q-1) b' = k (W d / 2) sigma(d).
 
@@ -17,13 +17,13 @@ The mass k a^q + (n-k) b^q is conserved, so b is a function of d: the root
 of one increasing scalar equation, found here by Newton's method.  The gap
 obeys the autonomous equation d' = -rate(d), so t(d) = int_d^d0 dx / rate(x),
 a smooth integral in log x taken by Gauss-Legendre panels, and d(t) inverts
-it.  At eps = 0 and q = 1 all of it has a closed form: b = (M - k d)/n,
+it.  At q = 1 all of it has a closed form: b = (M - k d)/n,
 d' = -n c d^(p-1) with c = (W/2)^(p/2) ((n-k)^((p-2)/2) + k^((p-2)/2)), so
 d = d0 exp(-n c t) at p = 2 and d^(2-p) = d0^(2-p) - (2-p) n c t otherwise;
 for p < 2 the gap closes at the finite time T* = d0^(2-p) / ((2-p) n c).
 
 The Dirichlet energy is E = (W d^2 / 2)^(p/2) (k (n-k)^(p/2) + (n-k) k^(p/2)),
-and at eps = 0 the dissipation int_0^T int u^(q-1) (du/dt)^2 dmu dt equals
+and the dissipation int_0^T int u^(q-1) (du/dt)^2 dmu dt equals
 (E(0) - E(T)) / (pq).  Nothing here calls the library.
 """
 
@@ -40,16 +40,16 @@ _PANELS = 512
 class TwoValueFlow:
     """The flow on K_n from k vertices at a0 and n - k at b0 < a0."""
 
-    def __init__(self, n, k, s, p, q, a0, b0, eps_reg=0.0, closed_form=True):
-        """``closed_form=False`` takes the quadrature path at q = 1 and eps = 0 too."""
+    def __init__(self, n, k, s, p, q, a0, b0, closed_form=True):
+        """``closed_form=False`` takes the quadrature path at q = 1 too."""
         if not (0 < k < n and a0 > b0 > 0):
             raise ValueError("need 0 < k < n and a0 > b0 > 0")
-        self.n, self.k, self.p, self.q, self.eps, self.b0 = n, k, p, q, eps_reg, b0
+        self.n, self.k, self.p, self.q, self.b0 = n, k, p, q, b0
         self.w = float(n) ** (s - 1.0)
         self.d0 = a0 - b0
         self.mass = k * a0**q + (n - k) * b0**q
         self.limit = (self.mass / n) ** (1.0 / q)  # the constant the flow tends to
-        self.closed = closed_form and q == 1.0 and eps_reg == 0.0
+        self.closed = closed_form and q == 1.0
         self.c = (self.w / 2.0) ** (p / 2.0) * ((n - k) ** (p / 2.0 - 1.0) + k ** (p / 2.0 - 1.0))
         # t at the panel ends of log d, from log d0 (t = 0) downwards
         self._logs = np.log(self.d0) + np.linspace(0.0, np.log(_GAP_FLOOR), _PANELS + 1)
@@ -70,8 +70,8 @@ class TwoValueFlow:
         return b
 
     def _sigma(self, d):
-        n, k, w, e2, h = self.n, self.k, self.w, self.eps**2, self.p / 2.0 - 1.0
-        return ((n - k) * w * d * d / 2.0 + e2) ** h + (k * w * d * d / 2.0 + e2) ** h
+        n, k, w, h = self.n, self.k, self.w, self.p / 2.0 - 1.0
+        return ((n - k) * w * d * d / 2.0) ** h + (k * w * d * d / 2.0) ** h
 
     def velocities(self, d):
         """(a', b') at gap d."""
@@ -107,10 +107,10 @@ class TwoValueFlow:
         return (self.d0 ** (2.0 - p) - d ** (2.0 - p)) / ((2.0 - p) * n * c)
 
     def extinction_time(self):
-        """T*, when the gap closes (p < 2 and eps = 0 only): the table's last time
-        plus the tail below its floor, where rate(x) = n c x^(p-1) q^-1 limit^(1-q)."""
-        if not (self.p < 2.0 and self.eps == 0.0):
-            raise ValueError("the gap closes in finite time only at p < 2 and eps = 0")
+        """T*, when the gap closes (p < 2 only): the table's last time plus the
+        tail below its floor, where rate(x) = n c x^(p-1) q^-1 limit^(1-q)."""
+        if not self.p < 2.0:
+            raise ValueError("the gap closes in finite time only at p < 2")
         if self.closed:
             return self.d0 ** (2.0 - self.p) / ((2.0 - self.p) * self.n * self.c)
         floor = self.d0 * _GAP_FLOOR
@@ -162,6 +162,6 @@ class TwoValueFlow:
         return self.k * (b + d) ** (q - 1.0) * da**2 + (self.n - self.k) * b ** (q - 1.0) * db**2
 
     def dissipation(self, horizon):
-        """(E(0) - E(T)) / (pq), the dissipation integral at eps = 0."""
+        """(E(0) - E(T)) / (pq), the dissipation integral."""
         drop = self.energy_of(self.d0) - self.energy(horizon)
         return float(drop) / (self.p * self.q)
