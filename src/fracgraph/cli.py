@@ -356,8 +356,9 @@ def cmd_sweep(args) -> int:
     # per tag, since loading the graph here would grow every forked worker
     _flow_config(values, 2)  # a graph has at least 2 vertices
     out = _output_dir(args.output_dir)
-    # a forking pool starts all its workers at once, so start no idle ones
-    workers = min(args.workers or os.cpu_count() or 1, len(combos))
+    # one per CPU this process may run on, and none idle: a fork pool starts all at once
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(args.workers or cpus or 1, len(combos))
     # contiguous shares of the s-major grid, whose sizes differ by at most one
     shares = [(args.graph, str(out), values, [combos[i] for i in share])
               for share in np.array_split(range(len(combos)), workers)]
@@ -433,8 +434,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    # here, not in _output_dir, so that sweep workers keep their own directories
-    args.output_dir = os.environ.get("FRACGRAPH_OUTPUT_DIR") or args.output_dir
     try:
         return args.func(args)
     except UsageError as exc:

@@ -93,7 +93,7 @@ _DP_P = np.array([
 # Largest number of values, samples x vertices, one run stores: 128 MiB of floats.
 MAX_SAMPLE_VALUES = 2**24
 # Largest number of steps, accepted plus rejected, of one integration; the most
-# that a test or a benchmark solve takes is 294.
+# that a test or a benchmark solve takes is 778.
 MAX_STEPS = 10_000
 # How far a trajectory may leave [min u0, max u0] before it violates the
 # maximum principle; the solvers enforce it and verify reports it.
@@ -336,18 +336,18 @@ def _initial_step(f, t: float, u0: np.ndarray, f0: np.ndarray, tol: float,
 
 
 def _accept_step(f, t: float, u: np.ndarray, f0: np.ndarray, h: float, tol: float,
-                 T: float, stats: StepStats):
+                 stats: StepStats):
     """The step controller: retry a step of size h from (t, u) until one is accepted.
 
     A trial that loses positivity (its state, or a stage argument that raises
-    NonPositiveState) halves h; the error test against tol rescales it.  A
-    step below 1e-14 max(T, h), h as given, raises StepSizeUnderflow.  Returns
-    the accepted h, state, span (min, max) and stages, the sup norm of the
-    error estimate, and the next h; counts every trial in ``stats``.
+    NonPositiveState) halves h; the error test against tol rescales it.  A step
+    that is not positive or below 1e-14 max(|t|, h), h as given (~45 ulps of t),
+    raises StepSizeUnderflow.  Returns the accepted h, state, span (min, max) and
+    stages, the sup norm of the error estimate, and the next h; counts every trial in ``stats``.
     """
-    h_floor = 1e-14 * max(T, h)
+    h_floor = 1e-14 * max(abs(t), h)
     while True:
-        if not h >= h_floor:  # a NaN h fails too
+        if not (h > 0.0 and h >= h_floor):  # a NaN h fails too
             raise StepSizeUnderflow(f"dt = {h:.3e} at t = {t:.6g}")
         try:
             u_new, err_vec, k = _trial_step(f, t, u, h, f0)
@@ -425,7 +425,7 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
             stats.snap_time = t
             break
         h, u_new, span, k, _, h_next = _accept_step(counted, t, u, f_cur, min(h, horizon - t),
-                                                    tol, config.T, stats)
+                                                    tol, stats)
         check_band(span)
         t_new = t + h
         if horizon - t_new <= 1e-12 * horizon:  # land exactly on the horizon
@@ -455,7 +455,7 @@ def step(kernel: FractionalKernel, t: float, u: np.ndarray, dt: float, config: F
 
     u = _check_state(kernel.graph, u, "u")
     tol = config._step_tolerance(float(np.max(u)))
-    h, u_new, _, _, err, _ = _accept_step(f, t, u, f(t, u), dt, tol, config.T, StepStats())
+    h, u_new, _, _, err, _ = _accept_step(f, t, u, f(t, u), dt, tol, StepStats())
     return t + h, u_new, err
 
 

@@ -54,6 +54,21 @@ def make_random_graph(seed, n=None, weight_range=(0.2, 5.0), mu_range=(0.2, 5.0)
     return random_connected_graph(rng, n, weight_range, mu_range)
 
 
+def before_snap(traj):
+    """The sample indices before the steady-state snap."""
+    snap = traj.stats.snap_time
+    return np.flatnonzero(traj.times < (np.inf if snap is None else snap))
+
+
+def grid_doc(rows, cols):
+    """The rows x cols grid as a graph file document, with unit weights and measure:
+    vertex r cols + c is joined to its right and its lower neighbour."""
+    edges = [(i, i + 1) for i in range(rows * cols) if i % cols < cols - 1]
+    edges += [(i, i + cols) for i in range((rows - 1) * cols)]
+    return {"vertices": [{"id": f"v{i}", "mu": 1.0} for i in range(rows * cols)],
+            "edges": [{"u": f"v{i}", "v": f"v{j}", "w": 1.0} for i, j in edges]}
+
+
 @contextmanager
 def wall_clock_limit(seconds):
     """Fail with TimeoutError instead of hanging when the block overruns."""

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import fracgraph as fg
 from fracgraph import cli, flow
 from fracgraph.cli import main
-from conftest import wall_clock_limit
+from conftest import grid_doc, wall_clock_limit
 
 K2_DOC = {
     "vertices": [{"id": "a", "mu": 1.0}, {"id": "b", "mu": 1.0}],
@@ -182,6 +182,18 @@ class TestEvolveCommand:
                                  "generator": "philox", "seed": 7}
         assert summary["steady_state_error"] >= 0.0
         assert summary["steps_accepted"] > 0
+
+    def test_finite_time_collapse_over_a_long_horizon(self, tmp_path):
+        # at p near 1 the last steps before the snap are ~1e-8 long; the step
+        # floor scales with t, not with T, so a long horizon takes them too
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid_doc(5, 8)))
+        out = tmp_path / "o"
+        code = main(["evolve", str(path), "--s", "0.98", "--p", "1.02", "--q", "0.05",
+                     "--T", "1e6", "--dt-out", "1e4", "--u0-random", "0.5", "2", "--seed", "1",
+                     "--output-dir", str(out)])
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["snap_time"] < 0.1
 
     def test_solver_failure_writes_only_the_summary(self, k2_path, tmp_path, capsys,
                                                     monkeypatch):
@@ -700,6 +712,22 @@ class TestSweepCommand:
         assert code == 0
         assert [pool.max_workers for pool in serial_pools] == [2]
 
+    @pytest.mark.parametrize("affinity, workers", [(True, 1), (False, 3)],
+                             ids=["affinity", "no-affinity"])
+    def test_default_workers_are_the_usable_cpus(self, k2_path, tmp_path, monkeypatch,
+                                                 serial_pools, affinity, workers):
+        # taskset -c 0 leaves one CPU of three; without sched_getaffinity
+        # (macOS, Windows) the count of all CPUs is used
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        if affinity:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        code = main(["sweep", k2_path, "--s-list", "0.2,0.4,0.6,0.8", "--p-list", "2",
+                     "--q-list", "1", "--T", "0.1", "--output-dir", str(tmp_path / "o")])
+        assert code == 0
+        assert [pool.max_workers for pool in serial_pools] == [workers]
+
     @pytest.mark.parametrize("s_list, p_list, q_list, sizes, kernels", [
         ("0.25,0.5,0.75", "1.5,2.5", "1,2", [6, 6], 4),
         ("0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,0.45,0.55,0.65,0.75", "2", "1", [7, 6], 13)],
@@ -941,33 +969,29 @@ class TestMisc:
         assert exc_info.value.code == 0
         assert fg.__version__ in capsys.readouterr().out
 
-    def test_output_dir_env_override(self, k2_path, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command, written", [
+        (["kernel", "--s", "0.5"], "kernel.csv"),
+        (["evolve", "--T", "0.1"], "trajectory.csv"),
+        (["sweep", "--s-list", "0.3,0.7", "--p-list", "2", "--q-list", "1", "--T", "0.1",
+          "--workers", "1"], "s0.7_p2.0_q1.0/trajectory.csv")], ids=["kernel", "evolve", "sweep"])
+    def test_output_dir_is_the_flag_alone(self, k2_path, tmp_path, monkeypatch, command,
+                                          written):
+        # --output-dir alone says where a run writes, whatever the environment holds
         env_dir = tmp_path / "env_out"
         monkeypatch.setenv("FRACGRAPH_OUTPUT_DIR", str(env_dir))
-        code = main(["kernel", k2_path, "--s", "0.5",
-                     "--output-dir", str(tmp_path / "ignored")])
-        assert code == 0
-        assert (env_dir / "kernel.csv").exists()
-        assert not (tmp_path / "ignored").exists()
-
-    def test_output_dir_env_override_in_sweep(self, k2_path, tmp_path, monkeypatch):
-        env_dir = tmp_path / "env_out"
-        monkeypatch.setenv("FRACGRAPH_OUTPUT_DIR", str(env_dir))
-        code = main(["sweep", k2_path, "--s-list", "0.3,0.7", "--p-list", "2",
-                     "--q-list", "1", "--T", "0.1", "--workers", "1",
-                     "--output-dir", str(tmp_path / "ignored")])
-        assert code == 0
-        for tag in ("s0.3_p2.0_q1.0", "s0.7_p2.0_q1.0"):
-            assert (env_dir / tag / "trajectory.csv").exists()
-        assert not (env_dir / "trajectory.csv").exists()
+        out = tmp_path / "o"
+        assert main([command[0], k2_path, *command[1:], "--output-dir", str(out)]) == 0
+        assert (out / written).exists()
+        assert not env_dir.exists()
 
     @pytest.mark.parametrize("via", ["flag", "env"])
     def test_output_dir_naming_a_file_is_usage_error(self, k2_path, tmp_path, monkeypatch,
                                                      capsys, via):
         taken = tmp_path / "taken"
         taken.write_text("")
-        if via == "env":
-            monkeypatch.setenv("FRACGRAPH_OUTPUT_DIR", str(taken))
+        if via == "env":  # a free directory there does not rescue the run
+            monkeypatch.setenv("FRACGRAPH_OUTPUT_DIR", str(tmp_path / "free"))
         code = main(["evolve", k2_path, "--T", "0.1", "--output-dir", str(taken)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "free").exists()

@@ -12,7 +12,7 @@ import pytest
 
 import fracgraph as fg
 from fracgraph.flow import _solve
-from conftest import REFERENCE_S
+from conftest import REFERENCE_S, before_snap
 from linear_flow_reference import LinearFlow
 from two_value_reference import TwoValueFlow
 
@@ -55,12 +55,6 @@ def solve(case, solver="direct"):
     if solver == "direct":
         return fg.evolve_direct(kern, u0, config)
     return fg.picard_solve(kern, u0, config)[0]
-
-
-def before_snap(traj):
-    """The sample indices before the steady-state snap."""
-    snap = traj.stats.snap_time
-    return np.flatnonzero(traj.times < (np.inf if snap is None else snap))
 
 
 class TestReference:
