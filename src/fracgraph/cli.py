@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -291,7 +292,7 @@ def cmd_verify(args) -> int:
     try:
         traj, iters, _ = _SOLVERS[solver](kernel, u0, config)
     except FracGraphError as exc:
-        print(f"FAIL solve: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"FAIL solver: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
     report = build_report(traj, kernel, config)
@@ -363,7 +364,8 @@ def cmd_sweep(args) -> int:
     shares = [(args.graph, str(out), values, [combos[i] for i in share])
               for share in np.array_split(range(len(combos)), workers)]
     worst = EXIT_OK
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a worker's collections need not walk the objects it inherits from this process
+    with ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze) as pool:
         for tag, code in chain.from_iterable(pool.map(_sweep_worker, shares)):
             print(f"{'ok' if code == 0 else 'FAIL'} {tag}")
             worst = max(worst, code)

@@ -19,8 +19,6 @@ Two solvers:
   the output grid.  The extension is C^1 across steps, so a sweep steps on
   the error test alone, as evolve_direct does.
 
-One step controller, _accept_step, serves both _integrate and step().
-
 Both preserve mass int u^q dmu and obey the maximum principle
 min u_0 <= u(x,t) <= max u_0 up to solver tolerance.
 """
@@ -50,7 +48,6 @@ __all__ = [
     "StepStats",
     "Trajectory",
     "rhs_direct",
-    "step",
     "evolve_direct",
     "picard_solve",
     "steady_state",
@@ -343,7 +340,7 @@ def _accept_step(f, t: float, u: np.ndarray, f0: np.ndarray, h: float, tol: floa
     NonPositiveState) halves h; the error test against tol rescales it.  A step
     that is not positive or below 1e-14 max(|t|, h), h as given (~45 ulps of t),
     raises StepSizeUnderflow.  Returns the accepted h, state, span (min, max) and
-    stages, the sup norm of the error estimate, and the next h; counts every trial in ``stats``.
+    stages, and the next h; counts every trial in ``stats``.
     """
     h_floor = 1e-14 * max(abs(t), h)
     while True:
@@ -358,8 +355,7 @@ def _accept_step(f, t: float, u: np.ndarray, f0: np.ndarray, h: float, tol: floa
             stats.rejected_positivity += 1
             h *= 0.5
             continue
-        err = float(np.max(np.abs(err_vec)))
-        err_norm = err / tol
+        err_norm = float(np.max(np.abs(err_vec))) / tol
         factor = _SAFETY * err_norm ** -_ORDER_EXP if err_norm > 0 else _GROW
         if not math.isfinite(err_norm):  # a NaN state must end in StepSizeUnderflow
             factor = _SHRINK
@@ -367,7 +363,7 @@ def _accept_step(f, t: float, u: np.ndarray, f0: np.ndarray, h: float, tol: floa
         if err_norm <= 1.0:
             stats.accepted += 1
             stats.h_min, stats.h_max = min(stats.h_min, h), max(stats.h_max, h)
-            return h, u_new, (low, float(np.max(u_new))), k, err, h_next
+            return h, u_new, (low, float(np.max(u_new))), k, h_next
         stats.rejected_error += 1
         h = h_next
 
@@ -424,8 +420,8 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
             out[filled:] = steady_state(graph, u, config.q)
             stats.snap_time = t
             break
-        h, u_new, span, k, _, h_next = _accept_step(counted, t, u, f_cur, min(h, horizon - t),
-                                                    tol, stats)
+        h, u_new, span, k, h_next = _accept_step(counted, t, u, f_cur, min(h, horizon - t),
+                                                 tol, stats)
         check_band(span)
         t_new = t + h
         if horizon - t_new <= 1e-12 * horizon:  # land exactly on the horizon
@@ -441,22 +437,6 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
             filled = end
         t, u, f_cur, h = t_new, u_new, k[6], h_next
     return out, stats
-
-
-def step(kernel: FractionalKernel, t: float, u: np.ndarray, dt: float, config: FlowConfig):
-    """One accepted embedded 5(4) step from u at time t, starting from the suggested dt.
-
-    Returns (t_new, u_new, local error estimate), from the controller that
-    ``_integrate`` uses: dt is halved on positivity loss and shrunk on
-    error-test failure until acceptance.
-    """
-    def f(t, u):
-        return rhs_direct(kernel, u, config.p, config.q)
-
-    u = _check_state(kernel.graph, u, "u")
-    tol = config._step_tolerance(float(np.max(u)))
-    h, u_new, _, _, err, _ = _accept_step(f, t, u, f(t, u), dt, tol, StepStats())
-    return t + h, u_new, err
 
 
 def _solve(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig, f,

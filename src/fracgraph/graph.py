@@ -252,28 +252,28 @@ def _tests_passed(rng: np.random.Generator, k: int, prob: float):
 
     Returns the indices of the passed tests and the draws that follow them,
     having taken exactly the k + (passed) draws from ``rng`` that the loop
-    takes.  The draws come in blocks, each as long as the tests still to run.
-    Inside a block, a draw below ``prob`` is a passed test unless it follows
-    one: in a run of such draws, the first, third, ... are tests and the
-    others the draws that follow them.
+    takes.  The draws come in blocks, each as long as the tests still to run,
+    and only a block's draws below ``prob`` are visited: one right after a
+    passed test is that test's draw, any other is a passed test.  A block that
+    ends on a passed test takes its draw from ``rng`` after the block.
     """
-    tested, draws = [np.empty(0, dtype=np.intp)], [np.empty(0)]
-    done = 0
+    tested, draws = [], []
+    done = 0  # tests run
     while done < k:
         block = rng.random(k - done)
-        low = np.flatnonzero(block < prob)
-        if low.size:
-            run_start = np.maximum.accumulate(np.where(np.diff(low, prepend=-2) != 1, low, 0))
-            passed = low[(low - run_start) % 2 == 0]
-            inside = passed[passed + 1 < block.size]
-            follow = block[inside + 1]
-            if inside.size < passed.size:  # the block ends on a passed test
-                follow = np.append(follow, rng.random())
-            tested.append(done + passed - np.arange(passed.size))
-            draws.append(follow)
-            done -= inside.size
-        done += block.size
-    return np.concatenate(tested), np.concatenate(draws)
+        inside = 0  # draws of passed tests inside the block
+        follow = -1  # block index of the last passed test's draw
+        for i in np.flatnonzero(block < prob).tolist():
+            if i != follow:
+                tested.append(done + i - inside)
+                follow = i + 1
+                if follow < block.size:
+                    draws.append(block[follow])
+                    inside += 1
+                else:
+                    draws.append(rng.random())
+        done += block.size - inside
+    return np.array(tested, dtype=np.intp), np.array(draws, dtype=float)
 
 
 def graph_from_json(text: str) -> Graph:

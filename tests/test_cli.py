@@ -1,4 +1,5 @@
 import argparse
+import gc
 import importlib.util
 import json
 import math
@@ -56,12 +57,16 @@ def k5_path(tmp_path):
 
 @pytest.fixture
 def serial_pools(monkeypatch):
-    """The sweep's pools, each running its map in this process; starts no process."""
+    """The sweep's pools, each running its map in this process; starts no process.
+
+    A pool records its initializer but never calls it: gc.freeze would freeze
+    the test process's own heap.
+    """
     pools = []
 
     class SerialPool:
-        def __init__(self, max_workers):
-            self.max_workers, self.shares = max_workers, []
+        def __init__(self, max_workers, initializer=None):
+            self.max_workers, self.initializer, self.shares = max_workers, initializer, []
             pools.append(self)
 
         def __enter__(self):
@@ -207,6 +212,17 @@ class TestEvolveCommand:
         assert (summary["error"], summary["message"]) == ("StepBudgetExceeded", "forced")
         assert summary["solver"] == "direct" and summary["config"]["T"] == 0.1
         assert sorted(path.name for path in out.iterdir()) == ["summary.json"]
+
+    def test_verify_solver_failure_writes_no_report(self, k2_path, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(cli, "evolve_direct",
+                            mock.Mock(side_effect=fg.StepBudgetExceeded("forced")))
+        out = tmp_path / "out"
+        code = main(["verify", k2_path, "--T", "0.1", "--output-dir", str(out)])
+        assert code == 1
+        # the line that evolve prints for a failed solve
+        assert capsys.readouterr() == ("", "FAIL solver: StepBudgetExceeded: forced\n")
+        assert list(out.iterdir()) == []
 
     def test_deterministic_for_fixed_seed(self, k5_path, tmp_path):
         outputs = []
@@ -711,6 +727,12 @@ class TestSweepCommand:
                      "--output-dir", str(tmp_path / "o")])
         assert code == 0
         assert [pool.max_workers for pool in serial_pools] == [2]
+
+    def test_workers_freeze_the_heap_they_inherit(self, k2_path, tmp_path, serial_pools):
+        code = main(["sweep", k2_path, "--s-list", "0.3", "--p-list", "2", "--q-list", "1",
+                     "--T", "0.1", "--output-dir", str(tmp_path / "o")])
+        assert code == 0
+        assert [pool.initializer for pool in serial_pools] == [gc.freeze]
 
     @pytest.mark.parametrize("affinity, workers", [(True, 1), (False, 3)],
                              ids=["affinity", "no-affinity"])

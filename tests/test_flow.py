@@ -63,44 +63,56 @@ class TestRhsDirect:
 
 
 class TestStep:
-    def test_constant_state_advances_time_only(self, k2_kernel):
+    """The step controller, ``_accept_step``, and its use in ``_integrate``."""
+
+    @staticmethod
+    def accept(kernel, u, h, cfg):
+        """_accept_step from (0, u) at size h on the direct flow, and its stats."""
+        def f(t, u):
+            return fg.rhs_direct(kernel, u, cfg.p, cfg.q)
+
+        stats = fg.StepStats()
+        tol = cfg._step_tolerance(float(np.max(u)))
+        return flow._accept_step(f, 0.0, u, f(0.0, u), h, tol, stats), tol, stats
+
+    def test_constant_state_is_accepted_unchanged(self, k2_kernel):
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0)
         u = np.full(2, 1.5)
-        t_new, u_new, err = fg.step(k2_kernel, 0.0, u, 0.25, cfg)
-        assert t_new == pytest.approx(0.25)
+        (h, u_new, span, k, h_next), _, stats = self.accept(k2_kernel, u, 0.25, cfg)
+        assert h == 0.25 and span == (1.5, 1.5)
         np.testing.assert_array_equal(u_new, u)
-        assert err == 0.0
+        np.testing.assert_array_equal(k, 0.0)  # so the error estimate is zero
+        assert h_next == flow._GROW * h  # a zero error grows the step by the most allowed
+        assert (stats.accepted, stats.rejected) == (1, 0)
 
-    def test_error_within_acceptance(self, k2_kernel):
+    def test_accepted_error_within_tolerance(self, k2_kernel):
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0)
-        t_new, _, err = fg.step(k2_kernel, 0.0, np.array([1.0, 0.5]), 0.1, cfg)
-        assert err <= cfg.atol + cfg.rtol * 1.0
-        assert t_new > 0.0
+        (h, _, _, k, h_next), tol, stats = self.accept(k2_kernel, np.array([1.0, 0.5]), 0.1, cfg)
+        assert 0.0 < h <= 0.1 and stats.accepted == 1
+        assert np.max(np.abs(h * (flow._DP_E @ k))) <= tol
+        assert h_next >= flow._SAFETY * h  # an error within tol shrinks no further
 
     @pytest.mark.parametrize("p, q", [(1.5, 0.5), (2.0, 2.0), (3.0, 1.5)])
-    def test_equals_first_step_of_integrate(self, p, q):
-        # one controller: from the same state and size, step() and the first
-        # accepted step of _integrate are the same computation
+    def test_last_stage_is_at_the_accepted_state(self, p, q):
+        # FSAL: the last stage of an accepted trial is the derivative at its
+        # new state, evaluated there once, and the next step's first stage
         kern = fg.build_kernel(make_random_graph(4, n=8), 0.4)
         u0 = np.random.default_rng(4).uniform(0.5, 2.0, kern.n)
         cfg = fg.FlowConfig(s=0.4, p=p, q=q, T=1.0, dt_out=0.5)
-        calls = []
-
-        def rhs(t, u):
-            return fg.rhs_direct(kern, u, p, q)
+        calls, steps = [], []
 
         def f(t, u):
             calls.append((t, u.copy()))
-            return rhs(t, u)
+            return fg.rhs_direct(kern, u, p, q)
 
-        _integrate(f, u0, cfg.output_times(), cfg, kern.graph)
-        h0 = flow._initial_step(rhs, 0.0, u0, rhs(0.0, u0), cfg._step_tolerance(u0.max()), cfg.T)
-        t_new, u_new, _ = fg.step(kern, 0.0, u0, h0, cfg)
+        _integrate(f, u0, cfg.output_times(), cfg, kern.graph, steps)
+        (_, _, _, k), (t_new, _, u_new, k_next) = steps[:2]
         assert 0.0 < t_new < cfg.dt_out  # the first step is not clamped
-        # the last stage of the accepted trial is evaluated at its new state
         at_end = [u for t, u in calls if t == t_new]
-        assert len(at_end) == 2
+        assert len(at_end) == 2  # stages 5 and 6 of the accepted trial
         np.testing.assert_array_equal(at_end[-1], u_new)
+        np.testing.assert_array_equal(k[6], fg.rhs_direct(kern, u_new, p, q))
+        np.testing.assert_array_equal(k_next[0], k[6])
 
     def test_underflow_raised(self, k2_kernel):
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=0.5, T=1.0)
