@@ -26,7 +26,7 @@ from .errors import DomainError, FracGraphError, PositivityViolation
 from .flow import (FlowConfig, _check_overflow, _check_state, _span, evolve_direct, picard_solve,
                    steady_state)
 from .graph import Graph, _json_number, graph_from_json
-from .operators import FractionalKernel, build_kernel, dirichlet_p_energy
+from .operators import FractionalKernel, _row_blocks, build_kernel, dirichlet_p_energy
 from .spectral import kernel_weights_oracle
 
 EXIT_OK = 0
@@ -57,14 +57,18 @@ def _output_dir(path: str | Path) -> Path:
     return path
 
 
-def _write_table(path: Path, header: list[str], table: np.ndarray,
+def _write_table(path: Path, header: list[str], columns: list[np.ndarray],
                  labels: tuple[str, ...] | None = None):
-    """A CSV of header, then each row of table in %.17g, after its label if labels are given."""
-    row = ",".join(["%.17g"] * table.shape[1])
-    lines = [row % tuple(r) for r in table.tolist()]
-    if labels is not None:
-        lines = [lab + "," + line for lab, line in zip(labels, lines)]
-    path.write_text("\n".join([",".join(header), *lines]) + "\n")
+    """A CSV of header, then the rows of columns (arrays of one length, 1-D or 2-D) side
+    by side in %.17g, each after its label if labels are given; a row block at a time."""
+    with path.open("w") as file:
+        file.write(",".join(header) + "\n")
+        for block in _row_blocks(len(columns[0])):
+            rows = np.column_stack([c[block] for c in columns]).tolist()
+            row = ",".join(["%.17g"] * len(rows[0])) + "\n"
+            if labels is not None:
+                row, rows = "%s," + row, [[lab, *r] for lab, r in zip(labels[block], rows)]
+            file.writelines(row % tuple(r) for r in rows)
 
 
 def _svg_lineplot(path: Path, times: np.ndarray, series: dict[str, np.ndarray], title: str):
@@ -210,14 +214,17 @@ def cmd_kernel(args) -> int:
         print(f"FAIL kernel positivity: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     w, dec = kernel.w, kernel.dec
-    _write_table(out / "kernel.csv", ["", *graph.labels], w, graph.labels)
+    _write_table(out / "kernel.csv", ["", *graph.labels], [w], graph.labels)
     (out / "eigenvalues.json").write_text(
         json.dumps({"eigenvalues": [float(v) for v in dec.eigenvalues]}, indent=2) + "\n"
     )
 
     w_oracle = kernel_weights_oracle(dec, args.s)
     offdiag = ~np.eye(graph.n, dtype=bool)
-    dev = float(np.max(np.abs(w - w_oracle)[offdiag] / np.abs(w[offdiag])))
+    # relative to W's entry, or to the oracle's where W's is 0 (0 where both are)
+    diff = np.abs(w - w_oracle)[offdiag]
+    scale = np.where(w != 0, np.abs(w), np.abs(w_oracle))[offdiag]
+    dev = float(np.max(np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)))
     report = {
         "s": args.s,
         "min_offdiagonal": float(np.min(w[offdiag])),
@@ -266,7 +273,7 @@ def _evolve_and_write(kernel: FractionalKernel, config: FlowConfig, solver: str,
     }
     _write_table(out / "trajectory.csv",
                  ["t", *(f"u_{i+1}" for i in range(kernel.n)), *columns],
-                 np.column_stack([traj.times, values, *columns.values()]))
+                 [traj.times, values, *columns.values()])
     c = steady_state(kernel.graph, u0, config.q)
     summary.update({
         "steady_state": c,

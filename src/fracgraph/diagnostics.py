@@ -19,8 +19,9 @@ because the integrand is nonnegative.
 
 The samples are the solver's accepted states or its continuous extension
 between them, accurate to about the step tolerance.  Per-sample quantities
-are computed for a block of samples at a time, one matrix product with the
-kernel per block, so memory does not grow with the number of samples.
+are computed for a block of samples at a time, the row blocks of
+operators._row_blocks, with one matrix product with the kernel per block, so
+memory does not grow with the number of samples.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import NonPositiveState
 from .flow import (MAX_PRINCIPLE_SLACK, FlowConfig, Trajectory, _band_excess, _span,
                    rhs_direct, steady_state)
 from .graph import Graph, _check_length, integrate
-from .operators import _BLOCK_ROWS, FractionalKernel, dirichlet_p_energy
+from .operators import FractionalKernel, _row_blocks, dirichlet_p_energy
 
 __all__ = [
     "Check",
@@ -87,7 +88,10 @@ def mass(graph: Graph, u: np.ndarray, q: float) -> float | np.ndarray:
     u = _check_length(graph, u, "u", stack=True)
     if np.min(u) <= 0.0 and not float(q).is_integer():
         raise NonPositiveState(f"min u = {np.min(u)} with non-integer q = {q}")
-    masses = np.array([math.fsum(r) for r in (u.reshape(-1, graph.n) ** q * graph.mu).tolist()])
+    rows = u.reshape(-1, graph.n)
+    masses = np.empty(len(rows))
+    for block in _row_blocks(len(rows)):
+        masses[block] = [math.fsum(r) for r in (rows[block] ** q * graph.mu).tolist()]
     return float(masses[0]) if u.ndim == 1 else masses
 
 
@@ -114,10 +118,10 @@ def _dissipation_pass(traj: Trajectory, kernel: FractionalKernel, p: float,
     at the final sample (the last row of the last block)."""
     mu, values = kernel.graph.mu, traj.values
     integrand = np.empty(len(values))
-    for i in range(0, len(values), _BLOCK_ROWS):
-        u = values[i:i + _BLOCK_ROWS]
+    for block in _row_blocks(len(values)):
+        u = values[block]
         dudt = rhs_direct(kernel, u, p, q)
-        integrand[i:i + _BLOCK_ROWS] = (u ** (q - 1.0) * dudt**2) @ mu
+        integrand[block] = (u ** (q - 1.0) * dudt**2) @ mu
     return float(np.trapezoid(integrand, traj.times)), dudt[-1]
 
 

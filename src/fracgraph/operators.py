@@ -33,8 +33,10 @@ leave a sum of squares slightly negative; it is clamped at 0.
 
 frac_p_laplacian and dirichlet_p_energy also take a stack of states, an
 (m, n) array with one state per row; each row is centred by its own first
-entry, and the products with W become one matrix product for the stack
-(for dirichlet_p_energy, one per block of at most _BLOCK_ROWS rows).
+entry, and the products with W become one matrix product for the stack.
+Passes over a stack of any length, dirichlet_p_energy's and those of the
+diagnostics and the CLI, walk it in the row blocks of _row_blocks, so their
+temporaries stay bounded.
 """
 
 from __future__ import annotations
@@ -164,6 +166,11 @@ def frac_p_laplacian(
 _BLOCK_ROWS = 1024  # rows of a stack taken at a time, so temporaries stay bounded
 
 
+def _row_blocks(m: int):
+    """Slices of consecutive rows, at most _BLOCK_ROWS each, that cover m rows."""
+    return (slice(i, i + _BLOCK_ROWS) for i in range(0, m, _BLOCK_ROWS))
+
+
 def dirichlet_p_energy(kernel: FractionalKernel, u: np.ndarray, p: float) -> float | np.ndarray:
     """int_V |grad^s u|^p dmu; for a stack u (m, n), the m energies of its rows."""
     if not p >= 1.0:
@@ -171,9 +178,9 @@ def dirichlet_p_energy(kernel: FractionalKernel, u: np.ndarray, p: float) -> flo
     u = _check_length(kernel.graph, u, "u", stack=True)
     rows = u.reshape(-1, kernel.n)
     energy = np.empty(len(rows))
-    for i in range(0, len(rows), _BLOCK_ROWS):
-        g2 = _squared_gradients(kernel, _centred(rows[i:i + _BLOCK_ROWS]))[0]
-        energy[i:i + _BLOCK_ROWS] = g2 ** (p / 2.0) @ kernel.graph.mu
+    for block in _row_blocks(len(rows)):
+        g2 = _squared_gradients(kernel, _centred(rows[block]))[0]
+        energy[block] = g2 ** (p / 2.0) @ kernel.graph.mu
     return float(energy[0]) if u.ndim == 1 else energy
 
 

@@ -37,9 +37,11 @@ __all__ = [
     "fractional_power_quadrature",
 ]
 
-# The fixed grid of fractional_power_quadrature: tau = log t in [_TAU_MIN,
-# _TAU_MAX], _PANELS Simpson panels, checked against half as many to _CHECK_TOL.
+# The grid of fractional_power_quadrature: tau = log t over [_TAU_MIN, _TAU_MAX],
+# shifted for lam beyond 2^(+-_SHIFT_FREE) (see there), _PANELS Simpson panels,
+# checked against half as many to _CHECK_TOL.
 _TAU_MIN, _TAU_MAX = -40.0, 40.0
+_SHIFT_FREE = 24
 _PANELS = 8192
 _CHECK_TOL = 1e-9
 
@@ -141,40 +143,56 @@ def fractional_power_quadrature(lam: float, s: float) -> float:
     Equals lam^s analytically; computed here without calling the power
     function, so it can serve as an independent oracle.  The substitution
     t = exp(tau) is integrated by composite Simpson; the truncated head and
-    tail are added in closed form (series expansion below t0 = exp(_TAU_MIN),
-    pure power integral above t1 = exp(_TAU_MAX) where exp(-lam t) has
-    underflowed).
+    tail are added in closed form (series expansion below t0, pure power
+    integral above t1, where exp(-lam t) has underflowed).
+
+    The integrand turns from lam t^(-s) to t^(-s) where lam t = 1.  For lam
+    in [2^-25, 2^24) the grid is tau in [-40, 40], with that turn at least 22
+    from either end.  Beyond, with lam = m 2^k and m in [1/2, 1), the grid is
+    tau + k log 2 in [-40, 40], with the turn mid-grid; each node still
+    evaluates lam t and t^(-s), so no power of lam leaves the integral.  The
+    result holds to ~1e-13 relative at lam = 10^j, |j| <= 300.  A node value
+    that overflows a float (lam near its largest value, s near 1) and a
+    failed grid check raise QuadratureNotConverged.
     """
     if not 0.0 < s < 1.0:
         raise ExponentOutOfRange(f"s = {s}, need 0 < s < 1")
     if lam == 0.0:
         return 0.0
-    if lam < 0.0:
+    if not lam > 0.0:
         raise DomainError(f"lam = {lam}, need lam >= 0")
+    k = math.frexp(lam)[1]
+    k = 0 if abs(k) <= _SHIFT_FREE else k
+    lam_k, shift = math.ldexp(lam, -k), k * math.log(2.0)
 
     def simpson(n_panels: int) -> float:
-        tau = np.linspace(_TAU_MIN, _TAU_MAX, n_panels + 1)
-        f = -np.expm1(-lam * np.exp(tau)) * np.exp(-s * tau)
+        sigma = np.linspace(_TAU_MIN, _TAU_MAX, n_panels + 1)  # tau + shift
+        f = -np.expm1(-lam_k * np.exp(sigma)) * np.exp(-s * (sigma - shift))
         h = (_TAU_MAX - _TAU_MIN) / n_panels
         weights = np.ones(n_panels + 1)
         weights[1:-1:2] = 4.0
         weights[2:-1:2] = 2.0
         return float(h / 3.0 * np.dot(weights, f))
 
-    core = simpson(_PANELS)
-    if abs(core - simpson(_PANELS // 2)) > _CHECK_TOL * (abs(core) + 1.0):
-        raise QuadratureNotConverged(f"lam={lam}, s={s}")
-
+    with np.errstate(over="ignore"):
+        core = simpson(_PANELS)
+        coarse = simpson(_PANELS // 2)
+    # the ends of the shifted grid are t0 2^-k and t1 2^-k, where lam t takes the
+    # values lam_k t0 and lam_k t1, and t^(-s) is 2^(ks) times its value at t0 and t1
+    scale = math.exp(s * shift)
     t0 = math.exp(_TAU_MIN)
-    head = (
-        lam * t0 ** (1.0 - s) / (1.0 - s)
-        - lam**2 * t0 ** (2.0 - s) / (2.0 * (2.0 - s))
-        + lam**3 * t0 ** (3.0 - s) / (6.0 * (3.0 - s))
+    head = scale * (
+        lam_k * t0 ** (1.0 - s) / (1.0 - s)
+        - lam_k**2 * t0 ** (2.0 - s) / (2.0 * (2.0 - s))
+        + lam_k**3 * t0 ** (3.0 - s) / (6.0 * (3.0 - s))
     )
     t1 = math.exp(_TAU_MAX)
-    tail = t1 ** (-s) / s
-
-    return s / math.gamma(1.0 - s) * (core + head + tail)
+    tail = scale * t1 ** (-s) / s
+    total = s / math.gamma(1.0 - s) * (core + head + tail)
+    # an infinite core, and so a NaN difference, fails the check too
+    if not (abs(core - coarse) <= _CHECK_TOL * abs(core) and math.isfinite(total)):
+        raise QuadratureNotConverged(f"lam={lam}, s={s}")
+    return total
 
 
 def kernel_weights_oracle(dec: SpectralDecomposition, s: float) -> np.ndarray:

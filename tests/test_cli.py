@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import sys
+import tracemalloc
 from dataclasses import fields
 from itertools import product
 from pathlib import Path
@@ -116,6 +117,24 @@ class TestKernelCommand:
             lab + "," + ",".join("%.17g" % v for v in w[i])
             for i, lab in enumerate(graph.labels)]
         assert (out / "kernel.csv").read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("weight, code", [(1e20, 0), (1e160, 1)])
+    def test_report_on_a_badly_scaled_path_is_strict_json(self, tmp_path, weight, code):
+        # eigenvalues 2e20 and 2e160 lie far outside the quadrature's unshifted grid;
+        # at 1e160 two kernel entries are 0, which fails positivity
+        doc = {**PATH3_DOC, "edges": [{"u": "a", "v": "b", "w": weight},
+                                      {"u": "b", "v": "c", "w": 1.0}]}
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["kernel", str(path), "--s", "0.5", "--output-dir", str(out)]) == code
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        json.loads((out / "eigenvalues.json").read_text(), parse_constant=reject)
+        report = json.loads((out / "kernel_report.json").read_text(), parse_constant=reject)
+        assert report["oracle_max_relative_deviation"] <= 1e-12
 
     def test_s_out_of_range_is_usage_error(self, k2_path, tmp_path):
         code = main(
@@ -984,6 +1003,21 @@ class TestMisc:
         code = main(["evolve", k2_path, "--T", "0.1", "--output-dir", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err == "error: NoConvergence: forced\n"
+
+    def test_table_is_written_a_row_block_at_a_time(self, tmp_path):
+        table = np.random.default_rng(3).standard_normal((100_000, 7))
+        header = [f"c{i}" for i in range(7)]
+        tracemalloc.start()
+        try:
+            cli._write_table(tmp_path / "blocks.csv", header, [table[:, 0], table[:, 1:]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes
+        # the same bytes as the whole table formatted and joined at once
+        row = ",".join(["%.17g"] * 7)
+        joined = "\n".join([",".join(header), *(row % tuple(r) for r in table.tolist())]) + "\n"
+        assert (tmp_path / "blocks.csv").read_bytes() == joined.encode()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -1,10 +1,11 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
 import fracgraph as fg
-from fracgraph import diagnostics, operators
+from fracgraph import cli, diagnostics, operators
 from fracgraph.flow import StepStats, Trajectory
 
 
@@ -33,6 +34,18 @@ class TestMass:
         masses = fg.mass(k5, stack, 1.5)
         assert masses.shape == (7,)
         assert masses.tolist() == [fg.mass(k5, u, 1.5) for u in stack]
+
+    def test_long_stack_takes_bounded_memory(self, k5):
+        # the masses go a row block at a time, not through one list of every value
+        stack = np.random.default_rng(2).uniform(0.5, 2.0, (100_000, 5))
+        tracemalloc.start()
+        try:
+            masses = fg.mass(k5, stack, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * stack.nbytes
+        assert masses[-1] == fg.mass(k5, stack[-1], 1.5)
 
     def test_conserved_along_flow(self, k5_kernel):
         u0 = np.random.default_rng(0).uniform(0.5, 2.0, 5)
@@ -135,13 +148,26 @@ class TestGradientDecay:
 
 
 class TestBlocks:
-    def test_blocks_match_a_loop_over_samples(self, k5_kernel, monkeypatch):
-        # blocks of 4 rows over 11 samples: two full blocks and a short one
-        monkeypatch.setattr(operators, "_BLOCK_ROWS", 4)
-        monkeypatch.setattr(diagnostics, "_BLOCK_ROWS", 4)
+    def test_blocks_match_a_loop_over_samples(self, k5_kernel, monkeypatch, tmp_path):
         u0 = np.random.default_rng(8).uniform(0.5, 2.0, 5)
         p, q = 2.5, 1.5
+        graph_path = tmp_path / "k5.json"
+        graph_path.write_text(fg.graph_to_json(k5_kernel.graph))
+        flags = ["--s", "0.5", "--p", "2.5", "--q", "1.5", "--T", "1", "--dt-out", "0.1",
+                 "--u0-random", "0.5", "2"]
+
+        def trajectory_csv(name):
+            out = tmp_path / name
+            assert cli.main(["evolve", str(graph_path), *flags, "--output-dir", str(out)]) == 0
+            return (out / "trajectory.csv").read_bytes()
+
+        unblocked = trajectory_csv("unblocked")
+        # blocks of 4 rows over 11 samples: two full blocks and a short one
+        monkeypatch.setattr(operators, "_BLOCK_ROWS", 4)
+        assert trajectory_csv("blocked") == unblocked
         traj, _ = run_flow(k5_kernel, u0, s=0.5, p=p, q=q, T=1.0, dt_out=0.1)
+        assert fg.mass(k5_kernel.graph, traj.values, q).tolist() == [
+            fg.mass(k5_kernel.graph, u, q) for u in traj.values]
         energies = [fg.dirichlet_p_energy(k5_kernel, u, p) for u in traj.values]
         integrand = [fg.integrate(k5_kernel.graph,
                                   u ** (q - 1.0) * fg.rhs_direct(k5_kernel, u, p, q, 1e-12) ** 2)

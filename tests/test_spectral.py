@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,19 @@ class TestQuadratureOracle:
             lam**s, rel=1e-8
         )
 
+    @pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+    def test_right_at_every_scale(self, s):
+        # the grid follows lam, so lam = 1e16 and 1e-18 are as right as lam = 2, and
+        # so is the smallest subnormal; only overflow is refused (below)
+        lams = np.array([10.0**j for j in range(-300, 301)] + [5e-324])
+        values = np.array([fg.fractional_power_quadrature(lam, s) for lam in lams])
+        assert np.max(np.abs(values / lams**s - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("lam, s", [(1.7e308, 0.95), (math.inf, 0.5)])
+    def test_overflow_is_refused(self, lam, s):
+        with pytest.raises(fg.QuadratureNotConverged, match=re.escape(f"lam={lam}, s={s}")):
+            fg.fractional_power_quadrature(lam, s)
+
     def test_k2_closed_form(self, k2):
         w = fg.kernel_weights_oracle(fg.decompose(k2), 0.5)
         assert w[0, 1] == pytest.approx(2.0**-0.5, rel=1e-10)
@@ -139,6 +153,8 @@ class TestQuadratureOracle:
     def test_negative_eigenvalue(self):
         with pytest.raises(fg.DomainError, match="lam = -1e-12, need lam >= 0"):
             fg.fractional_power_quadrature(-1e-12, 0.5)
+        with pytest.raises(fg.DomainError, match="lam = nan, need lam >= 0"):
+            fg.fractional_power_quadrature(math.nan, 0.5)
 
     def test_coarse_grid_raises_typed_error(self, k2, monkeypatch):
         # 8 Simpson panels differ from 4 by far more than the check tolerance
