@@ -57,6 +57,12 @@ def _output_dir(path: str | Path) -> Path:
     return path
 
 
+def _csv_field(text: str) -> str:
+    """text as one CSV field: quoted, with its quotes doubled, if it holds , " CR or LF
+    (RFC 4180); as it is otherwise."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def _write_table(path: Path, header: list[str], columns: list[np.ndarray],
                  labels: tuple[str, ...] | None = None):
     """A CSV of header, then the rows of columns (arrays of one length, 1-D or 2-D) side
@@ -71,11 +77,33 @@ def _write_table(path: Path, header: list[str], columns: list[np.ndarray],
             file.writelines(row % tuple(r) for r in rows)
 
 
+def _plot_samples(times: np.ndarray, series: dict[str, np.ndarray], columns: int) -> np.ndarray:
+    """Ascending indices of the samples to draw across `columns` pixel columns.
+
+    Up to 4 samples per column, every sample.  Beyond, the M4 reduction (Jugel et
+    al., VLDB 2014): each column's first and last sample and, for each series, its
+    first smallest and first largest there, so that the polyline through them
+    spans in every column what the full one spans.  `times` ascend.
+    """
+    m = len(times)
+    if m <= 4 * columns:
+        return np.arange(m)
+    col = np.minimum(np.floor((times - times[0]) / (times[-1] - times[0]) * columns),
+                     columns - 1)
+    starts = np.flatnonzero(np.diff(col, prepend=-1))
+    keep = [starts, np.append(starts[1:], m) - 1]
+    for vals in series.values():
+        # a stable sort by column, then value: a column's first entry is its extreme
+        keep += [np.lexsort((key, col))[starts] for key in (vals, -vals)]
+    return np.unique(np.concatenate(keep))
+
+
 def _svg_lineplot(path: Path, times: np.ndarray, series: dict[str, np.ndarray], title: str):
     """Minimal SVG line plot: one polyline per series, light axes, no deps."""
     width, height, margin = 640, 400, 50
     t0, t1 = float(times[0]), float(times[-1])
     y0, y1 = _span(np.concatenate(list(series.values())))
+    drawn = _plot_samples(times, series, width - 2 * margin)
 
     def sx(t):
         return margin + (t - t0) / (t1 - t0) * (width - 2 * margin)
@@ -93,7 +121,7 @@ def _svg_lineplot(path: Path, times: np.ndarray, series: dict[str, np.ndarray], 
         f'y2="{height-margin}" stroke="black"/>',
     ]
     for ci, (name, vals) in enumerate(series.items()):
-        pts = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(times, vals))
+        pts = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(times[drawn], vals[drawn]))
         color = colors[ci % len(colors)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}"/>')
         parts.append(
@@ -214,7 +242,8 @@ def cmd_kernel(args) -> int:
         print(f"FAIL kernel positivity: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     w, dec = kernel.w, kernel.dec
-    _write_table(out / "kernel.csv", ["", *graph.labels], [w], graph.labels)
+    labels = tuple(map(_csv_field, graph.labels))
+    _write_table(out / "kernel.csv", ["", *labels], [w], labels)
     (out / "eigenvalues.json").write_text(
         json.dumps({"eigenvalues": [float(v) for v in dec.eigenvalues]}, indent=2) + "\n"
     )

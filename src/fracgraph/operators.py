@@ -1,4 +1,4 @@
-"""Fractional gradient, fractional (p-)Laplacian, and the associated energies.
+"""Fractional (p-)Laplacian, Dirichlet p-energy and the integration-by-parts check.
 
 All operators act through the dense kernel W_s.  Sign convention: the
 fractional Laplacian uses (u(x) - u(y)) differences,
@@ -52,11 +52,9 @@ from .spectral import SpectralDecomposition, decompose, kernel_weights
 __all__ = [
     "FractionalKernel",
     "build_kernel",
-    "frac_gradient_norms",
     "frac_laplacian",
     "frac_p_laplacian",
     "dirichlet_p_energy",
-    "sobolev_norm",
     "ibp_residual",
 ]
 
@@ -124,12 +122,6 @@ def _p_laplacian(kernel: FractionalKernel, v: np.ndarray, p: float, eps_reg: flo
     return out / (2.0 * kernel.graph.mu), gp
 
 
-def frac_gradient_norms(kernel: FractionalKernel, u: np.ndarray) -> np.ndarray:
-    """|grad^s u|(x) = sqrt( 1/(2 mu(x)) * sum_y W(x,y) (u(x)-u(y))^2 ), all x."""
-    u = _check_length(kernel.graph, u, "u")
-    return np.sqrt(_squared_gradients(kernel, _centred(u))[0])
-
-
 def frac_laplacian(kernel: FractionalKernel, u: np.ndarray) -> np.ndarray:
     """(-Delta)^s u via the kernel form."""
     u = _check_length(kernel.graph, u, "u")
@@ -182,15 +174,6 @@ def dirichlet_p_energy(kernel: FractionalKernel, u: np.ndarray, p: float) -> flo
         g2 = _squared_gradients(kernel, _centred(rows[block]))[0]
         energy[block] = g2 ** (p / 2.0) @ kernel.graph.mu
     return float(energy[0]) if u.ndim == 1 else energy
-
-
-def sobolev_norm(kernel: FractionalKernel, u: np.ndarray, p: float) -> float:
-    """Fractional Sobolev norm ( ||grad^s u||_p^p + ||u||_p^p )^(1/p)."""
-    if not p >= 1.0:
-        raise ExponentOutOfRange(f"p = {p}, need p >= 1")
-    u = _check_length(kernel.graph, u, "u")
-    g2 = _squared_gradients(kernel, _centred(u))[0]
-    return float(np.dot(g2 ** (p / 2.0) + np.abs(u) ** p, kernel.graph.mu)) ** (1.0 / p)
 
 
 def ibp_residual(

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import gc
 import importlib.util
 import json
@@ -117,6 +118,23 @@ class TestKernelCommand:
             lab + "," + ",".join("%.17g" % v for v in w[i])
             for i, lab in enumerate(graph.labels)]
         assert (out / "kernel.csv").read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("ids", [["a,b", 'c"d', "e"], ["a\r\nb", "c\nd", "e\r"]],
+                             ids=["comma-quote", "line-breaks"])
+    def test_kernel_csv_quotes_ids(self, tmp_path, ids):
+        doc = {"vertices": [{"id": v, "mu": 1.0} for v in ids],
+               "edges": [{"u": ids[0], "v": ids[1], "w": 1.0},
+                         {"u": ids[1], "v": ids[2], "w": 1.0}]}
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["kernel", str(path), "--s", "0.5", "--output-dir", str(out)]) == 0
+        with (out / "kernel.csv").open(newline="") as file:
+            rows = list(csv.reader(file))
+        assert [len(row) for row in rows] == [4] * 4
+        assert rows[0] == ["", *ids] and [row[0] for row in rows[1:]] == ids
+        w = fg.build_kernel(fg.graph_from_json(path.read_text()), 0.5).w
+        np.testing.assert_array_equal([[float(v) for v in row[1:]] for row in rows[1:]], w)
 
     @pytest.mark.parametrize("weight, code", [(1e20, 0), (1e160, 1)])
     def test_report_on_a_badly_scaled_path_is_strict_json(self, tmp_path, weight, code):
@@ -514,6 +532,57 @@ class TestEvolveCommand:
         assert code == 2
         assert capsys.readouterr().err == "error: picard_max = 2.5, need an integer >= 1\n"
         assert not (tmp_path / "o").exists()
+
+
+class TestPlot:
+    """flow.svg draws every sample up to 4 per pixel column of its 540, and beyond,
+    each column's first, last, smallest and largest sample of every series."""
+
+    @staticmethod
+    def walks(m, seed=0):
+        # unevenly spaced times, so that columns hold different counts, some none
+        rng = np.random.default_rng(seed)
+        times = np.cumsum(rng.uniform(0.1, 1.9, m))
+        return times, {f"s{i}": np.cumsum(rng.standard_normal(m)) for i in range(4)}
+
+    def test_at_most_4_per_column_draws_every_sample(self, tmp_path, monkeypatch):
+        svgs = []
+        for m in (2160, 2161):
+            times, series = self.walks(m)
+            cli._svg_lineplot(tmp_path / "reduced.svg", times, series, "t")
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_plot_samples", lambda t, series, columns: np.arange(len(t)))
+                cli._svg_lineplot(tmp_path / "full.svg", times, series, "t")
+            svgs.append([(tmp_path / name).read_bytes() for name in ("reduced.svg", "full.svg")])
+        (reduced, full), (reduced_past, full_past) = svgs
+        assert reduced == full
+        assert len(reduced_past) < len(full_past)
+
+    @pytest.mark.parametrize("m", [2161, 50_000])
+    def test_keeps_each_columns_first_last_and_extremes(self, m):
+        times, series = self.walks(m, seed=m)
+        kept = cli._plot_samples(times, series, 540)
+        col = np.minimum(np.floor((times - times[0]) / (times[-1] - times[0]) * 540), 539)
+        wanted = set()
+        for c in range(540):
+            idx = np.flatnonzero(col == c)
+            if len(idx):
+                wanted |= {idx[0], idx[-1]}
+                for vals in series.values():
+                    wanted |= {idx[np.argmin(vals[idx])], idx[np.argmax(vals[idx])]}
+        assert np.all(np.diff(kept) > 0)
+        assert set(kept.tolist()) == wanted
+
+    def test_svg_size_does_not_grow_with_the_samples(self, tmp_path):
+        times, series = self.walks(50_000)
+        cli._svg_lineplot(tmp_path / "flow.svg", times, series, "t")
+        svg = (tmp_path / "flow.svg").read_text()
+        kept = len(cli._plot_samples(times, series, 540))
+        assert [len(pts.split('"')[0].split()) for pts in svg.split('points="')[1:]] == [kept] * 4
+        # at most 2 + 2 * 4 samples per column, each "xxx.xx,yyy.yy " in each polyline;
+        # every sample drawn would take ~2.8 MB
+        assert kept <= 540 * 10
+        assert len(svg) < 4 * 540 * 10 * 14 + 1000
 
 
 class TestVerifyCommand:

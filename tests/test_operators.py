@@ -46,26 +46,6 @@ class TestBuildKernel:
                                       fg.build_kernel(kern.graph, 0.3, kern.dec).w)
 
 
-class TestGradientNorm:
-    def test_constant_vanishes(self, k2_kernel):
-        g = fg.frac_gradient_norms(k2_kernel, np.full(2, 3.3))
-        np.testing.assert_array_equal(g, 0.0)
-
-    def test_k2_closed_form(self, k2_kernel):
-        # W = 2^{-1/2}, so |grad u| = sqrt(W/2) = 2^{-3/4} at both vertices
-        u = np.array([1.0, 0.0])
-        norms = fg.frac_gradient_norms(k2_kernel, u)
-        assert norms[0] == pytest.approx(2.0**-0.75, rel=1e-13)
-        assert norms[1] == pytest.approx(2.0**-0.75, rel=1e-13)
-
-    def test_translation_invariant(self):
-        kern = random_kernel(3)
-        u = np.random.default_rng(0).normal(size=kern.n)
-        a = fg.frac_gradient_norms(kern, u)
-        b = fg.frac_gradient_norms(kern, u + 7.7)
-        np.testing.assert_allclose(a, b, atol=1e-12 * (a.max() + 1.0))
-
-
 class TestFracLaplacian:
     def test_constant_vanishes(self, k2_kernel):
         np.testing.assert_array_equal(fg.frac_laplacian(k2_kernel, np.full(2, 5.0)), 0.0)
@@ -186,30 +166,11 @@ class TestEnergies:
                 abs(c) ** p * fg.dirichlet_p_energy(kern, u, p), rel=1e-10
             )
 
-    def test_sobolev_zero_iff_zero(self, k2_kernel):
-        assert fg.sobolev_norm(k2_kernel, np.zeros(2), 2.0) == 0.0
-        assert fg.sobolev_norm(k2_kernel, np.array([0.0, 1e-8]), 2.0) > 0.0
-
-    def test_sobolev_constant(self, k2_kernel):
-        c = 1.7
-        expect = c * 2.0**0.5  # |c| * vol^{1/2} on K2
-        assert fg.sobolev_norm(k2_kernel, np.full(2, c), 2.0) == pytest.approx(
-            expect, rel=1e-13
-        )
-
-    def test_sobolev_k2_closed_form(self, k2_kernel):
-        u = np.array([1.0, 0.0])
-        assert fg.sobolev_norm(k2_kernel, u, 2.0) == pytest.approx(
-            (2.0**-0.5 + 1.0) ** 0.5, rel=1e-13
-        )
-
     @pytest.mark.parametrize("p", [0.5, -2.0, float("nan")])
     def test_p_out_of_range(self, k2_kernel, p):
         u = np.array([1.0, 0.0])
         with pytest.raises(fg.ExponentOutOfRange, match="need p >= 1"):
             fg.dirichlet_p_energy(k2_kernel, u, p)
-        with pytest.raises(fg.ExponentOutOfRange, match="need p >= 1"):
-            fg.sobolev_norm(k2_kernel, u, p)
 
 
 class TestStacks:
@@ -239,7 +200,7 @@ class TestStacks:
                 fg.frac_p_laplacian(k2_kernel, bad, 2.0)
         # the functions of one state still take one state only
         with pytest.raises(fg.LengthMismatch):
-            fg.frac_gradient_norms(k2_kernel, np.ones((2, 2)))
+            fg.frac_laplacian(k2_kernel, np.ones((2, 2)))
 
 
 class TestIntegrationByParts:
@@ -303,7 +264,6 @@ class TestDenseReference:
         def assert_close(out, ref):
             assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-        assert_close(fg.frac_gradient_norms(kern, u), dense.gradient_norms(kern, u))
         assert_close(fg.frac_laplacian(kern, u), dense.laplacian(kern, u))
         assert_close(fg.frac_p_laplacian(kern, u, p, eps_reg),
                      dense.p_laplacian(kern, u, p, eps_reg))
@@ -321,7 +281,6 @@ class TestDenseReference:
     @settings(max_examples=50, deadline=None)
     def test_constant_state_is_exactly_zero(self, kern, p, eps_reg, level):
         u = np.full(kern.n, level)
-        np.testing.assert_array_equal(fg.frac_gradient_norms(kern, u), 0.0)
         np.testing.assert_array_equal(fg.frac_laplacian(kern, u), 0.0)
         np.testing.assert_array_equal(fg.frac_p_laplacian(kern, u, p, eps_reg), 0.0)
         assert fg.dirichlet_p_energy(kern, u, p) == 0.0
