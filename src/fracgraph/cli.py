@@ -22,9 +22,8 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import build_report, mass
-from .errors import DomainError, FracGraphError, PositivityViolation
-from .flow import (FlowConfig, _check_overflow, _check_state, _span, evolve_direct, picard_solve,
-                   steady_state)
+from .errors import FracGraphError, PositivityViolation
+from .flow import FlowConfig, _check_state, _span, evolve_direct, picard_solve, steady_state
 from .graph import Graph, _json_number, graph_from_json
 from .operators import FractionalKernel, _row_blocks, build_kernel, dirichlet_p_energy
 from .spectral import kernel_weights_oracle
@@ -77,13 +76,13 @@ def _write_table(path: Path, header: list[str], columns: list[np.ndarray],
             file.writelines(row % tuple(r) for r in rows)
 
 
-def _plot_samples(times: np.ndarray, series: dict[str, np.ndarray], columns: int) -> np.ndarray:
-    """Ascending indices of the samples to draw across `columns` pixel columns.
+def _plot_samples(times: np.ndarray, vals: np.ndarray, columns: int) -> np.ndarray:
+    """Ascending indices of the samples of vals to draw across `columns` pixel columns.
 
     Up to 4 samples per column, every sample.  Beyond, the M4 reduction (Jugel et
-    al., VLDB 2014): each column's first and last sample and, for each series, its
-    first smallest and first largest there, so that the polyline through them
-    spans in every column what the full one spans.  `times` ascend.
+    al., VLDB 2014): each column's first and last sample, and the series' first
+    smallest and first largest there, so that the polyline through them spans in
+    every column what the full one spans.  `times` ascend.
     """
     m = len(times)
     if m <= 4 * columns:
@@ -91,11 +90,9 @@ def _plot_samples(times: np.ndarray, series: dict[str, np.ndarray], columns: int
     col = np.minimum(np.floor((times - times[0]) / (times[-1] - times[0]) * columns),
                      columns - 1)
     starts = np.flatnonzero(np.diff(col, prepend=-1))
-    keep = [starts, np.append(starts[1:], m) - 1]
-    for vals in series.values():
-        # a stable sort by column, then value: a column's first entry is its extreme
-        keep += [np.lexsort((key, col))[starts] for key in (vals, -vals)]
-    return np.unique(np.concatenate(keep))
+    # a stable sort by column, then value: a column's first entry is its extreme
+    extremes = [np.lexsort((key, col))[starts] for key in (vals, -vals)]
+    return np.unique(np.concatenate([starts, np.append(starts[1:], m) - 1, *extremes]))
 
 
 def _svg_lineplot(path: Path, times: np.ndarray, series: dict[str, np.ndarray], title: str):
@@ -103,7 +100,6 @@ def _svg_lineplot(path: Path, times: np.ndarray, series: dict[str, np.ndarray], 
     width, height, margin = 640, 400, 50
     t0, t1 = float(times[0]), float(times[-1])
     y0, y1 = _span(np.concatenate(list(series.values())))
-    drawn = _plot_samples(times, series, width - 2 * margin)
 
     def sx(t):
         return margin + (t - t0) / (t1 - t0) * (width - 2 * margin)
@@ -121,6 +117,7 @@ def _svg_lineplot(path: Path, times: np.ndarray, series: dict[str, np.ndarray], 
         f'y2="{height-margin}" stroke="black"/>',
     ]
     for ci, (name, vals) in enumerate(series.items()):
+        drawn = _plot_samples(times, vals, width - 2 * margin)
         pts = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(times[drawn], vals[drawn]))
         color = colors[ci % len(colors)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}"/>')
@@ -132,8 +129,9 @@ def _svg_lineplot(path: Path, times: np.ndarray, series: dict[str, np.ndarray], 
     path.write_text("\n".join(parts) + "\n")
 
 
-def _make_u0(graph: Graph, spec) -> tuple[np.ndarray, dict]:
-    """u0 and its record from a vector or a generator spec; any fault is a usage error."""
+def _make_u0(graph: Graph, spec, q: float) -> tuple[np.ndarray, dict]:
+    """u0 and its record from a vector or a generator spec; any fault, also an
+    overflow of the flow at q, is a usage error."""
     try:
         kind = spec.get("kind") if isinstance(spec, dict) else None
         if isinstance(spec, list):
@@ -158,17 +156,9 @@ def _make_u0(graph: Graph, spec) -> tuple[np.ndarray, dict]:
             raise ValueError(f"unknown u0 generator kind: {kind!r}")
         else:
             raise ValueError("u0 must be a vector or a generator spec")
-        # _check_state's typed errors (length, finiteness, positivity) are ValueErrors
-        return _check_state(graph, u0, "u0"), meta
+        # _check_state's typed errors (length, finiteness, positivity, overflow) are ValueErrors
+        return _check_state(graph, u0, q), meta
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
-        raise UsageError(f"bad u0 {spec!r}: {exc}") from exc
-
-
-def _check_u0_overflow(graph: Graph, u0: np.ndarray, spec, q: float) -> None:
-    """A usage error if the flow from u0, made from spec, overflows at q."""
-    try:
-        _check_overflow(graph, u0, q)
-    except DomainError as exc:
         raise UsageError(f"bad u0 {spec!r}: {exc}") from exc
 
 
@@ -274,8 +264,7 @@ def _setup(args):
     values = _resolve(args)
     graph = _load_graph(args.graph)
     config = _flow_config(values, graph.n)
-    u0, u0_meta = _make_u0(graph, values["u0"])
-    _check_u0_overflow(graph, u0, values["u0"], config.q)
+    u0, u0_meta = _make_u0(graph, values["u0"], config.q)
     out = _output_dir(args.output_dir)
     return build_kernel(graph, config.s), config, values["solver"], u0, u0_meta, out
 
@@ -349,16 +338,15 @@ def _sweep_tag(s: float, p: float, q: float) -> str:
 def _sweep_worker(share) -> list[tuple[str, int]]:
     """Evolve a contiguous share of the grid; returns each point's (tag, exit code).
 
-    The graph is loaded and u0 drawn once.  A kernel is built where s changes,
-    reusing the first one's decomposition, and one is held at a time.  An input
-    error fails its own tag, or every tag when it is in the graph or u0; a u0
-    whose flow overflows at a tag's q fails that tag.
+    The graph is loaded once; per point, u0 is made after the config, as evolve
+    does, so a tag reports its first fault in evolve's order.  A kernel is built
+    where s changes, reusing the first one's decomposition, and one is held at a
+    time.  A fault in the graph fails every tag, any other fault its own tag.
     """
     graph_path, outdir, values, points = share
     tags = [_sweep_tag(*point) for point in points]
     try:
         graph = _load_graph(graph_path)
-        u0, u0_meta = _make_u0(graph, values["u0"])
     except UsageError as exc:
         print("\n".join(f"sweep {tag}: {exc}" for tag in tags), file=sys.stderr)
         return [(tag, EXIT_USAGE) for tag in tags]
@@ -366,7 +354,7 @@ def _sweep_worker(share) -> list[tuple[str, int]]:
     for tag, (s, p, q) in zip(tags, points):
         try:
             config = _flow_config({**values, "s": s, "p": p, "q": q}, graph.n)
-            _check_u0_overflow(graph, u0, values["u0"], q)
+            u0, u0_meta = _make_u0(graph, values["u0"], config.q)
             out = _output_dir(Path(outdir) / tag)
             if kernel is None or kernel.s != config.s:
                 dec, kernel = kernel and kernel.dec, None  # hold one kernel at a time

@@ -233,16 +233,6 @@ class Trajectory:
         return self.values[-1]
 
 
-def _check_state(graph: Graph, u: np.ndarray, name: str) -> np.ndarray:
-    """A state the flow can start from: right length, finite, positive."""
-    u = _check_length(graph, u, name)
-    if not np.isfinite(u).all():
-        raise DomainError(f"{name} has non-finite entries")
-    if np.min(u) <= 0.0:
-        raise NonPositiveState(f"min {name} = {np.min(u)}")
-    return u
-
-
 def _span(states: np.ndarray) -> tuple[float, float]:
     """The smallest and the largest value of states."""
     return float(np.min(states)), float(np.max(states))
@@ -253,13 +243,18 @@ def _band_excess(band: tuple[float, float], span: tuple[float, float]) -> float:
     return max(span[1] - band[1], band[0] - span[0])
 
 
-def _check_overflow(graph: Graph, u0: np.ndarray, q: float) -> None:
-    """Refuse a positive u0 whose flow at q overflows, before any step.
+def _check_state(graph: Graph, u0: np.ndarray, q: float) -> np.ndarray:
+    """A u0 the flow at q can start from: right length, finite, positive, no overflow.
 
-    Every state lies in [min u0, max u0] (maximum principle), so it suffices
-    that the rate's divisor q u^(q-1) is finite and positive, and the bounds
-    vol u^q and vol u^(q+1) of the mass and energy integrands finite, at both.
+    Every state lies in [min u0, max u0] (maximum principle), so the flow does
+    not overflow when the rate's divisor q u^(q-1) is finite and positive, and the
+    bounds vol u^q and vol u^(q+1) of the mass and energy integrands finite, at both.
     """
+    u0 = _check_length(graph, u0, "u0")
+    if not np.isfinite(u0).all():
+        raise DomainError("u0 has non-finite entries")
+    if np.min(u0) <= 0.0:
+        raise NonPositiveState(f"min u0 = {np.min(u0)}")
     ends = np.array(_span(u0))
     with np.errstate(over="ignore"):
         divisor = q * ends ** (q - 1.0)
@@ -267,6 +262,7 @@ def _check_overflow(graph: Graph, u0: np.ndarray, q: float) -> None:
     if not (np.isfinite(integrals).all() and np.isfinite(divisor).all() and divisor.min() > 0):
         raise DomainError(f"the flow from [min u0, max u0] = [{ends[0]:.6g}, {ends[1]:.6g}] "
                           f"at q = {q:g} overflows a float")
+    return u0
 
 
 def rhs_direct(
@@ -443,8 +439,7 @@ def _solve(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig, f,
            steps: list | None = None) -> Trajectory:
     """Integrate du/dt = f(t, u) on the output grid; ``_integrate`` enforces the band."""
     config._require_size(kernel.n)
-    u0 = _check_state(kernel.graph, u0, "u0")
-    _check_overflow(kernel.graph, u0, config.q)
+    u0 = _check_state(kernel.graph, u0, config.q)
     times = config.output_times()
     values, stats = _integrate(f, u0, times, config, kernel.graph, steps)
     return Trajectory(times=times, values=values, stats=stats)
@@ -489,8 +484,7 @@ def picard_solve(
     trajectory's stats count the work of every sweep (``StepStats.add_work``).
     A u0 whose flow overflows a float is a DomainError, raised before any sweep.
     """
-    u0 = _check_state(kernel.graph, u0, "u0")
-    _check_overflow(kernel.graph, u0, config.q)
+    u0 = _check_state(kernel.graph, u0, config.q)
     p, q = config.p, config.q
     a0 = q * u0 ** (q - 1.0)
     a, prev = (lambda t: a0), u0
@@ -518,8 +512,7 @@ def steady_state(graph: Graph, u0: np.ndarray, q: float) -> float:
     connected graph are constants, which pins the limit.  A u0 whose flow
     overflows is a DomainError.
     """
-    u0 = _check_state(graph, u0, "u0")
     if not 0.0 < q < math.inf:
         raise ExponentOutOfRange(f"q = {q}, need finite q > 0")
-    _check_overflow(graph, u0, q)
+    u0 = _check_state(graph, u0, q)
     return (integrate(graph, u0**q) / graph.volume()) ** (1.0 / q)

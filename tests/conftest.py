@@ -46,6 +46,15 @@ def philox_g40():
 # the fractional orders that the kernel checks run at, from near 0 to near 1
 REFERENCE_S = (0.05, 0.3, 0.7, 0.99)
 
+# u0 on k2 and q whose flow overflows a float, each at its own term
+OVERFLOWING_U0 = [
+    pytest.param([1e308, 1e308], 1.0, id="mass"),  # vol u^q
+    pytest.param([1e200, 1e200], 1.0, id="energy"),  # vol u^(q+1) alone
+    pytest.param([1e30, 2e30], 12.0, id="divisor-max"),  # q u^(q-1) at max u0: du/dt reads 0
+    pytest.param([1e-320, 1.0], 0.01, id="divisor-min"),  # q u^(q-1) at min u0
+    pytest.param([1e-300, 1.0], 3.0, id="divisor-zero"),  # q u^(q-1) underflows to 0
+]
+
 
 def make_random_graph(seed, n=None, weight_range=(0.2, 5.0), mu_range=(0.2, 5.0)):
     rng = np.random.default_rng(seed)

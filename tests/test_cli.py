@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import fracgraph as fg
 from fracgraph import cli, flow
 from fracgraph.cli import main
-from conftest import grid_doc, wall_clock_limit
+from conftest import OVERFLOWING_U0, grid_doc, wall_clock_limit
 
 K2_DOC = {
     "vertices": [{"id": "a", "mu": 1.0}, {"id": "b", "mu": 1.0}],
@@ -517,6 +517,23 @@ class TestEvolveCommand:
         assert err.startswith("error: bad u0 {") and "overflows a float" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("u0, q", [
+        pytest.param([1.0, 2.0, 3.0], 1.0, id="length"),
+        pytest.param([1.0, math.nan], 1.0, id="nan"),
+        pytest.param([0.0, 1.0], 1.0, id="zero"),
+        *OVERFLOWING_U0])
+    def test_refuses_u0_for_the_librarys_reason(self, k2_path, k2_kernel, tmp_path, capsys,
+                                                u0, q):
+        with pytest.raises(fg.FracGraphError) as refused:
+            fg.evolve_direct(k2_kernel, np.array(u0), fg.FlowConfig(s=0.5, p=2.0, q=q, T=1.0))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"u0": u0}))
+        code = main(["evolve", k2_path, "--config", str(cfg), "--q", str(q), "--T", "1",
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: bad u0 {u0!r}: {refused.value}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_picard_max_flag_takes_an_integral_float(self, k2_path, tmp_path):
         out = tmp_path / "o"
         assert main(["evolve", k2_path, "--T", "0.1", "--solver", "picard", "--q", "2",
@@ -536,7 +553,7 @@ class TestEvolveCommand:
 
 class TestPlot:
     """flow.svg draws every sample up to 4 per pixel column of its 540, and beyond,
-    each column's first, last, smallest and largest sample of every series."""
+    each series' own first, last, smallest and largest sample of each column."""
 
     @staticmethod
     def walks(m, seed=0):
@@ -561,28 +578,26 @@ class TestPlot:
     @pytest.mark.parametrize("m", [2161, 50_000])
     def test_keeps_each_columns_first_last_and_extremes(self, m):
         times, series = self.walks(m, seed=m)
-        kept = cli._plot_samples(times, series, 540)
         col = np.minimum(np.floor((times - times[0]) / (times[-1] - times[0]) * 540), 539)
-        wanted = set()
-        for c in range(540):
-            idx = np.flatnonzero(col == c)
-            if len(idx):
-                wanted |= {idx[0], idx[-1]}
-                for vals in series.values():
-                    wanted |= {idx[np.argmin(vals[idx])], idx[np.argmax(vals[idx])]}
-        assert np.all(np.diff(kept) > 0)
-        assert set(kept.tolist()) == wanted
+        columns = [idx for idx in (np.flatnonzero(col == c) for c in range(540)) if len(idx)]
+        for vals in series.values():
+            kept = cli._plot_samples(times, vals, 540)
+            wanted = set()
+            for idx in columns:
+                wanted |= {idx[0], idx[-1], idx[np.argmin(vals[idx])], idx[np.argmax(vals[idx])]}
+            assert np.all(np.diff(kept) > 0)
+            assert set(kept.tolist()) == wanted
 
     def test_svg_size_does_not_grow_with_the_samples(self, tmp_path):
         times, series = self.walks(50_000)
         cli._svg_lineplot(tmp_path / "flow.svg", times, series, "t")
         svg = (tmp_path / "flow.svg").read_text()
-        kept = len(cli._plot_samples(times, series, 540))
-        assert [len(pts.split('"')[0].split()) for pts in svg.split('points="')[1:]] == [kept] * 4
-        # at most 2 + 2 * 4 samples per column, each "xxx.xx,yyy.yy " in each polyline;
-        # every sample drawn would take ~2.8 MB
-        assert kept <= 540 * 10
-        assert len(svg) < 4 * 540 * 10 * 14 + 1000
+        kept = [len(cli._plot_samples(times, vals, 540)) for vals in series.values()]
+        assert [len(pts.split('"')[0].split()) for pts in svg.split('points="')[1:]] == kept
+        # at most 4 samples per column in each polyline; every sample drawn would
+        # take ~2.8 MB, and the union of the series' samples drew 264 kB
+        assert max(kept) <= 4 * 540
+        assert len(svg) < 200_000
 
 
 class TestVerifyCommand:
@@ -910,6 +925,30 @@ class TestSweepCommand:
         assert printed.splitlines() == ["ok s0.5_p2.0_q1.0", "FAIL s0.5_p2.0_q12.0"]
         assert err.startswith("sweep s0.5_p2.0_q12.0: bad u0 {") and err.count("\n") == 1
         assert [path.name for path in out.iterdir()] == ["s0.5_p2.0_q1.0"]
+
+    @pytest.mark.parametrize("q_list", ["1,2", "1,-1"])
+    def test_bad_u0_fails_every_tag_after_its_exponents(self, k2_path, tmp_path, capsys,
+                                                        serial_pools, q_list):
+        # u0 is made after each tag's config, so q = -1 reports the fault evolve reports
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"u0": {"kind": "gauss"}}))
+        out = tmp_path / "o"
+        code = main(["sweep", k2_path, "--config", str(cfg), "--s-list", "0.3,0.7",
+                     "--p-list", "2", "--q-list", q_list, "--T", "0.1", "--workers", "2",
+                     "--output-dir", str(out)])
+        assert code == 2
+        printed, err = capsys.readouterr()
+        tags = [cli._sweep_tag(s, 2.0, q) for s in (0.3, 0.7) for q in cli._float_list(q_list)]
+        assert printed.splitlines() == [f"FAIL {tag}" for tag in tags]
+        assert main(["evolve", k2_path, "--config", str(cfg), "--q", "-1",
+                     "--output-dir", str(tmp_path / "evolve")]) == 2
+        exponent_fault = capsys.readouterr().err.removeprefix("error: ")
+        assert exponent_fault == "q = -1.0, need finite q > 0\n"
+        assert err.splitlines(keepends=True) == [
+            f"sweep {tag}: " + (exponent_fault if tag.endswith("q-1.0") else
+                                "bad u0 {'kind': 'gauss'}: unknown u0 generator kind: 'gauss'\n")
+            for tag in tags]
+        assert list(out.iterdir()) == []
 
     def test_missing_graph_fails_every_tag(self, tmp_path, capsys):
         code = main(["sweep", str(tmp_path / "nope.json"), "--s-list", "0.3,0.7",

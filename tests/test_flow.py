@@ -9,7 +9,7 @@ import pytest
 import fracgraph as fg
 from fracgraph import flow
 from fracgraph.flow import _integrate, _solve
-from conftest import grid_doc, make_random_graph, wall_clock_limit
+from conftest import OVERFLOWING_U0, grid_doc, make_random_graph, wall_clock_limit
 from linear_flow_reference import LinearFlow
 
 
@@ -592,13 +592,7 @@ class TestNonFiniteState:
 class TestOverflowingU0:
     """A u0 whose flow overflows a float is refused before any step."""
 
-    @pytest.mark.parametrize("u0, q", [
-        ([1e308, 1e308], 1.0),  # vol u^q
-        ([1e200, 1e200], 1.0),  # vol u^(q+1) alone
-        ([1e30, 2e30], 12.0),  # q u^(q-1) at max u0, so du/dt would read 0
-        ([1e-320, 1.0], 0.01),  # q u^(q-1) at min u0
-        ([1e-300, 1.0], 3.0),  # q u^(q-1) underflows to 0, the rate's divisor
-    ], ids=["mass", "energy", "divisor-max", "divisor-min", "divisor-zero"])
+    @pytest.mark.parametrize("u0, q", OVERFLOWING_U0)
     def test_refused_before_any_step(self, k2_kernel, monkeypatch, u0, q):
         monkeypatch.setattr(flow, "_integrate", mock.Mock(side_effect=AssertionError))
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=q, T=1.0)
