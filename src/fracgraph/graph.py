@@ -43,6 +43,11 @@ class Violation:
         return f"{self.code}: {self.detail}"
 
 
+# Most vertices of a graph: its n x n weight matrix holds 2^24 floats (128 MiB),
+# as many as flow.MAX_SAMPLE_VALUES lets a run store.
+MAX_VERTICES = 4096
+
+
 class _Rebuilt:
     def __reduce__(self):  # pickle and deepcopy rebuild through the constructor and its checks
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
@@ -105,8 +110,11 @@ class Graph(_Rebuilt):
         return self.weights.sum(axis=1)
 
     def volume(self) -> float:
-        """Total measure of the vertex set."""
-        return math.fsum(self.mu)
+        """Total measure of the vertex set; inf if it overflows a float."""
+        try:
+            return math.fsum(self.mu)
+        except OverflowError:  # fsum raises where a plain sum would read inf
+            return math.inf
 
     def require_valid(self) -> "Graph":
         if not self._valid:
@@ -137,6 +145,8 @@ def validate(graph: Graph) -> list[Violation]:
     mu, w, n, labels = graph.mu, graph.weights, graph.n, graph.labels
     if n < 2:
         report.append(Violation("TooFewVertices", f"n={n}, need at least 2"))
+        return report
+    if report := _too_many_vertices(n):
         return report
     if w.shape != (n, n):
         report.append(Violation("BadShape", f"weights shape {w.shape} != ({n},{n})"))
@@ -171,6 +181,13 @@ def validate(graph: Graph) -> list[Violation]:
     if not _connected(w):
         report.append(Violation("Disconnected", "graph has more than one component"))
     return report
+
+
+def _too_many_vertices(n: int) -> list[Violation]:
+    """[TooManyVertices] if n > MAX_VERTICES, else []; builders test it before any n x n array."""
+    if n > MAX_VERTICES:
+        return [Violation("TooManyVertices", f"n={n}, at most {MAX_VERTICES} allowed")]
+    return []
 
 
 def _connected(w: np.ndarray) -> bool:
@@ -230,7 +247,10 @@ def random_connected_graph(
     row-major order, gets one ``random()`` test; a test below
     ``extra_edge_prob`` adds the edge, and the next draw d is its weight
     lo + (hi - lo) d.  Seeded graphs are reproducible through this order.
+    More than MAX_VERTICES vertices raise InvalidGraph before any draw.
     """
+    if report := _too_many_vertices(n):
+        raise InvalidGraph(report)
     mu = rng.uniform(*mu_range, size=n)
     w = np.zeros((n, n))
     order = rng.permutation(n)
@@ -288,6 +308,7 @@ def graph_from_json(text: str) -> Graph:
     number (true and "2" are not) are rejected.  A malformed document raises
     ValueError (a missing key KeyError), naming the first offending vertex or
     edge in file order; the weight matrix is filled in one scatter at the end.
+    More than MAX_VERTICES vertices raise InvalidGraph before the matrix is made.
     """
     data = json.loads(text)
     try:
@@ -302,6 +323,8 @@ def graph_from_json(text: str) -> Graph:
         raise ValueError(f"vertices must be a list of objects: {exc}") from exc
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate vertex ids")
+    if report := _too_many_vertices(len(labels)):
+        raise InvalidGraph(report)
     try:
         mu = np.array([_json_number(v["mu"], f"vertex {lab}: mu")
                        for v, lab in zip(vertices, labels)])

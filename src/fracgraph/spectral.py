@@ -68,26 +68,27 @@ def decompose(graph: Graph) -> SpectralDecomposition:
 
     The conjugate S = M^(1/2) A M^(-1/2) (M = diag(mu)) is symmetric, so a
     dense symmetric eigensolver applies; eigenfunctions are back-transformed
-    by phi_i = psi_i / sqrt(mu).  The smallest eigenvalue, which must be
-    below 1e-10 times the largest, is snapped to an exact 0 so that 0^s
-    evaluates to 0 in the kernel construction.
+    by phi_i = psi_i / sqrt(mu).  An S that overflows a float is a DomainError.
+    The spectrum must be finite, with lambda_1 > 0 and lambda_0 below 1e-10
+    times the largest (NaN fails each test), or it is NoConvergence; lambda_0
+    is then snapped to an exact 0, so that 0^s is 0 in the kernel.
     """
     graph.require_valid()
     rmu = np.sqrt(graph.mu)
-    s_mat = np.outer(-rmu, rmu)
-    np.divide(graph.weights, s_mat, out=s_mat)
-    np.fill_diagonal(s_mat, graph.degrees / graph.mu)
+    with np.errstate(all="ignore"):  # an overflow is refused below, before eigh runs
+        s_mat = np.outer(-rmu, rmu)
+        np.divide(graph.weights, s_mat, out=s_mat)
+        np.fill_diagonal(s_mat, graph.degrees / graph.mu)
+    if not np.isfinite(s_mat).all():
+        raise DomainError("the Laplacian conjugated by sqrt(mu) overflows a float")
     try:
         vals, psi = np.linalg.eigh(s_mat)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
 
-    lam_max = float(vals[-1]) if vals[-1] > 0 else 1.0
-    if abs(vals[0]) >= 1e-10 * lam_max:
-        raise NoConvergence(
-            f"smallest eigenvalue {vals[0]:.3e} is not numerically zero"
-        )
-    vals = vals.copy()
+    if not (abs(vals[0]) < 1e-10 * vals[-1] < math.inf and vals[1] > 0):
+        raise NoConvergence(f"smallest eigenvalue {vals[0]:.3e} is not numerically zero below a "
+                            f"positive second, {vals[1]:.3e}, and a finite largest, {vals[-1]:.3e}")
     vals[0] = 0.0
 
     phi = np.divide(psi.T, rmu, order="C")
@@ -114,17 +115,15 @@ def _assemble_kernel(dec: SpectralDecomposition, powers: np.ndarray) -> np.ndarr
 def spectral_weight_matrix(dec: SpectralDecomposition, s: float) -> np.ndarray:
     """Raw spectral kernel -mu(x)mu(y) sum_i lambda_i^s phi_i(x)phi_i(y), zero diagonal.
 
-    No range check on s; s = 1 recovers the edge weights w exactly.
+    No upper bound on s > 0; 0^s = 0 at lambda_0, and s = 1 recovers w exactly.
     """
-    powers = np.where(dec.eigenvalues > 0, dec.eigenvalues, 1.0) ** s
-    powers[dec.eigenvalues <= 0] = 0.0  # 0^s = 0 for the zero eigenvalue
-    return _assemble_kernel(dec, powers)
+    return _assemble_kernel(dec, dec.eigenvalues**s)
 
 
 def kernel_weights(dec: SpectralDecomposition, s: float) -> np.ndarray:
     """Fractional kernel W_s for s in (0,1); strictly positive off the diagonal.
 
-    Raises PositivityViolation if any off-diagonal entry is negative beyond
+    Raises PositivityViolation if any off-diagonal entry is NaN or negative beyond
     -1e-12 times the largest entry, which would indicate eigensolver failure.
     """
     if not 0.0 < s < 1.0:
@@ -132,7 +131,7 @@ def kernel_weights(dec: SpectralDecomposition, s: float) -> np.ndarray:
     w = spectral_weight_matrix(dec, s)
     # the diagonal is 0, so extremes over all entries bound the off-diagonal ones
     low = float(np.min(w))
-    if low < -1e-12 * max(float(np.max(w)), -low):
+    if not low >= -1e-12 * max(float(np.max(w)), -low):
         raise PositivityViolation(f"min off-diagonal entry {low:.3e} at s={s}")
     return w
 

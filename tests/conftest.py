@@ -56,6 +56,25 @@ OVERFLOWING_U0 = [
 ]
 
 
+def graph_doc(mu: dict, edges) -> dict:
+    """A graph file document from the measure of each vertex id and edges (u, v, w)."""
+    return {"vertices": [{"id": v, "mu": m} for v, m in mu.items()],
+            "edges": [{"u": u, "v": v, "w": w} for u, v, w in edges]}
+
+
+# valid graph documents that no flow can run on, each for its own reason
+DEGENERATE_DOCS = {
+    # the degree 2e308 of a overflows the Laplacian
+    "inf": graph_doc({"a": 1.0, "b": 1.0, "c": 1.0}, [("a", "b", 1e308), ("a", "c", 1e308)]),
+    # the degree over the measure of a, 1 / 1e-320, overflows the Laplacian
+    "tiny": graph_doc({"a": 1e-320, "b": 1.0}, [("a", "b", 1.0)]),
+    # the Laplacian's entries, 1e-300 / 1e300, underflow to 0: every eigenvalue is 0
+    "wide": graph_doc({"a": 1e300, "b": 1e300}, [("a", "b", 1e-300)]),
+    # the kernel is fine, but the total measure 2e308 overflows the flow's mass
+    "bigmu": graph_doc({"a": 1e308, "b": 1e308}, [("a", "b", 1.0)]),
+}
+
+
 def make_random_graph(seed, n=None, weight_range=(0.2, 5.0), mu_range=(0.2, 5.0)):
     rng = np.random.default_rng(seed)
     if n is None:

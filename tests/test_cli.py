@@ -4,8 +4,10 @@ import gc
 import importlib.util
 import json
 import math
+import re
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields
 from itertools import product
 from pathlib import Path
@@ -17,9 +19,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fracgraph as fg
-from fracgraph import cli, flow
+from fracgraph import cli, flow, graph
 from fracgraph.cli import main
-from conftest import OVERFLOWING_U0, grid_doc, wall_clock_limit
+from conftest import DEGENERATE_DOCS, OVERFLOWING_U0, grid_doc, wall_clock_limit
 
 K2_DOC = {
     "vertices": [{"id": "a", "mu": 1.0}, {"id": "b", "mu": 1.0}],
@@ -1054,6 +1056,51 @@ class TestGraphFuzz:
         with wall_clock_limit(20):
             code = main(["kernel", str(path), "--s", "0.5", "--output-dir", str(tmp_path / "o")])
         assert code in (0, 1, 2)
+
+
+# each degenerate document's exit code and stderr; the kernel of bigmu is a
+# valid one, so only its flows are refused
+_REFUSALS = {
+    "inf": (1, r"error: DomainError: the Laplacian conjugated by sqrt\(mu\) overflows a float"),
+    "tiny": (1, r"error: DomainError: the Laplacian conjugated by sqrt\(mu\) overflows a float"),
+    "wide": (1, r"error: NoConvergence: smallest eigenvalue 0\.000e\+00 is not numerically .*"),
+    "bigmu": (2, r"error: bad u0 \{.*\}: the flow from .* overflows a float"),
+}
+
+
+class TestDegenerateGraphs:
+    @pytest.mark.parametrize("name, command", [
+        pytest.param(name, command, id=f"{name}-{command}")
+        for name, command in product(_REFUSALS, ["evolve", "verify", "kernel"])
+        if (name, command) != ("bigmu", "kernel")])
+    def test_refused_with_a_typed_error_and_no_result(self, tmp_path, capsys, name, command):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(DEGENERATE_DOCS[name]))
+        flags = ["--s", "0.5"] if command == "kernel" else ["--u0-random", "0.5", "2", "--T", "1"]
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, str(path), *flags, "--output-dir", str(out)])
+        printed, err = capsys.readouterr()
+        expected_code, message = _REFUSALS[name]
+        assert code == expected_code and re.fullmatch(message + "\n", err)
+        assert "PASS" not in printed
+        written = {p.name for p in out.iterdir()} if out.exists() else set()
+        assert not written & {"trajectory.csv", "report.json", "kernel.csv"}
+        for p in out.glob("*.json"):
+            json.loads(p.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in {p.name}"))
+
+    @pytest.mark.parametrize("command", ["kernel", "evolve", "verify"])
+    def test_too_many_vertices_is_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(graph, "MAX_VERTICES", 4)
+        path = tmp_path / "path5.json"
+        path.write_text(json.dumps(grid_doc(1, 5)))
+        flags = ["--s", "0.5"] if command == "kernel" else ["--T", "0.1"]
+        code = main([command, str(path), *flags, "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: bad graph file {path}: TooManyVertices: n=5, at most 4 allowed\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestMisc:

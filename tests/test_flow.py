@@ -9,7 +9,7 @@ import pytest
 import fracgraph as fg
 from fracgraph import flow
 from fracgraph.flow import _integrate, _solve
-from conftest import OVERFLOWING_U0, grid_doc, make_random_graph, wall_clock_limit
+from conftest import DEGENERATE_DOCS, OVERFLOWING_U0, grid_doc, make_random_graph, wall_clock_limit
 from linear_flow_reference import LinearFlow
 
 
@@ -601,6 +601,16 @@ class TestOverflowingU0:
                 solve(k2_kernel, np.array(u0), cfg)
         with pytest.raises(fg.DomainError, match="overflows a float"):
             fg.steady_state(k2_kernel.graph, np.array(u0), q)
+
+    def test_overflowing_total_measure_is_refused(self):
+        # mu = 1e308 at both vertices: the kernel is fine, the volume 2e308 is not
+        kernel = fg.build_kernel(fg.graph_from_json(json.dumps(DEGENERATE_DOCS["bigmu"])), 0.5)
+        cfg = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0)
+        for solve in (fg.evolve_direct, fg.picard_solve):
+            with pytest.raises(fg.DomainError, match="overflows a float"):
+                solve(kernel, np.ones(2), cfg)
+        with pytest.raises(fg.DomainError, match="overflows a float"):
+            fg.steady_state(kernel.graph, np.ones(2), 1.0)
 
     def test_large_u0_that_fits_runs(self, k2_kernel):
         # vol u^(q+1) = 2e300 is finite

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import fracgraph as fg
 import graph_reference as ref
-from conftest import make_random_graph
+from fracgraph import flow, graph
+from conftest import DEGENERATE_DOCS, grid_doc, make_random_graph
 
 
 class TestValidate:
@@ -118,6 +119,39 @@ class TestIntegrate:
     def test_length_mismatch(self, k2):
         with pytest.raises(fg.LengthMismatch):
             fg.integrate(k2, np.ones(3))
+
+    def test_overflowing_volume_is_infinite(self):
+        g = fg.graph_from_json(json.dumps(DEGENERATE_DOCS["bigmu"]))
+        assert g.volume() == math.inf
+
+
+class TestVertexCap:
+    """MAX_VERTICES, checked before any n x n matrix is made; each test lowers it."""
+
+    def test_weight_matrix_at_the_cap_holds_the_sample_cap(self):
+        assert graph.MAX_VERTICES**2 == flow.MAX_SAMPLE_VALUES
+
+    def test_document_over_the_cap_is_refused(self, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_VERTICES", 4)
+        assert fg.graph_from_json(json.dumps(grid_doc(1, 4))).n == 4
+        monkeypatch.setattr(np, "zeros", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(fg.InvalidGraph, match="TooManyVertices: n=5, at most 4 allowed"):
+            fg.graph_from_json(json.dumps(grid_doc(1, 5)))
+
+    def test_generator_over_the_cap_is_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_VERTICES", 4)
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(fg.InvalidGraph, match="TooManyVertices: n=5, at most 4 allowed"):
+            fg.random_connected_graph(rng, 5)
+        assert rng.bit_generator.state == state
+        assert fg.random_connected_graph(rng, 4).n == 4
+
+    def test_validate_names_too_many_vertices(self, k5, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_VERTICES", 4)
+        assert [v.code for v in fg.validate(k5)] == ["TooManyVertices"]
+        with pytest.raises(fg.InvalidGraph, match="TooManyVertices"):
+            fg.decompose(k5)
 
 
 class TestLaplacian:

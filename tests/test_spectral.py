@@ -1,5 +1,8 @@
+import json
 import math
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +11,26 @@ from hypothesis import strategies as st
 
 import fracgraph as fg
 import graph_reference as ref
-from conftest import REFERENCE_S, make_random_graph
+from conftest import DEGENERATE_DOCS, REFERENCE_S, make_random_graph
 from linear_flow_reference import fractional_laplacian_spectral
+
+
+@st.composite
+def extreme_graphs(draw):
+    """Connected graphs of 2 to 5 vertices with measures and weights 10^e, e in [-320, 308]:
+    a random spanning tree, then each other pair an edge or not."""
+    n = draw(st.integers(2, 5))
+    scale = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
+    mu = np.array([draw(scale) for _ in range(n)])
+    w = np.zeros((n, n))
+    for k in range(1, n):
+        j = draw(st.integers(0, k - 1))
+        w[k, j] = w[j, k] = draw(scale)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if w[i, j] == 0 and draw(st.booleans()):
+                w[i, j] = w[j, i] = draw(scale)
+    return fg.Graph(mu=mu, weights=w)
 
 
 class TestDecompose:
@@ -69,6 +90,54 @@ class TestDecompose:
         with pytest.raises(fg.NoConvergence, match="smallest eigenvalue 1.000e-09 is not"):
             fg.decompose(p3)
 
+    @pytest.mark.parametrize("name", ["inf", "tiny"])
+    def test_overflowing_laplacian_is_domain_error(self, name, monkeypatch):
+        g = fg.graph_from_json(json.dumps(DEGENERATE_DOCS[name]))
+        monkeypatch.setattr(np.linalg, "eigh", mock.Mock(side_effect=AssertionError))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fg.DomainError, match="overflows a float"):
+                fg.decompose(g)
+
+    @pytest.mark.parametrize("factors", [[np.nan] * 3, [1.0, 0.0, 1.0], [1.0, -1.0, 1.0]],
+                             ids=["nan", "zero-second", "negative-second"])
+    def test_spectrum_without_a_kernel_is_no_convergence(self, p3, monkeypatch, factors):
+        eigh = np.linalg.eigh
+
+        def forged(a):
+            vals, vecs = eigh(a)
+            return vals * factors, vecs  # the spectrum of p3 is 0, 1, 3
+
+        monkeypatch.setattr(np.linalg, "eigh", forged)
+        with pytest.raises(fg.NoConvergence, match="is not numerically zero below a positive"):
+            fg.decompose(p3)
+
+    @pytest.mark.parametrize("graph", [
+        # every entry of S underflows to 0, and so does every eigenvalue
+        pytest.param(lambda: fg.graph_from_json(json.dumps(DEGENERATE_DOCS["wide"])), id="wide"),
+        # S is finite, but its eigenvalue 2e308 is not
+        pytest.param(lambda: fg.Graph(mu=np.ones(2), weights=[[0.0, 1e308], [1e308, 0.0]]),
+                     id="overflowing-eigenvalue")])
+    def test_graph_without_a_kernel_is_no_convergence(self, graph):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fg.NoConvergence, match="smallest eigenvalue"):
+                fg.decompose(graph())
+
+    @given(graph=extreme_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_spectrum_builds_a_kernel_or_is_refused(self, graph):
+        """Measures and weights over 1e-320 ... 1e308: a typed refusal, or a spectrum
+        with lambda_0 = 0 < lambda_1 and finite eigenpairs, with no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                dec = fg.decompose(graph)
+            except fg.FracGraphError:
+                return
+        assert np.isfinite(dec.eigenvalues).all() and np.isfinite(dec.phi).all()
+        assert dec.eigenvalues[0] == 0.0 < dec.eigenvalues[1]
+
 
 class TestKernelWeights:
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
@@ -92,6 +161,14 @@ class TestKernelWeights:
         assert np.all(w[off] > 0)
         # the kernel is -C^T C from a symmetric rank-k update, exactly symmetric
         assert np.array_equal(w, w.T)
+
+    def test_nan_kernel_is_positivity_violation(self, p3):
+        dec = fg.decompose(p3)
+        phi = dec.phi.copy()
+        phi[1, 0] = np.nan
+        forged = fg.SpectralDecomposition(graph=p3, eigenvalues=dec.eigenvalues, phi=phi)
+        with pytest.raises(fg.PositivityViolation, match="entry nan at s=0.5"):
+            fg.kernel_weights(forged, 0.5)
 
     def test_s1_collapse_to_edge_weights(self):
         g = make_random_graph(17, n=8)
