@@ -225,12 +225,12 @@ def cmd_kernel(args) -> int:
     graph = _load_graph(args.graph)
     if not 0.0 < args.s < 1.0:
         raise UsageError(f"s = {args.s}, need 0 < s < 1")
-    out = _output_dir(args.output_dir)
     try:
         kernel = build_kernel(graph, args.s)
     except PositivityViolation as exc:
         print(f"FAIL kernel positivity: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    out = _output_dir(args.output_dir)
     w, dec = kernel.w, kernel.dec
     labels = tuple(map(_csv_field, graph.labels))
     _write_table(out / "kernel.csv", ["", *labels], [w], labels)
@@ -259,14 +259,16 @@ def cmd_kernel(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _setup(args):
-    """Set-up of evolve and verify: kernel, config, solver, u0 and its record, output dir."""
-    values = _resolve(args)
-    graph = _load_graph(args.graph)
+def _setup(graph: Graph, values: dict, out: str | Path, kernel: FractionalKernel | None = None):
+    """Admit a flow run in evolve's order (config, u0, kernel), then make its output
+    directory, so that a refused run leaves none; returns (kernel, config, solver, u0,
+    u0's record, directory).  A given kernel of the config's s is kept, and another
+    lends the new one its decomposition."""
     config = _flow_config(values, graph.n)
     u0, u0_meta = _make_u0(graph, values["u0"], config.q)
-    out = _output_dir(args.output_dir)
-    return build_kernel(graph, config.s), config, values["solver"], u0, u0_meta, out
+    if kernel is None or kernel.s != config.s:
+        kernel = build_kernel(graph, config.s, kernel and kernel.dec)
+    return kernel, config, values["solver"], u0, u0_meta, _output_dir(out)
 
 
 def _evolve_and_write(kernel: FractionalKernel, config: FlowConfig, solver: str,
@@ -308,11 +310,15 @@ def _evolve_and_write(kernel: FractionalKernel, config: FlowConfig, solver: str,
 
 
 def cmd_evolve(args) -> int:
-    return _evolve_and_write(*_setup(args), args.emit_plots)
+    values = _resolve(args)
+    return _evolve_and_write(*_setup(_load_graph(args.graph), values, args.output_dir),
+                             args.emit_plots)
 
 
 def cmd_verify(args) -> int:
-    kernel, config, solver, u0, u0_meta, out = _setup(args)
+    values = _resolve(args)
+    kernel, config, solver, u0, u0_meta, out = _setup(_load_graph(args.graph), values,
+                                                      args.output_dir)
 
     try:
         traj, iters, _ = _SOLVERS[solver](kernel, u0, config)
@@ -338,33 +344,23 @@ def _sweep_tag(s: float, p: float, q: float) -> str:
 def _sweep_worker(share) -> list[tuple[str, int]]:
     """Evolve a contiguous share of the grid; returns each point's (tag, exit code).
 
-    The graph is loaded once; per point, u0 is made after the config, as evolve
-    does, so a tag reports its first fault in evolve's order.  A kernel is built
-    where s changes, reusing the first one's decomposition, and one is held at a
-    time.  A fault in the graph fails every tag, any other fault its own tag.
+    Each point is set up as an evolve run, with the last point's kernel, so a tag
+    reports its first fault in evolve's order.  The graph is loaded at the first
+    point and kept; a fault in it fails each tag.
     """
     graph_path, outdir, values, points = share
-    tags = [_sweep_tag(*point) for point in points]
-    try:
-        graph = _load_graph(graph_path)
-    except UsageError as exc:
-        print("\n".join(f"sweep {tag}: {exc}" for tag in tags), file=sys.stderr)
-        return [(tag, EXIT_USAGE) for tag in tags]
-    codes, kernel = [], None
-    for tag, (s, p, q) in zip(tags, points):
+    results, graph, kernel = [], None, None
+    for s, p, q in points:
+        tag = _sweep_tag(s, p, q)
         try:
-            config = _flow_config({**values, "s": s, "p": p, "q": q}, graph.n)
-            u0, u0_meta = _make_u0(graph, values["u0"], config.q)
-            out = _output_dir(Path(outdir) / tag)
-            if kernel is None or kernel.s != config.s:
-                dec, kernel = kernel and kernel.dec, None  # hold one kernel at a time
-                kernel = build_kernel(graph, config.s, dec)
-            codes.append(_evolve_and_write(kernel, config, values["solver"], u0, u0_meta,
-                                           out, emit_plots=False))
+            graph = graph or _load_graph(graph_path)
+            kernel, *run = _setup(graph, {**values, "s": s, "p": p, "q": q},
+                                  Path(outdir) / tag, kernel)
+            results.append((tag, _evolve_and_write(kernel, *run, emit_plots=False)))
         except UsageError as exc:
             print(f"sweep {tag}: {exc}", file=sys.stderr)
-            codes.append(EXIT_USAGE)
-    return list(zip(tags, codes))
+            results.append((tag, EXIT_USAGE))
+    return results
 
 
 def cmd_sweep(args) -> int:

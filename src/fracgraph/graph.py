@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidGraph, LengthMismatch
+from .errors import DomainError, InvalidGraph, LengthMismatch
 
 __all__ = [
     "Graph",
@@ -221,8 +221,11 @@ def mu_inner(graph: Graph, f: np.ndarray, g: np.ndarray) -> float:
 
 def laplacian_matrix(graph: Graph) -> np.ndarray:
     """Dense matrix of -Delta: (A @ u)(x) = (1/mu(x)) sum_y w_xy (u(x) - u(y))."""
-    a = -graph.weights / graph.mu[:, None]
-    np.fill_diagonal(a, graph.degrees / graph.mu)
+    with np.errstate(all="ignore"):  # a matrix that overflows is a DomainError below
+        a = -graph.weights / graph.mu[:, None]
+        np.fill_diagonal(a, graph.degrees / graph.mu)
+    if not np.isfinite(a).all():
+        raise DomainError("the Laplacian overflows a float")
     return a
 
 

@@ -203,7 +203,5 @@ def kernel_weights_oracle(dec: SpectralDecomposition, s: float) -> np.ndarray:
     reduces the matrix to scalar quadratures, one per eigenvalue.  Only the
     final assembly is shared with the spectral route, not the powers.
     """
-    if not 0.0 < s < 1.0:
-        raise ExponentOutOfRange(f"s = {s}, need 0 < s < 1")
     powers = [fractional_power_quadrature(lam, s) for lam in dec.eigenvalues]
     return _assemble_kernel(dec, np.array(powers))

@@ -178,6 +178,7 @@ class TestKernelCommand:
         code = main(["kernel", k2_path, "--s", "0.5", "--output-dir", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err == "FAIL kernel positivity: forced\n"
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_graph_json(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -903,6 +904,27 @@ class TestSweepCommand:
                                     for tag in tags]
         assert list((tmp_path / "o").iterdir()) == []
 
+    @pytest.mark.parametrize("fault", ["missing", "too-many-vertices"])
+    def test_graph_fault_fails_every_tag(self, tmp_path, capsys, monkeypatch, serial_pools,
+                                         fault):
+        path = tmp_path / "g.json"
+        if fault == "missing":
+            message = f"cannot read graph file: [Errno 2] No such file or directory: '{path}'"
+        else:
+            monkeypatch.setattr(graph, "MAX_VERTICES", 4)
+            path.write_text(json.dumps(grid_doc(1, 5)))
+            message = f"bad graph file {path}: TooManyVertices: n=5, at most 4 allowed"
+        code = main(["sweep", str(path), "--s-list", "0.3,0.7", "--p-list", "2",
+                     "--q-list", "1,2", "--T", "0.1", "--workers", "2",
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        tags = [f"s{s}_p2.0_q{q}" for s in (0.3, 0.7) for q in (1.0, 2.0)]
+        assert out.splitlines() == [f"FAIL {tag}" for tag in tags]
+        assert err.splitlines() == [f"sweep {tag}: {message}" for tag in tags]
+        assert list((tmp_path / "o").iterdir()) == []
+        assert [len(share[3]) for share in serial_pools[0].shares] == [2, 2]
+
     @pytest.mark.parametrize("flags, message", [
         (["--picard-max", "2.5"], "picard_max = 2.5, need an integer >= 1"),
         (["--dt-out", "0.005"], "402 output values, at most 401 allowed")],
@@ -1085,10 +1107,21 @@ class TestDegenerateGraphs:
         expected_code, message = _REFUSALS[name]
         assert code == expected_code and re.fullmatch(message + "\n", err)
         assert "PASS" not in printed
-        written = {p.name for p in out.iterdir()} if out.exists() else set()
-        assert not written & {"trajectory.csv", "report.json", "kernel.csv"}
-        for p in out.glob("*.json"):
-            json.loads(p.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in {p.name}"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["inf", "tiny", "wide"])
+    def test_sweep_refused_with_no_tag_directory(self, tmp_path, capsys, serial_pools, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(DEGENERATE_DOCS[name]))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", str(path), "--s-list", "0.3,0.7", "--p-list", "2",
+                         "--q-list", "1", "--T", "0.1", "--output-dir", str(out)])
+        printed, err = capsys.readouterr()
+        expected_code, message = _REFUSALS[name]
+        assert code == expected_code == 1 and re.fullmatch(message + "\n", err)
+        assert printed == "" and list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["kernel", "evolve", "verify"])
     def test_too_many_vertices_is_usage_error(self, tmp_path, capsys, monkeypatch, command):
@@ -1151,7 +1184,7 @@ class TestMisc:
     def test_library_error_outside_a_solve_fails_the_run(self, k2_path, tmp_path, capsys,
                                                           monkeypatch):
         # an eigensolve that does not converge is a failed run, not a crash
-        def diverging(graph, s):
+        def diverging(graph, s, dec=None):
             raise fg.NoConvergence("forced")
 
         monkeypatch.setattr(cli, "build_kernel", diverging)

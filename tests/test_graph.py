@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -193,6 +194,14 @@ class TestLaplacian:
         scale = abs(fg.mu_inner(g, lu, v)) + abs(fg.mu_inner(g, u, lv)) + 1.0
         assert abs(fg.mu_inner(g, lu, v) - fg.mu_inner(g, u, lv)) <= 1e-12 * scale
         assert abs(fg.integrate(g, lu)) <= 1e-12 * (np.abs(lu * g.mu).sum() + 1.0)
+
+    @pytest.mark.parametrize("name", ["inf", "tiny"])
+    def test_overflow_is_a_domain_error(self, name):
+        g = fg.graph_from_json(json.dumps(DEGENERATE_DOCS[name]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fg.DomainError, match="^the Laplacian overflows a float$"):
+                fg.laplacian_matrix(g)
 
     def test_matrix_matches_apply(self):
         # the defining sum (1/mu(x)) sum_y w_xy (u(x) - u(y))
