@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import json
 import os
 import sys
@@ -384,8 +383,7 @@ def cmd_sweep(args) -> int:
     shares = [(args.graph, str(out), values, [combos[i] for i in share])
               for share in np.array_split(range(len(combos)), workers)]
     worst = EXIT_OK
-    # a worker's collections need not walk the objects it inherits from this process
-    with ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for tag, code in chain.from_iterable(pool.map(_sweep_worker, shares)):
             print(f"{'ok' if code == 0 else 'FAIL'} {tag}")
             worst = max(worst, code)

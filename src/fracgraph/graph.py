@@ -310,7 +310,7 @@ def graph_from_json(text: str) -> Graph:
     Duplicate edges, self-loops and a measure or weight that is not a JSON
     number (true and "2" are not) are rejected.  A malformed document raises
     ValueError (a missing key KeyError), naming the first offending vertex or
-    edge in file order; the weight matrix is filled in one scatter at the end.
+    edge in file order; each edge is written into the weight matrix in turn.
     More than MAX_VERTICES vertices raise InvalidGraph before the matrix is made.
     """
     data = json.loads(text)
@@ -335,10 +335,8 @@ def graph_from_json(text: str) -> Graph:
         raise ValueError(f"vertex measures must be numbers: {exc}") from exc
     index = {lab: i for i, lab in enumerate(labels)}
 
-    # the weight of each vertex pair, keyed i * n + j with i < j; a later edge
-    # may only replace a zero, as when each edge was written to the matrix
     n = len(labels)
-    pairs: dict[int, float] = {}
+    w = np.zeros((n, n))
     k = None
     try:
         for k, e in enumerate(edges):
@@ -348,23 +346,15 @@ def graph_from_json(text: str) -> Graph:
                 raise ValueError(f"edge references unknown vertex {exc}") from exc
             if i == j:
                 raise ValueError(f"self-loop at vertex {labels[i]}")
-            pair = i * n + j if i < j else j * n + i
-            if pairs.get(pair, 0.0) != 0:
+            if w[i, j]:  # an edge may replace only a zero-weight one; NaN is not zero
                 raise ValueError(f"duplicate edge {labels[i]}-{labels[j]}")
             x = e["w"]
             if type(x) not in (int, float):  # _json_number's test, with no name built per edge
                 raise ValueError(f"edge {labels[i]}-{labels[j]}: w = {x!r} is not a number")
-            pairs[pair] = float(x)
+            w[i, j] = w[j, i] = x
     except (TypeError, OverflowError) as exc:
         where = "edges" if k is None else f"edge {k}"
         raise ValueError(f"{where}: {exc}") from exc
-
-    key = np.fromiter(pairs, np.intp, len(pairs))
-    weight = np.fromiter(pairs.values(), float, len(pairs))
-    w = np.zeros((n, n))
-    flat = w.reshape(-1)
-    flat[key] = weight
-    flat[key % n * n + key // n] = weight
     return Graph._adopt(mu, w, tuple(labels)).require_valid()
 
 

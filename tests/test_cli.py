@@ -1,6 +1,5 @@
 import argparse
 import csv
-import gc
 import importlib.util
 import json
 import math
@@ -61,16 +60,12 @@ def k5_path(tmp_path):
 
 @pytest.fixture
 def serial_pools(monkeypatch):
-    """The sweep's pools, each running its map in this process; starts no process.
-
-    A pool records its initializer but never calls it: gc.freeze would freeze
-    the test process's own heap.
-    """
+    """The sweep's pools, each running its map in this process; starts no process."""
     pools = []
 
     class SerialPool:
-        def __init__(self, max_workers, initializer=None):
-            self.max_workers, self.initializer, self.shares = max_workers, initializer, []
+        def __init__(self, max_workers):
+            self.max_workers, self.shares = max_workers, []
             pools.append(self)
 
         def __enter__(self):
@@ -833,12 +828,6 @@ class TestSweepCommand:
                      "--output-dir", str(tmp_path / "o")])
         assert code == 0
         assert [pool.max_workers for pool in serial_pools] == [2]
-
-    def test_workers_freeze_the_heap_they_inherit(self, k2_path, tmp_path, serial_pools):
-        code = main(["sweep", k2_path, "--s-list", "0.3", "--p-list", "2", "--q-list", "1",
-                     "--T", "0.1", "--output-dir", str(tmp_path / "o")])
-        assert code == 0
-        assert [pool.initializer for pool in serial_pools] == [gc.freeze]
 
     @pytest.mark.parametrize("affinity, workers", [(True, 1), (False, 3)],
                              ids=["affinity", "no-affinity"])

@@ -270,6 +270,38 @@ class TestJsonFormat:
         with pytest.raises(ValueError, match="^vertex measures must be numbers: int too large"):
             fg.graph_from_json(json.dumps(doc))
 
+    def test_rejects_overflowing_weight(self):
+        doc = {
+            "vertices": [{"id": "a", "mu": 1.0}, {"id": "b", "mu": 1.0}],
+            "edges": [{"u": "a", "v": "b", "w": 10**400}],
+        }
+        with pytest.raises(ValueError) as exc_info:
+            fg.graph_from_json(json.dumps(doc))
+        assert str(exc_info.value) == "edge 0: int too large to convert to float"
+
+    def test_later_edge_replaces_a_zero_weight(self):
+        doc = {
+            "vertices": [{"id": "a", "mu": 1.0}, {"id": "b", "mu": 1.0}],
+            "edges": [
+                {"u": "a", "v": "b", "w": 0.0},
+                {"u": "b", "v": "a", "w": 2.0},
+            ],
+        }
+        g = fg.graph_from_json(json.dumps(doc))
+        assert g.weights[0, 1] == g.weights[1, 0] == 2.0
+
+    def test_zero_weight_edge_does_not_replace_a_weight(self):
+        doc = {
+            "vertices": [{"id": "a", "mu": 1.0}, {"id": "b", "mu": 1.0}],
+            "edges": [
+                {"u": "a", "v": "b", "w": 2.0},
+                {"u": "b", "v": "a", "w": 0.0},
+            ],
+        }
+        with pytest.raises(ValueError) as exc_info:
+            fg.graph_from_json(json.dumps(doc))
+        assert str(exc_info.value) == "duplicate edge b-a"
+
     def test_rejects_duplicate_edge(self):
         doc = {
             "vertices": [{"id": "a", "mu": 1.0}, {"id": "b", "mu": 1.0}],
