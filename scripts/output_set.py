@@ -11,9 +11,10 @@ from SRC (default: the src/ of the checkout holding this script).  The set:
 `verify` at four (s, p, q) with both solvers and the 12-point `sweep` on two
 random graphs of 500 vertices, two `verify` runs to T = 2 that snap to the
 steady state (at p < 2, t ~ 0.45), `evolve --solver picard --emit-plots`,
-`kernel` on K2, a stiff path that exhausts the step budget (exit 1), an
-unknown solver in a config file and a `sweep` with a fractional
-`--picard-max` (exit 2).
+`kernel --s 0.5` on K2, on the first 500-vertex graph and on a three-vertex
+path with w(a, b) = 1e20 (eigenvalues 0, 16384 and 2e20 in floats), a stiff
+path that exhausts the step budget (exit 1), an unknown solver in a config
+file and a `sweep` with a fractional `--picard-max` (exit 2).
 
 `compare` prints one line per file that either run holds: "identical", or for
 CSV and JSON the largest absolute difference of each numeric column or field
@@ -63,6 +64,9 @@ DOCS = {
     # a stiff edge next to a slow one: the step budget ends the run (exit 1)
     "path3.json": {"vertices": [{"id": v, "mu": 1.0} for v in "abc"],
                    "edges": [{"u": "a", "v": "b", "w": 1e6}, {"u": "b", "v": "c", "w": 1e-6}]},
+    # an eigenvalue of 2e20, far from 1, for the kernel's quadrature oracle
+    "path20.json": {"vertices": [{"id": v, "mu": 1.0} for v in "abc"],
+                    "edges": [{"u": "a", "v": "b", "w": 1e20}, {"u": "b", "v": "c", "w": 1.0}]},
     "rk4.json": {"solver": "rk4"},
 }
 
@@ -88,7 +92,8 @@ def commands():
     yield ("evolve-picard-plots",
            ["evolve", "graphs/n500-seed1.json", "--solver", "picard", "--q", "2", *grid,
             "--u0-random", "0.5", "2", "--seed", "1", "--emit-plots"])
-    yield "kernel-k2", ["kernel", "graphs/k2.json", "--s", "0.5"]
+    for name in ("k2", "n500-seed1", "path20"):
+        yield f"kernel-{name}", ["kernel", f"graphs/{name}.json", "--s", "0.5"]
     yield ("stiff-path", ["verify", "graphs/path3.json", "--s", "0.99", "--T", "1e6",
                           "--u0-random", "0.5", "2"])
     yield "unknown-solver", ["evolve", "graphs/k2.json", "--config", "graphs/rk4.json"]

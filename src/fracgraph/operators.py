@@ -41,6 +41,7 @@ temporaries stay bounded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,10 +198,11 @@ def ibp_residual(
     cu, cv = _centred(u), _centred(v)
     lu, gp = _p_laplacian(kernel, cu, p, eps_reg)
     # int c (-Delta)_p^s u dmu = 0 for a constant c, so centring v here too
-    # changes nothing but the round-off
-    lhs = float(np.dot(cv * lu, kernel.graph.mu))
+    # changes nothing but the round-off; fsum rounds each side once, however
+    # far its terms cancel
+    lhs = math.fsum(cv * lu * kernel.graph.mu)
 
     wu, wv, wuv = _apply(kernel, cu, cv, cu * cv)
     bilinear = (kernel.row_sums * cu - wu) * cv - cu * wv + wuv
-    rhs = 0.5 * float(np.sum(gp * bilinear))
+    rhs = 0.5 * math.fsum(gp * bilinear)
     return abs(lhs - rhs)

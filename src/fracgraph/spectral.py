@@ -37,11 +37,10 @@ __all__ = [
     "fractional_power_quadrature",
 ]
 
-# The grid of fractional_power_quadrature: tau = log t over [_TAU_MIN, _TAU_MAX],
-# shifted for lam beyond 2^(+-_SHIFT_FREE) (see there), _PANELS Simpson panels,
-# checked against half as many to _CHECK_TOL.
+# The grid of fractional_power_quadrature: tau + k log 2 over [_TAU_MIN, _TAU_MAX]
+# for lam = m 2^k (see there), _PANELS Simpson panels, checked against half as
+# many to _CHECK_TOL.
 _TAU_MIN, _TAU_MAX = -40.0, 40.0
-_SHIFT_FREE = 24
 _PANELS = 8192
 _CHECK_TOL = 1e-9
 
@@ -142,13 +141,12 @@ def fractional_power_quadrature(lam: float, s: float) -> float:
     Equals lam^s analytically; computed here without calling the power
     function, so it can serve as an independent oracle.  The substitution
     t = exp(tau) is integrated by composite Simpson; the truncated head and
-    tail are added in closed form (series expansion below t0, pure power
+    tail are added in closed form (leading series term below t0, pure power
     integral above t1, where exp(-lam t) has underflowed).
 
-    The integrand turns from lam t^(-s) to t^(-s) where lam t = 1.  For lam
-    in [2^-25, 2^24) the grid is tau in [-40, 40], with that turn at least 22
-    from either end.  Beyond, with lam = m 2^k and m in [1/2, 1), the grid is
-    tau + k log 2 in [-40, 40], with the turn mid-grid; each node still
+    The integrand turns from lam t^(-s) to t^(-s) where lam t = 1.  With
+    lam = m 2^k and m in [1/2, 1), the grid is tau + k log 2 in [-40, 40], so
+    that turn lies within log 2 of mid-grid at every scale; each node still
     evaluates lam t and t^(-s), so no power of lam leaves the integral.  The
     result holds to ~1e-13 relative at lam = 10^j, |j| <= 300.  A node value
     that overflows a float (lam near its largest value, s near 1) and a
@@ -161,7 +159,6 @@ def fractional_power_quadrature(lam: float, s: float) -> float:
     if not lam > 0.0:
         raise DomainError(f"lam = {lam}, need lam >= 0")
     k = math.frexp(lam)[1]
-    k = 0 if abs(k) <= _SHIFT_FREE else k
     lam_k, shift = math.ldexp(lam, -k), k * math.log(2.0)
 
     def simpson(n_panels: int) -> float:
@@ -177,14 +174,11 @@ def fractional_power_quadrature(lam: float, s: float) -> float:
         core = simpson(_PANELS)
         coarse = simpson(_PANELS // 2)
     # the ends of the shifted grid are t0 2^-k and t1 2^-k, where lam t takes the
-    # values lam_k t0 and lam_k t1, and t^(-s) is 2^(ks) times its value at t0 and t1
+    # values lam_k t0 < 4.3e-18 (so the head's next series term is below that share
+    # of its first) and lam_k t1, and t^(-s) is 2^(ks) times its value at t0 and t1
     scale = math.exp(s * shift)
     t0 = math.exp(_TAU_MIN)
-    head = scale * (
-        lam_k * t0 ** (1.0 - s) / (1.0 - s)
-        - lam_k**2 * t0 ** (2.0 - s) / (2.0 * (2.0 - s))
-        + lam_k**3 * t0 ** (3.0 - s) / (6.0 * (3.0 - s))
-    )
+    head = scale * lam_k * t0 ** (1.0 - s) / (1.0 - s)
     t1 = math.exp(_TAU_MAX)
     tail = scale * t1 ** (-s) / s
     total = s / math.gamma(1.0 - s) * (core + head + tail)

@@ -206,8 +206,10 @@ class TestQuadratureOracle:
     @pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
     def test_right_at_every_scale(self, s):
         # the grid follows lam, so lam = 1e16 and 1e-18 are as right as lam = 2, and
-        # so is the smallest subnormal; only overflow is refused (below)
-        lams = np.array([10.0**j for j in range(-300, 301)] + [5e-324])
+        # so are the smallest subnormal and either side of 2^-25 and 2^24, where an
+        # earlier grid switched rule; only overflow is refused (below)
+        edges = [np.nextafter(2.0**-25, 0), 2.0**-25, np.nextafter(2.0**24, 0), 2.0**24]
+        lams = np.array([10.0**j for j in range(-300, 301)] + [5e-324] + edges)
         values = np.array([fg.fractional_power_quadrature(lam, s) for lam in lams])
         assert np.max(np.abs(values / lams**s - 1.0)) <= 1e-10
 
