@@ -10,8 +10,10 @@ default_rng([2, n]).  The layers: graph_from_json on the graph's JSON,
 validate, decompose, kernel_weights, fractional_power_quadrature (per
 eigenvalue, over at most 16 of them), one rhs_direct, one accepted step
 (flow._accept_step from u0 with the first step size), evolve_direct with its
-RHS count, build_report on that trajectory, and `fracgraph verify` through
-cli.main.  Each layer gets one warm-up call, then 10 timed calls.
+RHS count, picard_solve on the same flow with its sweep count and the RHS
+count of all its sweeps, build_report on evolve_direct's trajectory, and
+`fracgraph verify` through cli.main.  Each layer gets one warm-up call, then
+10 timed calls.
 
 Each round runs one child process per tree (SRC holds the fracgraph package;
 default: the src/ of this checkout), in alternating order, so that trees are
@@ -20,7 +22,8 @@ loads, as perfbench/run.py does.  `--out` writes JSON: for each tree, size
 and layer, the median and the quartile distance (q3 - q1) of all timed
 repeats in microseconds and each round's median, with the Python and numpy
 versions, the BLAS thread count and nproc.  A table of medians goes to
-stdout.  It is not a gate: timings depend on the machine and its load.
+stdout, each with the figures its layer reports, such as its RHS count.  It
+is not a gate: timings depend on the machine and its load.
 """
 
 import argparse
@@ -82,6 +85,10 @@ def _layers(n: int, workdir: Path):
     def evolve():
         return {"rhs_calls": fg.evolve_direct(kernel, u0, config).stats.rhs_evals}
 
+    def picard():
+        traj, sweeps, _ = fg.picard_solve(kernel, u0, config)
+        return {"sweeps": sweeps, "rhs_calls": traj.stats.rhs_evals}
+
     traj = fg.evolve_direct(kernel, u0, config)
     verify_args = ["verify", str(graph_path), "--s", str(S), "--p", str(P), "--q", str(Q),
                    "--T", str(T), "--dt-out", str(DT_OUT), "--u0-random", "0.5", "2",
@@ -105,6 +112,7 @@ def _layers(n: int, workdir: Path):
         ("rhs_direct", discard(fg.rhs_direct, kernel, u0, P, Q)),
         ("accepted_step", accepted_step),
         ("evolve_direct", evolve),
+        ("picard_solve", picard),
         ("build_report", discard(fg.build_report, traj, kernel, config)),
         ("verify", verify),
     ]
@@ -143,6 +151,12 @@ def _summary(rounds: list[dict]) -> dict:
     extra = {k: v for k, v in rounds[0].items() if k != "times_us"}
     return {"median_us": statistics.median(pooled), "quartile_distance_us": q3 - q1,
             "round_medians_us": [statistics.median(r["times_us"]) for r in rounds], **extra}
+
+
+def _figures(cell: dict) -> str:
+    """A layer's own figures, such as its RHS count, as text for the table."""
+    timings = ("median_us", "quartile_distance_us", "round_medians_us")
+    return "".join(f" {k} {v}" for k, v in cell.items() if k not in timings)
 
 
 def main() -> int:
@@ -187,7 +201,7 @@ def main() -> int:
         for layer in out["trees"][trees[0]][n]:
             cells = [out["trees"][tree][n][layer] for tree in trees]
             print(f"  {layer:26}" + "".join(f"{c['median_us']:14.1f} ({c['quartile_distance_us']:7.1f})"
-                                            for c in cells))
+                                            + _figures(c) for c in cells))
     if args.out:
         args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0

@@ -43,13 +43,19 @@ def dirichlet_p_energy(kernel, u, p):
     return float(np.dot(gradient_norms(kernel, u) ** p, kernel.graph.mu))
 
 
-def ibp_sides(kernel, u, v, p, eps_reg=0.0):
-    """(LHS, RHS) of the integration-by-parts identity checked by ibp_residual."""
-    mu = kernel.graph.mu
-    lhs = float(np.dot(v * p_laplacian(kernel, u, p, eps_reg), mu))
+def ibp_abs_sum(kernel, u, v, p, eps_reg=0.0):
+    """Sum of |summand| over both sides of the identity checked by ibp_residual.
+
+    The sides in pairwise form, with g = |grad^s u|^(p-2): the left sums
+    (g(x) + g(y))/2 W(x,y) (u(x) - u(y)) v(x), taken for v - v(0), which
+    changes it by v(0) times the integral of (-Delta)_p^s u, that is by
+    nothing; the right sums g(x)/2 W(x,y) (u(x) - u(y)) (v(x) - v(y)).
+    """
     if p == 2.0:
         gp = np.ones(kernel.n)
     else:
         gp = _regularized_power(gradient_norms(kernel, u), p, eps_reg)
-    inner = (kernel.w * _diff_matrix(u) * _diff_matrix(v)).sum(axis=1) / (2.0 * mu)
-    return lhs, float(np.dot(gp * inner, mu))
+    wdu = kernel.w * np.abs(_diff_matrix(u))
+    lhs = 0.5 * (gp[:, None] + gp[None, :]) * wdu * np.abs(v - v[0])[:, None]
+    rhs = 0.5 * gp[:, None] * wdu * np.abs(_diff_matrix(v))
+    return float(lhs.sum() + rhs.sum())

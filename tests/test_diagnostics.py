@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fracgraph as fg
+from conftest import make_random_graph
 from fracgraph import cli, diagnostics, operators
 from fracgraph.flow import StepStats, Trajectory
 
@@ -226,6 +227,32 @@ class TestBuildReport:
         )
         _, _, ok = fg.dissipation_check(traj, k5_kernel, 2.5, 1.5, slack)
         assert report.check_table[2].passed == ok
+
+    # ROADMAP item 1: the step controller bounds the error of u, and u^q
+    # amplifies it, so these correct solves drift past the row's 1e-8 relative
+    # threshold; integrating w = u^q would hold the mass to round-off
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    def test_mass_row_at_loose_tolerances(self):
+        # measured 5.018e-05 against a threshold of 8.064e-06
+        graph = fg.random_connected_graph(np.random.default_rng([1, 200]), 200,
+                                          extra_edge_prob=8 / 200)
+        kern = fg.build_kernel(graph, 0.5)
+        u0 = np.random.Generator(np.random.Philox(3)).uniform(0.5, 2.0, kern.n)
+        traj, cfg = run_flow(kern, u0, s=0.5, p=2.5, q=1.5, T=1.0, dt_out=1e-2,
+                             atol=1e-5, rtol=1e-5)
+        report = fg.build_report(traj, kern, cfg)
+        assert {row.name: row.passed for row in report.check_table}["mass_conservation"]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    def test_mass_row_with_a_tiny_component(self):
+        # measured 6.106e-04 against a threshold of 2.834e-07: at u = 1e-12,
+        # q u^(q-1) is 5e5
+        kern = fg.build_kernel(make_random_graph(4, n=8), 0.3)
+        u0 = np.random.default_rng(4).uniform(0.5, 2.0, kern.n)
+        u0[3] = 1e-12
+        traj, cfg = run_flow(kern, u0, s=0.3, p=1.5, q=0.5, T=0.1)
+        report = fg.build_report(traj, kern, cfg)
+        assert {row.name: row.passed for row in report.check_table}["mass_conservation"]
 
     def test_check_passes_up_to_its_threshold(self):
         assert diagnostics.Check("c", 1.0, 1.0).passed

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 from unittest import mock
@@ -415,38 +414,64 @@ class TestPicard:
         # no sweep stops at an output time
         kern = fg.build_kernel(philox_g40, 0.7)
         u0 = np.random.Generator(np.random.Philox(3)).uniform(0.5, 2.0, kern.n)
-        totals, integrate = [], flow._integrate
+        sweeps, integrate = [], flow._integrate
 
         def counting(*args, **kwargs):
+            # the sweeps share the solve's record, so a sweep's own count is
+            # what it added to the record
             values, stats = integrate(*args, **kwargs)
-            totals[-1] += stats.rhs_evals
+            sweeps[-1].append(stats.rhs_evals - sum(sweeps[-1]))
             return values, stats
 
         monkeypatch.setattr(flow, "_integrate", counting)
         for dt_out in (5e-3, 1e-3):
-            totals.append(0)
+            sweeps.append([])
             fg.picard_solve(kern, u0, fg.FlowConfig(s=0.7, p=2.5, q=1.5, T=1.0, dt_out=dt_out))
-        assert totals[0] == totals[1]
+        assert sweeps[0] == sweeps[1]  # so the totals agree too
 
     def test_stats_count_every_sweep(self, philox_g40, monkeypatch):
         kern = fg.build_kernel(philox_g40, 0.7)
         u0 = np.random.Generator(np.random.Philox(3)).uniform(0.5, 2.0, kern.n)
-        sweeps, integrate = [], flow._integrate
+        names = ("accepted", "rejected", "rejected_error", "rejected_positivity", "rhs_evals")
+        # each sweep's counts are what it added to the solve's one record, and
+        # its steps are those that _accept_step accepted while it ran
+        sweeps, steps, integrate, accept = [], [], flow._integrate, flow._accept_step
 
         def recording(*args, **kwargs):
+            before = {name: sum(sweep[name] for sweep in sweeps) for name in names}
+            steps.append([])
             values, stats = integrate(*args, **kwargs)
-            sweeps.append(dataclasses.replace(stats))
+            sweeps.append({name: getattr(stats, name) - before[name] for name in names})
+            sweeps[-1].update(h_min=min(steps[-1]), h_max=max(steps[-1]),
+                              snap_time=stats.snap_time)
             return values, stats
 
+        def accepting(*args):
+            result = accept(*args)
+            steps[-1].append(result[0])
+            return result
+
         monkeypatch.setattr(flow, "_integrate", recording)
+        monkeypatch.setattr(flow, "_accept_step", accepting)
         traj, iters, _ = fg.picard_solve(kern, u0, fg.FlowConfig(s=0.7, p=2.5, q=1.5, T=1.0))
         assert len(sweeps) == iters > 1
-        for name in ("accepted", "rejected", "rejected_error", "rejected_positivity",
-                     "rhs_evals"):
-            assert getattr(traj.stats, name) == sum(getattr(st, name) for st in sweeps)
-        assert traj.stats.h_min == min(st.h_min for st in sweeps)
-        assert traj.stats.h_max == max(st.h_max for st in sweeps)
-        assert traj.stats.snap_time == sweeps[-1].snap_time
+        assert [sweep["accepted"] for sweep in sweeps] == [len(hs) for hs in steps]
+        for name in names:
+            assert getattr(traj.stats, name) == sum(sweep[name] for sweep in sweeps)
+        assert traj.stats.h_min == min(sweep["h_min"] for sweep in sweeps)
+        assert traj.stats.h_max == max(sweep["h_max"] for sweep in sweeps)
+        assert traj.stats.snap_time == sweeps[-1]["snap_time"]
+
+    def test_step_budget_bounds_the_whole_solve(self, k5_kernel, monkeypatch):
+        # each of the 9 sweeps takes 17 or 18 steps, 154 in all, and the direct
+        # solve 18: a budget of 50 ends the Picard solve only because its
+        # sweeps count against it together
+        u0 = np.random.default_rng(1).uniform(0.5, 2.0, 5)
+        cfg = fg.FlowConfig(s=0.5, p=2.5, q=1.5, T=1.0)
+        monkeypatch.setattr(flow, "MAX_STEPS", 50)
+        fg.evolve_direct(k5_kernel, u0, cfg)
+        with pytest.raises(fg.StepBudgetExceeded, match="50 steps"):
+            fg.picard_solve(k5_kernel, u0, cfg)
 
     def test_not_converged_raises_with_history(self, k2_kernel):
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0, picard_max=2, picard_tol=1e-16)
