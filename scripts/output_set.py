@@ -14,7 +14,9 @@ steady state (at p < 2, t ~ 0.45), `evolve --solver picard --emit-plots`,
 `kernel --s 0.5` on K2, on the first 500-vertex graph and on a three-vertex
 path with w(a, b) = 1e20 (eigenvalues 0, 16384 and 2e20 in floats), a stiff
 path that exhausts the step budget (exit 1), an unknown solver in a config
-file and a `sweep` with a fractional `--picard-max` (exit 2).
+file, a `sweep` with a fractional `--picard-max` (exit 2), and a `sweep` on a
+three-vertex star whose kernel fails positivity at s = 0.7 but not at s = 0.3
+(that s's tags FAIL, the others run, exit 1).
 
 `compare` prints one line per file that either run holds: "identical", or for
 CSV and JSON the largest absolute difference of each numeric column or field
@@ -67,6 +69,11 @@ DOCS = {
     # an eigenvalue of 2e20, far from 1, for the kernel's quadrature oracle
     "path20.json": {"vertices": [{"id": v, "mu": 1.0} for v in "abc"],
                     "edges": [{"u": "a", "v": "b", "w": 1e20}, {"u": "b", "v": "c", "w": 1.0}]},
+    # measures 1e6, 1e6 and 1e-6: the kernel's least entry is -5.6e-8 at s = 0.7, a round-off
+    # whose sign may differ by BLAS build, and positive at s = 0.3
+    "star3.json": {"vertices": [{"id": "a", "mu": 1e6}, {"id": "b", "mu": 1e6},
+                                {"id": "c", "mu": 1e-6}],
+                   "edges": [{"u": "a", "v": "b", "w": 1.0}, {"u": "a", "v": "c", "w": 1e6}]},
     "rk4.json": {"solver": "rk4"},
 }
 
@@ -99,6 +106,10 @@ def commands():
     yield "unknown-solver", ["evolve", "graphs/k2.json", "--config", "graphs/rk4.json"]
     yield ("sweep-picard-max", ["sweep", "graphs/k2.json", "--s-list", "0.3,0.5", "--p-list", "2",
                                 "--q-list", "1", "--picard-max", "2.5", "--workers", "1"])
+    # one worker, so that the order of the failed tags' stderr lines is fixed
+    yield ("sweep-positivity", ["sweep", "graphs/star3.json", "--s-list", "0.7,0.3",
+                                "--p-list", "1.5,2.5", "--q-list", "1", "--T", "0.01",
+                                "--workers", "1"])
 
 
 def run(root: Path, src: Path) -> int:

@@ -359,6 +359,9 @@ def _sweep_worker(share) -> list[tuple[str, int]]:
         except UsageError as exc:
             print(f"sweep {tag}: {exc}", file=sys.stderr)
             results.append((tag, EXIT_USAGE))
+        except PositivityViolation as exc:
+            print(f"sweep {tag}: PositivityViolation: {exc}", file=sys.stderr)
+            results.append((tag, EXIT_CHECK_FAILED))
     return results
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -211,7 +211,7 @@ class Trajectory:
 
     times: np.ndarray
     values: np.ndarray  # shape (len(times), n)
-    stats: StepStats = field(default_factory=StepStats)
+    stats: StepStats
 
     @property
     def u0(self) -> np.ndarray:
@@ -353,15 +353,15 @@ def _accept_step(f, t: float, u: np.ndarray, f0: np.ndarray, h: float, tol: floa
         h = h_next
 
 
-def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: Graph,
-               steps: list | None = None, stats: StepStats | None = None):
-    """Adaptive integration; returns the states at the output times and the stats.
+def _integrate(f, u0: np.ndarray, config: FlowConfig, graph: Graph,
+               steps: list | None = None, stats: StepStats | None = None) -> Trajectory:
+    """The Trajectory of du/dt = f(t, u) on config.output_times() from an admitted u0.
 
     The error test alone sets the step size (``_accept_step``), except that
-    no step passes the horizon times[-1], which the last step ends on
-    exactly.  An output time inside an accepted step is sampled from the
-    pair's continuous extension; one that a step ends on gets the accepted
-    state.  Each accepted step (t, h, u, stages) is appended to ``steps``
+    no step passes the horizon T, which the last step ends on exactly.  An
+    output time inside an accepted step is sampled from the pair's
+    continuous extension; one that a step ends on gets the accepted state.
+    Each accepted step (t, h, u, stages) is appended to ``steps``
     when a list is given.  The run counts into ``stats``, a new record if none
     is given, whose snap time becomes this run's.  StepBudgetExceeded ends the
     run once the record holds MAX_STEPS steps, accepted plus rejected, so the
@@ -380,7 +380,8 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
     phase stiff for an explicit pair; at p >= 2 the pair stays cheap there,
     so the snap waits until its error is a few step tolerances.
     """
-    t, horizon = float(times[0]), float(times[-1])
+    times = config.output_times()
+    t, horizon = 0.0, float(times[-1])
     stats = StepStats() if stats is None else stats
     stats.snap_time = None
     lo, hi = band = span = _span(u0)
@@ -424,17 +425,7 @@ def _integrate(f, u0: np.ndarray, times: np.ndarray, config: FlowConfig, graph: 
             check_band(_span(out[filled:end]))
             filled = end
         t, u, f_cur, h = t_new, u_new, k[6], h_next
-    return out, stats
-
-
-def _solve(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig, f,
-           steps: list | None = None, stats: StepStats | None = None) -> Trajectory:
-    """Integrate du/dt = f(t, u) on the output grid; ``_integrate`` enforces the band."""
-    config._require_size(kernel.n)
-    u0 = _check_state(kernel.graph, u0, config.q)
-    times = config.output_times()
-    values, stats = _integrate(f, u0, times, config, kernel.graph, steps, stats)
-    return Trajectory(times=times, values=values, stats=stats)
+    return Trajectory(times=times, values=out, stats=stats)
 
 
 def evolve_direct(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig) -> Trajectory:
@@ -442,8 +433,9 @@ def evolve_direct(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig) 
 
     A u0 whose flow overflows a float is a DomainError, raised before any step.
     """
+    u0 = _check_state(kernel.graph, u0, config._require_size(kernel.n).q)
     p, q = config.p, config.q
-    return _solve(kernel, u0, config, lambda t, u: rhs_direct(kernel, u, p, q))
+    return _integrate(lambda t, u: rhs_direct(kernel, u, p, q), u0, config, kernel.graph)
 
 
 def _swept_coefficient(steps: list, q: float):
@@ -475,10 +467,11 @@ def picard_solve(
     coefficient does not depend on the iterate, so one sweep is exact.  The
     sweeps count into one stats record, the trajectory's: it holds the work of
     the whole solve and the last sweep's snap time, and MAX_STEPS bounds all
-    sweeps together.
+    sweeps together.  A sweep holds four output grids as it takes its distance,
+    and both sweeps' accepted steps, 8n floats each, at most MAX_STEPS in all.
     A u0 whose flow overflows a float is a DomainError, raised before any sweep.
     """
-    u0 = _check_state(kernel.graph, u0, config.q)
+    u0 = _check_state(kernel.graph, u0, config._require_size(kernel.n).q)
     p, q = config.p, config.q
     a0 = q * u0 ** (q - 1.0)
     a, prev = (lambda t: a0), u0
@@ -486,8 +479,8 @@ def picard_solve(
     stats = StepStats()
     for it in range(1, config.picard_max + 1):
         steps: list = []
-        traj = _solve(kernel, u0, config,
-                      lambda t, u: -frac_p_laplacian(kernel, u, p) / a(t), steps, stats)
+        traj = _integrate(lambda t, u: -frac_p_laplacian(kernel, u, p) / a(t), u0, config,
+                          kernel.graph, steps, stats)
         dist = float(np.max(np.abs(traj.values - prev)))
         history.append(dist)
         # a sweep that snaps before its first step does not depend on a

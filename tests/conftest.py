@@ -4,7 +4,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from fracgraph import Graph, build_kernel, random_connected_graph
+from fracgraph import Graph, build_kernel, flow, random_connected_graph
 
 
 @pytest.fixture
@@ -41,6 +41,43 @@ def k5_kernel(k5):
 def philox_g40():
     """The 40-vertex random graph from Philox seed 42 that the Picard checks run on."""
     return random_connected_graph(np.random.Generator(np.random.Philox(42)), 40)
+
+
+# the StepStats counts that each Picard sweep adds to its solve's one record
+SWEEP_COUNTS = ("accepted", "rejected", "rejected_error", "rejected_positivity", "rhs_evals")
+
+
+@pytest.fixture
+def picard_sweeps(monkeypatch):
+    """What each Picard sweep did: item i lists the sweeps of the i-th solve.
+
+    The sweeps of a solve share one StepStats record, so a sweep's counts
+    (SWEEP_COUNTS) are what it added to that record.  A sweep also holds the
+    sizes of the steps that it accepted ("h") and its snap time.
+    """
+    solves, records, accepted = [], [], []
+    integrate, accept = flow._integrate, flow._accept_step
+
+    def accepting(*args):
+        result = accept(*args)
+        accepted.append(result[0])
+        return result
+
+    def recording(*args, **kwargs):
+        accepted.clear()
+        traj = integrate(*args, **kwargs)
+        if not records or traj.stats is not records[-1]:  # the first sweep of a solve
+            solves.append([])
+            records.append(traj.stats)
+        before = {name: sum(sweep[name] for sweep in solves[-1]) for name in SWEEP_COUNTS}
+        solves[-1].append({name: getattr(traj.stats, name) - before[name]
+                           for name in SWEEP_COUNTS})
+        solves[-1][-1].update(h=list(accepted), snap_time=traj.stats.snap_time)
+        return traj
+
+    monkeypatch.setattr(flow, "_integrate", recording)
+    monkeypatch.setattr(flow, "_accept_step", accepting)
+    return solves
 
 
 # the fractional orders that the kernel checks run at, from near 0 to near 1

@@ -653,21 +653,11 @@ class TestVerifyCommand:
         assert solve.consistent, solve.reason
         assert solve.ok, solve.reason
 
-    def test_picard_conserves_mass(self, philox_g40, tmp_path, capsys, monkeypatch):
+    def test_picard_conserves_mass(self, philox_g40, tmp_path, capsys, picard_sweeps):
         # a coefficient interpolated linearly between the samples drifted
         # 6.8e-6 of the mass here, against 1e-8 allowed
         path = tmp_path / "g40.json"
         path.write_text(fg.graph_to_json(philox_g40))
-        rhs_evals, integrate = [], flow._integrate
-
-        def counting(*args, **kwargs):
-            # the sweeps share the solve's record: a sweep's own count is what
-            # it added to the record
-            values, stats = integrate(*args, **kwargs)
-            rhs_evals.append(stats.rhs_evals - sum(rhs_evals))
-            return values, stats
-
-        monkeypatch.setattr(flow, "_integrate", counting)
         code = main(["verify", str(path), "--s", "0.7", "--p", "2.5", "--q", "1.5",
                      "--T", "1", "--dt-out", "5e-3", "--u0-random", "0.5", "2", "--seed", "3",
                      "--solver", "picard", "--output-dir", str(tmp_path / "out")])
@@ -675,8 +665,9 @@ class TestVerifyCommand:
         assert code == 0
         # the report counts the work of every sweep, not of the last one only
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert len(rhs_evals) == report["picard_iterations"] > 1
-        assert report["rhs_evaluations"] == sum(rhs_evals)
+        [sweeps] = picard_sweeps
+        assert len(sweeps) == report["picard_iterations"] > 1
+        assert report["rhs_evaluations"] == sum(sweep["rhs_evals"] for sweep in sweeps)
         assert report["steps_rejected"] == (report["steps_rejected_error"]
                                             + report["steps_rejected_positivity"])
 
@@ -940,6 +931,29 @@ class TestSweepCommand:
         assert printed.splitlines() == ["ok s0.5_p2.0_q1.0", "FAIL s0.5_p2.0_q12.0"]
         assert err.startswith("sweep s0.5_p2.0_q12.0: bad u0 {") and err.count("\n") == 1
         assert [path.name for path in out.iterdir()] == ["s0.5_p2.0_q1.0"]
+
+    def test_positivity_fault_fails_only_its_tags(self, k2_path, tmp_path, capsys, monkeypatch,
+                                                  serial_pools):
+        # a kernel that fails positivity at one s fails that s's tags; the others run
+        build, message = cli.build_kernel, "min off-diagonal entry -5.576e-08 at s=0.7"
+
+        def build_kernel(graph, s, dec=None):
+            if s == 0.7:
+                raise fg.PositivityViolation(message)
+            return build(graph, s, dec)
+
+        monkeypatch.setattr(cli, "build_kernel", build_kernel)
+        out = tmp_path / "o"
+        code = main(["sweep", k2_path, "--s-list", "0.7,0.3", "--p-list", "1.5,2.5",
+                     "--q-list", "1", "--T", "0.01", "--workers", "2", "--output-dir", str(out)])
+        assert code == 1
+        printed, err = capsys.readouterr()
+        tags = [cli._sweep_tag(s, p, 1.0) for s in (0.7, 0.3) for p in (1.5, 2.5)]
+        assert printed.splitlines() == [f"FAIL {tags[0]}", f"FAIL {tags[1]}",
+                                        f"ok {tags[2]}", f"ok {tags[3]}"]
+        assert err.splitlines() == [f"sweep {tag}: PositivityViolation: {message}"
+                                    for tag in tags[:2]]
+        assert sorted(path.name for path in out.iterdir()) == tags[2:]
 
     @pytest.mark.parametrize("q_list", ["1,2", "1,-1"])
     def test_bad_u0_fails_every_tag_after_its_exponents(self, k2_path, tmp_path, capsys,

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 from unittest import mock
@@ -7,8 +8,9 @@ import pytest
 
 import fracgraph as fg
 from fracgraph import flow
-from fracgraph.flow import _integrate, _solve
-from conftest import DEGENERATE_DOCS, OVERFLOWING_U0, grid_doc, make_random_graph, wall_clock_limit
+from fracgraph.flow import _integrate
+from conftest import (DEGENERATE_DOCS, OVERFLOWING_U0, SWEEP_COUNTS, grid_doc, make_random_graph,
+                      wall_clock_limit)
 from linear_flow_reference import LinearFlow
 
 
@@ -104,7 +106,7 @@ class TestStep:
             calls.append((t, u.copy()))
             return fg.rhs_direct(kern, u, p, q)
 
-        _integrate(f, u0, cfg.output_times(), cfg, kern.graph, steps)
+        _integrate(f, u0, cfg, kern.graph, steps)
         (_, _, _, k), (t_new, _, u_new, k_next) = steps[:2]
         assert 0.0 < t_new < cfg.dt_out  # the first step is not clamped
         at_end = [u for t, u in calls if t == t_new]
@@ -114,7 +116,7 @@ class TestStep:
         np.testing.assert_array_equal(k_next[0], k[6])
 
     def test_underflow_raised(self, k2_kernel):
-        cfg = fg.FlowConfig(s=0.5, p=2.0, q=0.5, T=1.0)
+        cfg = fg.FlowConfig(s=0.5, p=2.0, q=0.5, T=1.0, dt_out=0.5)  # samples at 0, 0.5, 1
 
         calls = []
 
@@ -124,11 +126,8 @@ class TestStep:
             calls.append(t)
             return np.zeros_like(u)
 
-        times = np.linspace(0.0, 1.0, 3)
         with pytest.raises(fg.StepSizeUnderflow):
-            _integrate(
-                always_negative, np.array([1.0, 2.0]), times, cfg, k2_kernel.graph
-            )
+            _integrate(always_negative, np.array([1.0, 2.0]), cfg, k2_kernel.graph)
 
 
 class TestEvolveDirect:
@@ -338,14 +337,18 @@ class TestAgainstDop853:
 
 
 class TestSolveFrozen:
-    """The frozen-coefficient flow a du/dt + (-Delta)_p^s u = 0, through _solve."""
+    """The frozen-coefficient flow a du/dt + (-Delta)_p^s u = 0, through _integrate."""
+
+    @staticmethod
+    def frozen(kernel, u0, cfg, a):
+        """The frozen flow with coefficient a from u0, as a Picard sweep integrates it."""
+        return _integrate(lambda t, u: -fg.frac_p_laplacian(kernel, u, cfg.p) / a, u0, cfg,
+                          kernel.graph)
 
     def test_constant_initial_datum(self, k2_kernel):
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0)
         u0 = np.full(2, 1.3)
-        a = cfg.q * u0 ** (cfg.q - 1.0)
-        traj = _solve(k2_kernel, u0, cfg,
-                      lambda t, u: -fg.frac_p_laplacian(k2_kernel, u, cfg.p) / a)
+        traj = self.frozen(k2_kernel, u0, cfg, cfg.q * u0 ** (cfg.q - 1.0))
         np.testing.assert_allclose(traj.values, 1.3, atol=1e-12)
 
     def test_q1_coefficient_collapse(self, k2_kernel):
@@ -353,9 +356,7 @@ class TestSolveFrozen:
         # is the direct flow step for step
         u0 = np.array([1.4, 0.6])
         cfg = fg.FlowConfig(s=0.5, p=2.5, q=1.0, T=1.0)
-        a = cfg.q * u0 ** (cfg.q - 1.0)
-        frozen = _solve(k2_kernel, u0, cfg,
-                        lambda t, u: -fg.frac_p_laplacian(k2_kernel, u, cfg.p) / a)
+        frozen = self.frozen(k2_kernel, u0, cfg, cfg.q * u0 ** (cfg.q - 1.0))
         direct = fg.evolve_direct(k2_kernel, u0, cfg)
         np.testing.assert_array_equal(frozen.values, direct.values)
 
@@ -366,8 +367,7 @@ class TestSolveFrozen:
         q, c = 2.0, 1.5
         a_val = q * c ** (q - 1.0)
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=q, T=1.0)
-        frozen = _solve(k2_kernel, u0, cfg,
-                        lambda t, u: -fg.frac_p_laplacian(k2_kernel, u, 2.0) / a_val)
+        frozen = self.frozen(k2_kernel, u0, cfg, a_val)
 
         cfg1 = fg.FlowConfig(
             s=0.5, p=2.0, q=1.0, T=1.0 / a_val, dt_out=cfg.dt_out / a_val
@@ -409,57 +409,27 @@ class TestPicard:
         assert iters == 1 and traj.stats.snap_time == 0.0
         np.testing.assert_array_equal(traj.values[1:], fg.steady_state(k2_kernel.graph, u0, 2.0))
 
-    def test_rhs_count_does_not_depend_on_the_output_grid(self, philox_g40, monkeypatch):
+    def test_rhs_count_does_not_depend_on_the_output_grid(self, philox_g40, picard_sweeps):
         # the coefficient is the previous sweep's continuous extension, so
         # no sweep stops at an output time
         kern = fg.build_kernel(philox_g40, 0.7)
         u0 = np.random.Generator(np.random.Philox(3)).uniform(0.5, 2.0, kern.n)
-        sweeps, integrate = [], flow._integrate
-
-        def counting(*args, **kwargs):
-            # the sweeps share the solve's record, so a sweep's own count is
-            # what it added to the record
-            values, stats = integrate(*args, **kwargs)
-            sweeps[-1].append(stats.rhs_evals - sum(sweeps[-1]))
-            return values, stats
-
-        monkeypatch.setattr(flow, "_integrate", counting)
         for dt_out in (5e-3, 1e-3):
-            sweeps.append([])
             fg.picard_solve(kern, u0, fg.FlowConfig(s=0.7, p=2.5, q=1.5, T=1.0, dt_out=dt_out))
-        assert sweeps[0] == sweeps[1]  # so the totals agree too
+        coarse, fine = ([sweep["rhs_evals"] for sweep in solve] for solve in picard_sweeps)
+        assert coarse == fine  # so the totals agree too
 
-    def test_stats_count_every_sweep(self, philox_g40, monkeypatch):
+    def test_stats_count_every_sweep(self, philox_g40, picard_sweeps):
         kern = fg.build_kernel(philox_g40, 0.7)
         u0 = np.random.Generator(np.random.Philox(3)).uniform(0.5, 2.0, kern.n)
-        names = ("accepted", "rejected", "rejected_error", "rejected_positivity", "rhs_evals")
-        # each sweep's counts are what it added to the solve's one record, and
-        # its steps are those that _accept_step accepted while it ran
-        sweeps, steps, integrate, accept = [], [], flow._integrate, flow._accept_step
-
-        def recording(*args, **kwargs):
-            before = {name: sum(sweep[name] for sweep in sweeps) for name in names}
-            steps.append([])
-            values, stats = integrate(*args, **kwargs)
-            sweeps.append({name: getattr(stats, name) - before[name] for name in names})
-            sweeps[-1].update(h_min=min(steps[-1]), h_max=max(steps[-1]),
-                              snap_time=stats.snap_time)
-            return values, stats
-
-        def accepting(*args):
-            result = accept(*args)
-            steps[-1].append(result[0])
-            return result
-
-        monkeypatch.setattr(flow, "_integrate", recording)
-        monkeypatch.setattr(flow, "_accept_step", accepting)
         traj, iters, _ = fg.picard_solve(kern, u0, fg.FlowConfig(s=0.7, p=2.5, q=1.5, T=1.0))
+        [sweeps] = picard_sweeps
         assert len(sweeps) == iters > 1
-        assert [sweep["accepted"] for sweep in sweeps] == [len(hs) for hs in steps]
-        for name in names:
+        assert [sweep["accepted"] for sweep in sweeps] == [len(sweep["h"]) for sweep in sweeps]
+        for name in SWEEP_COUNTS:
             assert getattr(traj.stats, name) == sum(sweep[name] for sweep in sweeps)
-        assert traj.stats.h_min == min(sweep["h_min"] for sweep in sweeps)
-        assert traj.stats.h_max == max(sweep["h_max"] for sweep in sweeps)
+        assert traj.stats.h_min == min(min(sweep["h"]) for sweep in sweeps)
+        assert traj.stats.h_max == max(max(sweep["h"]) for sweep in sweeps)
         assert traj.stats.snap_time == sweeps[-1]["snap_time"]
 
     def test_step_budget_bounds_the_whole_solve(self, k5_kernel, monkeypatch):
@@ -588,8 +558,10 @@ class TestFlowConfig:
         monkeypatch.setattr(flow, "MAX_SAMPLE_VALUES", 401)
         monkeypatch.setattr(flow, "_integrate", mock.Mock(side_effect=AssertionError))
         for solve in (fg.evolve_direct, fg.picard_solve):
-            with pytest.raises(fg.DomainError, match="402 output values, at most 401"):
-                solve(k2_kernel, u0, cfg)
+            # the size is checked before u0, in cli._setup's order
+            for u in (u0, np.array([1.0, np.nan])):
+                with pytest.raises(fg.DomainError, match="402 output values, at most 401"):
+                    solve(k2_kernel, u, cfg)
 
 
 class TestNonFiniteState:
@@ -600,7 +572,7 @@ class TestNonFiniteState:
         # back, so the loop never ended
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0)
         with wall_clock_limit(10), pytest.raises(fg.StepSizeUnderflow):
-            _integrate(lambda t, u: -u, np.array([1.0, np.nan]), cfg.output_times(), cfg, k2)
+            _integrate(lambda t, u: -u, np.array([1.0, np.nan]), cfg, k2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("solver", ["direct", "picard"])
@@ -659,15 +631,15 @@ class TestDenseOutput:
             cfg = fg.FlowConfig(s=s, p=p, q=q, T=0.5, dt_out=0.01)
             times = cfg.output_times()
             dense = fg.evolve_direct(kern, u0, cfg)
-            # one integration per output interval, each ending on its own horizon
+            # one integration per output interval, each ending on its own
+            # horizon; the flow is autonomous, so each may start at t = 0
             clamped, accepted = [u0], 0
             for t0, t1 in zip(times, times[1:]):
-                values, stats = _integrate(
-                    lambda t, u: fg.rhs_direct(kern, u, p, q),
-                    clamped[-1], np.array([t0, t1]), cfg, kern.graph,
-                )
-                clamped.append(values[-1])
-                accepted += stats.accepted
+                interval = dataclasses.replace(cfg, T=t1 - t0, dt_out=t1 - t0)
+                traj = _integrate(lambda t, u: fg.rhs_direct(kern, u, p, q), clamped[-1],
+                                  interval, kern.graph)
+                clamped.append(traj.final)
+                accepted += traj.stats.accepted
             assert dense.stats.accepted < accepted
             bound = 100.0 * (cfg.atol + cfg.rtol * float(np.max(u0)))
             assert np.max(np.abs(dense.values - clamped)) <= bound
@@ -690,9 +662,9 @@ class TestDenseOutput:
     def test_excursion_between_samples_is_caught(self, k2):
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0, dt_out=0.5)
         with pytest.raises(fg.BoundViolation, match=r"trajectory leaves \[2, 3\] by "):
-            _integrate(self.sine_rate, np.array([2.0, 3.0]), cfg.output_times(), cfg, k2)
+            _integrate(self.sine_rate, np.array([2.0, 3.0]), cfg, k2)
 
-    def test_band_ends_a_long_run_at_once(self, k2_kernel):
+    def test_band_ends_a_long_run_at_once(self, k2):
         # the band is checked as each step is made, so a run that leaves it
         # stops within its first few steps, not at T or at the step budget
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1000.0, dt_out=0.5)
@@ -703,7 +675,7 @@ class TestDenseOutput:
             return self.sine_rate(t, u)
 
         with wall_clock_limit(10), pytest.raises(fg.BoundViolation):
-            _solve(k2_kernel, np.array([2.0, 3.0]), cfg, f)
+            _integrate(f, np.array([2.0, 3.0]), cfg, k2)
         assert max(calls) < 1.0
 
 
@@ -734,7 +706,7 @@ class TestStepStats:
                 raise fg.NonPositiveState("forced")
             return 1.5 - u  # stays in the band [1, 2]
 
-        _, st = _integrate(f, np.array([1.0, 2.0]), cfg.output_times(), cfg, k2)
+        st = _integrate(f, np.array([1.0, 2.0]), cfg, k2).stats
         assert st.rejected_positivity == 1
         assert st.rejected == st.rejected_error + 1
         assert st.rhs_evals == len(calls)
@@ -788,7 +760,7 @@ class TestInitialStep:
         assert h == pytest.approx(0.01, rel=1e-12)
         assert probes == [h]
         with wall_clock_limit(20), pytest.raises(fg.StepSizeUnderflow):
-            _integrate(f, u0, cfg.output_times(), cfg, k2)
+            _integrate(f, u0, cfg, k2)
 
     def test_infinite_rate_underflows(self, k2):
         # an infinite first rate gives a zero starting step, which the
@@ -802,7 +774,7 @@ class TestInitialStep:
         tol = cfg._step_tolerance(u0.max())
         assert flow._initial_step(f, 0.0, u0, f(0.0, u0), tol, cfg.T) == 0.0
         with wall_clock_limit(10), pytest.raises(fg.StepSizeUnderflow):
-            _integrate(f, u0, cfg.output_times(), cfg, k2)
+            _integrate(f, u0, cfg, k2)
 
     @pytest.mark.parametrize("s, p, q", AUDIT_PARAMS)
     def test_no_ramp(self, s, p, q, monkeypatch):

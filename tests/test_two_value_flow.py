@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fracgraph as fg
-from fracgraph.flow import _solve
+from fracgraph.flow import _integrate
 from conftest import REFERENCE_S, before_snap
 from linear_flow_reference import LinearFlow
 from two_value_reference import TwoValueFlow
@@ -95,7 +95,7 @@ class TestSolvers:
         kern, u0, config, exact, tol = problem(*case)
         p, q = config.p, config.q
         steps = []
-        _solve(kern, u0, config, lambda t, u: fg.rhs_direct(kern, u, p, q), steps)
+        _integrate(lambda t, u: fg.rhs_direct(kern, u, p, q), u0, config, kern.graph, steps)
         times = np.array([t for t, *_ in steps])
         states = np.array([u for _, _, u, _ in steps])
         assert np.max(np.abs(states - exact.samples(times))) <= 0.5 * tol
