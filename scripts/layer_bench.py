@@ -8,7 +8,8 @@ n, extra_edge_prob=min(1, 8/n)) and the flow (s, p, q) = (0.5, 2.5, 1.5) to
 T = 0.05 with dt_out = 1e-3, from u0 drawn uniform in [0.5, 2] by
 default_rng([2, n]).  The layers: graph_from_json on the graph's JSON,
 validate, decompose, kernel_weights, fractional_power_quadrature (per
-eigenvalue, over at most 16 of them), one rhs_direct, one accepted step
+eigenvalue, over at most 16 of them), kernel_weights_oracle (the whole oracle
+at size n), one rhs_direct, one accepted step
 (flow._accept_step from u0 with the first step size), evolve_direct with its
 RHS count, picard_solve on the same flow with its sweep count and the RHS
 count of all its sweeps, build_report on evolve_direct's trajectory, and
@@ -109,6 +110,7 @@ def _layers(n: int, workdir: Path):
         ("decompose", discard(fg.decompose, graph)),
         ("kernel_weights", discard(fg.kernel_weights, dec, S)),
         ("quadrature_per_eigenvalue", quadrature),
+        ("kernel_weights_oracle", discard(fg.kernel_weights_oracle, dec, S)),
         ("rhs_direct", discard(fg.rhs_direct, kernel, u0, P, Q)),
         ("accepted_step", accepted_step),
         ("evolve_direct", evolve),

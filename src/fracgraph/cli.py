@@ -239,10 +239,11 @@ def cmd_kernel(args) -> int:
 
     w_oracle = kernel_weights_oracle(dec, args.s)
     offdiag = ~np.eye(graph.n, dtype=bool)
-    # relative to W's entry, or to the oracle's where W's is 0 (0 where both are)
-    diff = np.abs(w - w_oracle)[offdiag]
-    scale = np.where(w != 0, np.abs(w), np.abs(w_oracle))[offdiag]
-    dev = float(np.max(np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)))
+    # relative to W's entry, or to the oracle's where W's is 0; where both are, as on the
+    # diagonal, diff is 0 and stays so
+    diff = np.abs(w - w_oracle)
+    scale = np.abs(np.where(w != 0, w, w_oracle))
+    dev = float(np.max(np.divide(diff, scale, out=diff, where=scale > 0)))
     report = {
         "s": args.s,
         "min_offdiagonal": float(np.min(w[offdiag])),
@@ -258,13 +259,16 @@ def cmd_kernel(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _setup(graph: Graph, values: dict, out: str | Path, kernel: FractionalKernel | None = None):
+def _setup(graph: Graph, values: dict, out: str | Path, kernel: FractionalKernel | None = None,
+           refused: dict | None = None):
     """Admit a flow run in evolve's order (config, u0, kernel), then make its output
     directory, so that a refused run leaves none; returns (kernel, config, solver, u0,
-    u0's record, directory).  A given kernel of the config's s is kept, and another
-    lends the new one its decomposition."""
+    u0's record, directory).  A given kernel of the config's s is kept, another lends
+    the new one its decomposition, and an s in `refused` raises its kernel's error."""
     config = _flow_config(values, graph.n)
     u0, u0_meta = _make_u0(graph, values["u0"], config.q)
+    if refused and config.s in refused:
+        raise refused[config.s]
     if kernel is None or kernel.s != config.s:
         kernel = build_kernel(graph, config.s, kernel and kernel.dec)
     return kernel, config, values["solver"], u0, u0_meta, _output_dir(out)
@@ -345,21 +349,23 @@ def _sweep_worker(share) -> list[tuple[str, int]]:
 
     Each point is set up as an evolve run, with the last point's kernel, so a tag
     reports its first fault in evolve's order.  The graph is loaded at the first
-    point and kept; a fault in it fails each tag.
+    point and kept; a fault in it fails each tag.  An s whose kernel fails
+    positivity fails its later tags with the same error, not a new decomposition.
     """
     graph_path, outdir, values, points = share
-    results, graph, kernel = [], None, None
+    results, graph, kernel, refused = [], None, None, {}
     for s, p, q in points:
         tag = _sweep_tag(s, p, q)
         try:
             graph = graph or _load_graph(graph_path)
             kernel, *run = _setup(graph, {**values, "s": s, "p": p, "q": q},
-                                  Path(outdir) / tag, kernel)
+                                  Path(outdir) / tag, kernel, refused)
             results.append((tag, _evolve_and_write(kernel, *run, emit_plots=False)))
         except UsageError as exc:
             print(f"sweep {tag}: {exc}", file=sys.stderr)
             results.append((tag, EXIT_USAGE))
         except PositivityViolation as exc:
+            refused[s] = exc
             print(f"sweep {tag}: PositivityViolation: {exc}", file=sys.stderr)
             results.append((tag, EXIT_CHECK_FAILED))
     return results

@@ -41,7 +41,7 @@ from .errors import (
     StepSizeUnderflow,
 )
 from .graph import Graph, _check_length, integrate
-from .operators import FractionalKernel, frac_p_laplacian
+from .operators import FractionalKernel, _row_blocks, frac_p_laplacian
 
 __all__ = [
     "FlowConfig",
@@ -359,15 +359,15 @@ def _integrate(f, u0: np.ndarray, config: FlowConfig, graph: Graph,
 
     The error test alone sets the step size (``_accept_step``), except that
     no step passes the horizon T, which the last step ends on exactly.  An
-    output time inside an accepted step is sampled from the pair's
-    continuous extension; one that a step ends on gets the accepted state.
-    Each accepted step (t, h, u, stages) is appended to ``steps``
-    when a list is given.  The run counts into ``stats``, a new record if none
-    is given, whose snap time becomes this run's.  StepBudgetExceeded ends the
-    run once the record holds MAX_STEPS steps, accepted plus rejected, so the
-    sweeps of a Picard solve, which share one record, take MAX_STEPS in all.
+    output time inside an accepted step is sampled, a row block at a time, from
+    the pair's continuous extension; one that a step ends on gets the accepted
+    state.  Each accepted step (t, h, u, stages) is appended to ``steps`` when a
+    list is given.  The run counts into ``stats``, a new record if none is given,
+    whose snap time becomes this run's.  StepBudgetExceeded ends the run once the
+    record holds MAX_STEPS steps, accepted plus rejected, so the sweeps of a
+    Picard solve, which share one record, take MAX_STEPS in all.
 
-    Every accepted state and each block of samples that a step makes must lie
+    Every accepted state and the samples that each step makes must lie
     in [min u0, max u0] up to MAX_PRINCIPLE_SLACK, else BoundViolation ends the
     run; the snap's constant, a power mean of such a state, lies there too.
 
@@ -419,7 +419,8 @@ def _integrate(f, u0: np.ndarray, config: FlowConfig, graph: Graph,
             steps.append((t, h, u, k))
         end = int(np.searchsorted(times, t_new, side="right"))
         if end > filled:
-            out[filled:end] = _dense_output(u, h, k, (times[filled:end] - t) / h)
+            for block in _row_blocks(end, filled):
+                out[block] = _dense_output(u, h, k, (times[block] - t) / h)
             if times[end - 1] == t_new:
                 out[end - 1] = u_new
             check_band(_span(out[filled:end]))
@@ -467,7 +468,7 @@ def picard_solve(
     coefficient does not depend on the iterate, so one sweep is exact.  The
     sweeps count into one stats record, the trajectory's: it holds the work of
     the whole solve and the last sweep's snap time, and MAX_STEPS bounds all
-    sweeps together.  A sweep holds four output grids as it takes its distance,
+    sweeps together.  A sweep holds three output grids as it takes its distance,
     and both sweeps' accepted steps, 8n floats each, at most MAX_STEPS in all.
     A u0 whose flow overflows a float is a DomainError, raised before any sweep.
     """
@@ -481,7 +482,9 @@ def picard_solve(
         steps: list = []
         traj = _integrate(lambda t, u: -frac_p_laplacian(kernel, u, p) / a(t), u0, config,
                           kernel.graph, steps, stats)
-        dist = float(np.max(np.abs(traj.values - prev)))
+        diff = traj.values - prev
+        dist = float(max(np.max(diff), -np.min(diff)))
+        del diff  # so that the next sweep does not hold it
         history.append(dist)
         # a sweep that snaps before its first step does not depend on a
         if q == 1.0 or dist < config.picard_tol or not steps:

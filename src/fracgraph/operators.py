@@ -159,9 +159,9 @@ def frac_p_laplacian(
 _BLOCK_ROWS = 1024  # rows of a stack taken at a time, so temporaries stay bounded
 
 
-def _row_blocks(m: int):
-    """Slices of consecutive rows, at most _BLOCK_ROWS each, that cover m rows."""
-    return (slice(i, i + _BLOCK_ROWS) for i in range(0, m, _BLOCK_ROWS))
+def _row_blocks(m: int, start: int = 0):
+    """Slices of consecutive rows, at most _BLOCK_ROWS each, that cover rows start..m-1."""
+    return (slice(i, min(i + _BLOCK_ROWS, m)) for i in range(start, m, _BLOCK_ROWS))
 
 
 def dirichlet_p_energy(kernel: FractionalKernel, u: np.ndarray, p: float) -> float | np.ndarray:

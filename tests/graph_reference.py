@@ -7,15 +7,24 @@ compare the two for equal matrices, equal Violation lists, equal exceptions,
 equal random streams and JSON text, and bitwise equal eigenfunctions.  The
 library's kernel is the symmetric product -C^T C, which rounds differently
 from the averaged product here, so kernels are compared within a tolerance.
+The quadrature oracle's two-grid form, which evaluated its integrand once for
+each Simpson sum, is compared with the library's one evaluation bit for bit.
 """
 
 import json
+import math
 from collections import deque
 
 import numpy as np
 
-from fracgraph import Graph, InvalidGraph, SpectralDecomposition, Violation
-from fracgraph.errors import ExponentOutOfRange, NoConvergence, PositivityViolation
+from fracgraph import Graph, InvalidGraph, SpectralDecomposition, Violation, spectral
+from fracgraph.errors import (
+    DomainError,
+    ExponentOutOfRange,
+    NoConvergence,
+    PositivityViolation,
+    QuadratureNotConverged,
+)
 
 
 def validate(graph):
@@ -149,6 +158,40 @@ def kernel_weights(dec, s):
     if off.size and float(np.min(off)) < -1e-12 * scale:
         raise PositivityViolation(f"min off-diagonal entry {np.min(off):.3e} at s={s}")
     return w
+
+
+def fractional_power_quadrature(lam, s):
+    """The quadrature with its core and its check evaluated on grids of their own,
+    at the module's grid constants as they are when called."""
+    if not 0.0 < s < 1.0:
+        raise ExponentOutOfRange(f"s = {s}, need 0 < s < 1")
+    if lam == 0.0:
+        return 0.0
+    if not lam > 0.0:
+        raise DomainError(f"lam = {lam}, need lam >= 0")
+    tau_min, tau_max, panels = spectral._TAU_MIN, spectral._TAU_MAX, spectral._PANELS
+    k = math.frexp(lam)[1]
+    lam_k, shift = math.ldexp(lam, -k), k * math.log(2.0)
+
+    def simpson(n_panels):
+        sigma = np.linspace(tau_min, tau_max, n_panels + 1)
+        f = -np.expm1(-lam_k * np.exp(sigma)) * np.exp(-s * (sigma - shift))
+        h = (tau_max - tau_min) / n_panels
+        weights = np.ones(n_panels + 1)
+        weights[1:-1:2] = 4.0
+        weights[2:-1:2] = 2.0
+        return float(h / 3.0 * np.dot(weights, f))
+
+    with np.errstate(over="ignore"):
+        core = simpson(panels)
+        coarse = simpson(panels // 2)
+    scale = math.exp(s * shift)
+    head = scale * lam_k * math.exp(tau_min) ** (1.0 - s) / (1.0 - s)
+    tail = scale * math.exp(tau_max) ** (-s) / s
+    total = s / math.gamma(1.0 - s) * (core + head + tail)
+    if not (abs(core - coarse) <= spectral._CHECK_TOL * abs(core) and math.isfinite(total)):
+        raise QuadratureNotConverged(f"lam={lam}, s={s}")
+    return total
 
 
 def random_connected_graph(rng, n, weight_range=(0.2, 5.0), mu_range=(0.2, 5.0),

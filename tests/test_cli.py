@@ -151,6 +151,34 @@ class TestKernelCommand:
         report = json.loads((out / "kernel_report.json").read_text(), parse_constant=reject)
         assert report["oracle_max_relative_deviation"] <= 1e-12
 
+    def test_oracle_deviation_needs_no_offdiagonal_copies(self, tmp_path, monkeypatch):
+        # both kernels are an exact 0 on the diagonal, so the deviation over the whole
+        # matrix is the off-diagonal one, and the report needs no off-diagonal copy: its
+        # temporaries peak at 3.2 kernel matrices (4.3 with two such copies)
+        g = fg.random_connected_graph(np.random.default_rng(6), 300)
+        kernel = fg.build_kernel(g, 0.5)
+        w, oracle = kernel.w, fg.kernel_weights_oracle(kernel.dec, 0.5)
+        monkeypatch.setattr(cli, "_load_graph", lambda path: g)
+        monkeypatch.setattr(cli, "build_kernel", lambda graph, s: kernel)
+        monkeypatch.setattr(cli, "kernel_weights_oracle", lambda dec, s: oracle)
+        monkeypatch.setattr(cli, "_write_table", lambda *args: None)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            assert main(["kernel", "g.json", "--s", "0.5", "--output-dir", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.75 * w.nbytes
+        # the report the off-diagonal copies gave, byte for byte
+        offdiag = ~np.eye(g.n, dtype=bool)
+        diff = np.abs(w - oracle)[offdiag]
+        scale = np.where(w != 0, np.abs(w), np.abs(oracle))[offdiag]
+        dev = float(np.max(np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)))
+        report = {"s": 0.5, "min_offdiagonal": float(np.min(w[offdiag])),
+                  "oracle_max_relative_deviation": dev}
+        assert (out / "kernel_report.json").read_text() == json.dumps(report, indent=2) + "\n"
+
     def test_s_out_of_range_is_usage_error(self, k2_path, tmp_path):
         code = main(
             ["kernel", k2_path, "--s", "1.5", "--output-dir", str(tmp_path / "o")]
@@ -954,6 +982,30 @@ class TestSweepCommand:
         assert err.splitlines() == [f"sweep {tag}: PositivityViolation: {message}"
                                     for tag in tags[:2]]
         assert sorted(path.name for path in out.iterdir()) == tags[2:]
+
+    def test_refused_kernel_is_not_decomposed_again(self, k2_path, tmp_path, capsys,
+                                                    monkeypatch, serial_pools):
+        # a kernel that fails positivity fails every tag of its s from the share's one
+        # decomposition
+        weights, message = fg.operators.kernel_weights, "min off-diagonal entry -5e-08 at s=0.7"
+
+        def kernel_weights(dec, s):
+            if s == 0.7:
+                raise fg.PositivityViolation(message)
+            return weights(dec, s)
+
+        spy = mock.Mock(wraps=fg.operators.decompose)
+        monkeypatch.setattr(fg.operators, "decompose", spy)
+        monkeypatch.setattr(fg.operators, "kernel_weights", kernel_weights)
+        code = main(["sweep", k2_path, "--s-list", "0.7", "--p-list", "1.5,2.5,3.0",
+                     "--q-list", "1", "--workers", "1", "--output-dir", str(tmp_path / "o")])
+        assert code == 1
+        tags = [cli._sweep_tag(0.7, p, 1.0) for p in (1.5, 2.5, 3.0)]
+        assert capsys.readouterr() == (
+            "".join(f"FAIL {tag}\n" for tag in tags),
+            "".join(f"sweep {tag}: PositivityViolation: {message}\n" for tag in tags))
+        assert spy.call_count == 1
+        assert list((tmp_path / "o").iterdir()) == []
 
     @pytest.mark.parametrize("q_list", ["1,2", "1,-1"])
     def test_bad_u0_fails_every_tag_after_its_exponents(self, k2_path, tmp_path, capsys,

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -443,6 +444,29 @@ class TestPicard:
         with pytest.raises(fg.StepBudgetExceeded, match="50 steps"):
             fg.picard_solve(k5_kernel, u0, cfg)
 
+    def test_sweep_distance_holds_one_grid(self, k2_kernel, monkeypatch):
+        # each sweep's distance to the last is taken from one difference of their
+        # output grids, not from that difference and its absolute value
+        cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0, dt_out=1e-5, picard_max=2)
+        times = cfg.output_times()
+        grids = [np.full((len(times), 2), 1.0), np.full((len(times), 2), 1.25)]
+        sweeps = iter(grids)
+
+        def sweep(f, u0, config, graph, steps, stats):
+            steps.append((0.0, 1.0, u0, np.zeros((7, 2))))
+            return fg.Trajectory(times=times, values=next(sweeps), stats=stats)
+
+        monkeypatch.setattr(flow, "_integrate", sweep)
+        tracemalloc.start()
+        try:
+            with pytest.raises(fg.PicardNotConverged) as exc_info:
+                fg.picard_solve(k2_kernel, np.array([1.5, 0.5]), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * grids[0].nbytes
+        assert exc_info.value.history == [0.5, 0.25]
+
     def test_not_converged_raises_with_history(self, k2_kernel):
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0, picard_max=2, picard_tol=1e-16)
         with pytest.raises(fg.PicardNotConverged) as exc_info:
@@ -652,6 +676,21 @@ class TestDenseOutput:
         assert len(traj.times) - 1 == 50
         assert traj.stats.accepted < 50
         assert traj.times[-1] == cfg.T
+
+    def test_samples_a_row_block_at_a_time(self):
+        # 10^6 samples in 17 steps: beyond its times and samples the solve holds one
+        # row block's temporaries, ~17 floats a sample, not those of a whole step
+        g = fg.Graph(mu=np.array([1.0, 2.0]), weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        kern = fg.build_kernel(g, 0.5)
+        cfg = fg.FlowConfig(s=0.5, p=3.0, q=1.0, T=1.0, dt_out=1e-6)
+        tracemalloc.start()
+        try:
+            traj = fg.evolve_direct(kern, np.array([0.5, 2.0]), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.stats.accepted == 17
+        assert peak < traj.times.nbytes + traj.values.nbytes + 2**20
 
     @staticmethod
     def sine_rate(t, u):

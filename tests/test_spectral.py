@@ -244,6 +244,50 @@ class TestQuadratureOracle:
         with pytest.raises(fg.QuadratureNotConverged):
             fg.kernel_weights_oracle(fg.decompose(k2), 0.5)
 
+    def test_integrand_is_evaluated_once(self, monkeypatch):
+        spy = mock.Mock(wraps=np.expm1)
+        monkeypatch.setattr(np, "expm1", spy)
+        fg.fractional_power_quadrature(2.0, 0.5)
+        assert spy.call_count == 1
+
+    @pytest.mark.parametrize("panels", [fg.spectral._PANELS, 8])
+    def test_check_grid_is_the_even_nodes(self, panels):
+        # the check's grid of half the panels, bit for bit, so the even nodes of one
+        # evaluation of the integrand are its nodes
+        lo, hi = fg.spectral._TAU_MIN, fg.spectral._TAU_MAX
+        fine, coarse = np.linspace(lo, hi, panels + 1), np.linspace(lo, hi, panels // 2 + 1)
+        assert np.ascontiguousarray(fine[::2]).tobytes() == coarse.tobytes()
+
+    @staticmethod
+    def _outcome(fn, lam, s):
+        """fn(lam, s) as the hex digits of its value, or its error's type and message."""
+        try:
+            return float.hex(fn(lam, s))
+        except fg.FracGraphError as exc:
+            return type(exc), str(exc)
+
+    def test_matches_two_grid_form_bit_for_bit(self):
+        rng = np.random.default_rng(34)
+        lams = [2.0, 1e-300, 1e300, 1e-20, 2e20, *rng.uniform(0.0, 60.0, 100),
+                *10.0 ** rng.uniform(-300.0, 300.0, 100),
+                0.0, -1.0, math.nan, math.inf, 1.7e308, 5e-324]
+        cases = [(float(lam), s) for lam in lams for s in (2.0**-5, 0.3, 0.5, 0.7, 0.99)]
+        cases += [(2.0, 0.0), (2.0, 1.0), (2.0, math.nan)]
+        outcomes = [(self._outcome(fg.fractional_power_quadrature, lam, s),
+                     self._outcome(ref.fractional_power_quadrature, lam, s))
+                    for lam, s in cases]
+        assert [one for one, two in outcomes if one != two] == []
+        # the cases hold values and each kind of error
+        kinds = {str if isinstance(two, str) else two[0] for _, two in outcomes}
+        assert kinds == {str, fg.QuadratureNotConverged, fg.DomainError, fg.ExponentOutOfRange}
+
+    def test_coarse_grid_matches_two_grid_form(self, monkeypatch):
+        monkeypatch.setattr(fg.spectral, "_PANELS", 8)
+        for lam, s in [(2.0, 0.5), (1e-20, 0.3), (3e10, 0.99)]:
+            one = self._outcome(fg.fractional_power_quadrature, lam, s)
+            assert one == self._outcome(ref.fractional_power_quadrature, lam, s)
+            assert one == (fg.QuadratureNotConverged, f"lam={lam}, s={s}")
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_spectral_kernel(self, seed):
         g = make_random_graph(seed, n=8)
