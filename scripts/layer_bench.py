@@ -6,15 +6,15 @@
 The input at size n is the graph random_connected_graph(default_rng([1, n]),
 n, extra_edge_prob=min(1, 8/n)) and the flow (s, p, q) = (0.5, 2.5, 1.5) to
 T = 0.05 with dt_out = 1e-3, from u0 drawn uniform in [0.5, 2] by
-default_rng([2, n]).  The layers: graph_from_json on the graph's JSON,
-validate, decompose, kernel_weights, fractional_power_quadrature (per
-eigenvalue, over at most 16 of them), kernel_weights_oracle (the whole oracle
-at size n), one rhs_direct, one accepted step
-(flow._accept_step from u0 with the first step size), evolve_direct with its
-RHS count, picard_solve on the same flow with its sweep count and the RHS
-count of all its sweeps, build_report on evolve_direct's trajectory, and
-`fracgraph verify` through cli.main.  Each layer gets one warm-up call, then
-10 timed calls.
+default_rng([2, n]).  The layers: graph_to_json on the graph,
+graph_from_json on its JSON, validate, decompose, kernel_weights,
+fractional_power_quadrature (per eigenvalue, over at most 16 of them),
+kernel_weights_oracle (the whole oracle at size n), one rhs_direct, one
+accepted step (flow._accept_step from u0 with the first step size),
+evolve_direct with its RHS count, picard_solve on the same flow with its sweep
+count and the RHS count of all its sweeps, build_report on evolve_direct's
+trajectory, and `fracgraph verify` through cli.main.  Each layer gets one
+warm-up call, then 10 timed calls.
 
 Each round runs one child process per tree (SRC holds the fracgraph package;
 default: the src/ of this checkout), in alternating order, so that trees are
@@ -105,6 +105,7 @@ def _layers(n: int, workdir: Path):
         return call
 
     return [
+        ("graph_to_json", discard(fg.graph_to_json, graph)),
         ("graph_from_json", discard(fg.graph_from_json, text)),
         ("validate", discard(fg.validate, graph)),
         ("decompose", discard(fg.decompose, graph)),

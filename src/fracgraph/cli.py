@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, operators
 from .diagnostics import build_report, mass
 from .errors import FracGraphError, PositivityViolation
 from .flow import FlowConfig, _check_state, _span, evolve_direct, picard_solve, steady_state
@@ -260,17 +260,15 @@ def cmd_kernel(args) -> int:
 
 
 def _setup(graph: Graph, values: dict, out: str | Path, kernel: FractionalKernel | None = None,
-           refused: dict | None = None):
+           dec=None):
     """Admit a flow run in evolve's order (config, u0, kernel), then make its output
     directory, so that a refused run leaves none; returns (kernel, config, solver, u0,
-    u0's record, directory).  A given kernel of the config's s is kept, another lends
-    the new one its decomposition, and an s in `refused` raises its kernel's error."""
+    u0's record, directory).  A given kernel of the config's s is kept; another s's is
+    built from dec(), the graph's decomposition, if dec is given."""
     config = _flow_config(values, graph.n)
     u0, u0_meta = _make_u0(graph, values["u0"], config.q)
-    if refused and config.s in refused:
-        raise refused[config.s]
     if kernel is None or kernel.s != config.s:
-        kernel = build_kernel(graph, config.s, kernel and kernel.dec)
+        kernel = build_kernel(graph, config.s, dec and dec())
     return kernel, config, values["solver"], u0, u0_meta, _output_dir(out)
 
 
@@ -349,23 +347,23 @@ def _sweep_worker(share) -> list[tuple[str, int]]:
 
     Each point is set up as an evolve run, with the last point's kernel, so a tag
     reports its first fault in evolve's order.  The graph is loaded at the first
-    point and kept; a fault in it fails each tag.  An s whose kernel fails
-    positivity fails its later tags with the same error, not a new decomposition.
+    point and kept; a fault in it fails each tag.  Its one decomposition, made at the
+    first kernel, builds every kernel, so an s failing positivity fails all its tags.
     """
     graph_path, outdir, values, points = share
-    results, graph, kernel, refused = [], None, None, {}
+    results, graph, kernel = [], None, None
+    dec = functools.cache(lambda: operators.decompose(graph))  # of the graph loaded below
     for s, p, q in points:
         tag = _sweep_tag(s, p, q)
         try:
             graph = graph or _load_graph(graph_path)
             kernel, *run = _setup(graph, {**values, "s": s, "p": p, "q": q},
-                                  Path(outdir) / tag, kernel, refused)
+                                  Path(outdir) / tag, kernel, dec)
             results.append((tag, _evolve_and_write(kernel, *run, emit_plots=False)))
         except UsageError as exc:
             print(f"sweep {tag}: {exc}", file=sys.stderr)
             results.append((tag, EXIT_USAGE))
         except PositivityViolation as exc:
-            refused[s] = exc
             print(f"sweep {tag}: PositivityViolation: {exc}", file=sys.stderr)
             results.append((tag, EXIT_CHECK_FAILED))
     return results

@@ -170,7 +170,9 @@ class StepStats:
     """What one solve did; a Picard solve's sweeps count into one record.
 
     A step is rejected for a failed error test or for a lost positivity (a
-    trial state or a stage argument not positive).
+    trial state or a stage argument not positive).  A steady-state snap records
+    its time, the spread max u - min u of the state it replaced, and the step
+    tolerance that spread was judged against; all three are None without one.
     """
 
     accepted: int = 0
@@ -180,6 +182,8 @@ class StepStats:
     h_min: float = math.inf
     h_max: float = 0.0
     snap_time: float | None = None
+    snap_spread: float | None = None
+    snap_tolerance: float | None = None
 
     @property
     def rejected(self) -> int:
@@ -198,6 +202,8 @@ class StepStats:
             "h_min": self.h_min if stepped else None,
             "h_max": self.h_max if stepped else None,
             "snap_time": self.snap_time,
+            "snap_spread": self.snap_spread,
+            "snap_tolerance": self.snap_tolerance,
         }
 
 
@@ -363,7 +369,7 @@ def _integrate(f, u0: np.ndarray, config: FlowConfig, graph: Graph,
     the pair's continuous extension; one that a step ends on gets the accepted
     state.  Each accepted step (t, h, u, stages) is appended to ``steps`` when a
     list is given.  The run counts into ``stats``, a new record if none is given,
-    whose snap time becomes this run's.  StepBudgetExceeded ends the run once the
+    whose snap record becomes this run's.  StepBudgetExceeded ends the run once the
     record holds MAX_STEPS steps, accepted plus rejected, so the sweeps of a
     Picard solve, which share one record, take MAX_STEPS in all.
 
@@ -383,7 +389,7 @@ def _integrate(f, u0: np.ndarray, config: FlowConfig, graph: Graph,
     times = config.output_times()
     t, horizon = 0.0, float(times[-1])
     stats = StepStats() if stats is None else stats
-    stats.snap_time = None
+    stats.snap_time = stats.snap_spread = stats.snap_tolerance = None
     lo, hi = band = span = _span(u0)
 
     def check_band(span):
@@ -405,9 +411,9 @@ def _integrate(f, u0: np.ndarray, config: FlowConfig, graph: Graph,
         if stats.accepted + stats.rejected >= MAX_STEPS:
             raise StepBudgetExceeded(f"{MAX_STEPS} steps reached t = {t:.6g} of {horizon:.6g}")
         tol = config._step_tolerance(span[1])
-        if span[1] - span[0] <= (10.0 if config.p >= 2.0 else 1e3) * tol:
+        if (spread := span[1] - span[0]) <= (10.0 if config.p >= 2.0 else 1e3) * tol:
             out[filled:] = steady_state(graph, u, config.q)
-            stats.snap_time = t
+            stats.snap_time, stats.snap_spread, stats.snap_tolerance = t, spread, tol
             break
         h, u_new, span, k, h_next = _accept_step(counted, t, u, f_cur, min(h, horizon - t),
                                                  tol, stats)
@@ -467,7 +473,7 @@ def picard_solve(
     sweep freezes the coefficient at the initial datum; at q = 1 the
     coefficient does not depend on the iterate, so one sweep is exact.  The
     sweeps count into one stats record, the trajectory's: it holds the work of
-    the whole solve and the last sweep's snap time, and MAX_STEPS bounds all
+    the whole solve and the last sweep's snap record, and MAX_STEPS bounds all
     sweeps together.  A sweep holds three output grids as it takes its distance,
     and both sweeps' accepted steps, 8n floats each, at most MAX_STEPS in all.
     A u0 whose flow overflows a float is a DomainError, raised before any sweep.

@@ -374,7 +374,8 @@ def graph_to_json(graph: Graph) -> str:
     encoder runs in pure Python; json still spells each label, its C encoder each number.
     """
     labels = [json.dumps(lab) for lab in graph.labels]
-    i, j = np.nonzero(np.triu(graph.weights > 0, 1))
+    # flat indices, as the 2-D nonzero is slow on a sparse mask
+    i, j = np.divmod(np.flatnonzero(np.triu(graph.weights > 0, 1)), graph.n)
     mus, ws = (json.dumps(x.tolist())[1:-1].split(", ") for x in (graph.mu, graph.weights[i, j]))
     vertices = [f'"id": {lab},\n      "mu": {m}' for lab, m in zip(labels, mus)]
     edges = [f'"u": {labels[a]},\n      "v": {labels[b]},\n      "w": {x}'

@@ -710,7 +710,7 @@ class TestVerifyCommand:
                                              + doc["steps_rejected_positivity"])
             assert doc["rhs_evaluations"] > 6 * doc["steps_accepted"] > 0
             assert 0.0 < doc["h_min"] <= doc["h_max"]
-            assert doc["snap_time"] is None
+            assert doc["snap_time"] is doc["snap_spread"] is doc["snap_tolerance"] is None
         # the same solve, so the same telemetry in both files
         fields = ("steps_accepted", "steps_rejected", "steps_rejected_error",
                   "steps_rejected_positivity", "rhs_evaluations", "h_min", "h_max")
@@ -1006,6 +1006,44 @@ class TestSweepCommand:
             "".join(f"sweep {tag}: PositivityViolation: {message}\n" for tag in tags))
         assert spy.call_count == 1
         assert list((tmp_path / "o").iterdir()) == []
+
+    def test_refused_kernel_keeps_the_share_decomposition(self, k2_path, tmp_path, capsys,
+                                                          monkeypatch, serial_pools):
+        # the next s's kernel comes from the decomposition the refused s made
+        weights, message = fg.operators.kernel_weights, "min off-diagonal entry -5e-08 at s=0.7"
+
+        def kernel_weights(dec, s):
+            if s == 0.7:
+                raise fg.PositivityViolation(message)
+            return weights(dec, s)
+
+        spy = mock.Mock(wraps=fg.operators.decompose)
+        monkeypatch.setattr(fg.operators, "decompose", spy)
+        monkeypatch.setattr(fg.operators, "kernel_weights", kernel_weights)
+        out = tmp_path / "o"
+        code = main(["sweep", k2_path, "--s-list", "0.7,0.3", "--p-list", "1.5,2.5",
+                     "--q-list", "1", "--T", "0.01", "--workers", "1", "--output-dir", str(out)])
+        assert code == 1
+        tags = [cli._sweep_tag(s, p, 1.0) for s in (0.7, 0.3) for p in (1.5, 2.5)]
+        assert [len(share[3]) for share in serial_pools[0].shares] == [4]
+        assert capsys.readouterr() == (
+            f"FAIL {tags[0]}\nFAIL {tags[1]}\nok {tags[2]}\nok {tags[3]}\n",
+            "".join(f"sweep {tag}: PositivityViolation: {message}\n" for tag in tags[:2]))
+        assert spy.call_count == 1
+        assert sorted(path.name for path in out.iterdir()) == tags[2:]
+
+    def test_share_refused_before_its_kernels_does_not_decompose(self, k2_path, tmp_path,
+                                                                  capsys, monkeypatch):
+        spy = mock.Mock(wraps=fg.operators.decompose)
+        monkeypatch.setattr(fg.operators, "decompose", spy)
+        values = {"T": 0.1, "solver": "direct", "u0": {"kind": "gauss"}}
+        points = [(s, 2.0, 1.0) for s in (0.3, 0.7)]
+        out = tmp_path / "o"
+        results = cli._sweep_worker((k2_path, str(out), values, points))
+        assert results == [(cli._sweep_tag(*point), 2) for point in points]
+        assert capsys.readouterr().err.count("unknown u0 generator kind") == 2
+        assert spy.call_count == 0
+        assert not out.exists()
 
     @pytest.mark.parametrize("q_list", ["1,2", "1,-1"])
     def test_bad_u0_fails_every_tag_after_its_exponents(self, k2_path, tmp_path, capsys,

@@ -730,7 +730,7 @@ class TestStepStats:
         # then six per attempt (FSAL)
         assert st.rhs_evals == 2 + 6 * (st.accepted + st.rejected)
         assert 0.0 < st.h_min <= st.h_max <= cfg.T
-        assert st.snap_time is None
+        assert st.snap_time is st.snap_spread is st.snap_tolerance is None
         telemetry = st.telemetry()
         assert telemetry["rhs_evaluations"] == st.rhs_evals
         assert telemetry["steps_rejected_error"] == st.rejected_error
@@ -757,7 +757,8 @@ class TestStepStats:
     def test_snap_time_of_constant_datum(self, k2_kernel):
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0)
         st = fg.evolve_direct(k2_kernel, np.full(2, 1.2), cfg).stats
-        assert st.snap_time == 0.0
+        assert (st.snap_time, st.snap_spread) == (0.0, 0.0)
+        assert st.snap_tolerance == cfg.atol + cfg.rtol * 1.2
         assert st.telemetry()["h_min"] is None and st.accepted == 0
 
 

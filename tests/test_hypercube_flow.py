@@ -92,6 +92,25 @@ def test_past_the_snap(s, p, q, T, dt_out, after):
     assert np.max(error[traj.times >= traj.stats.snap_time]) <= after * tol
 
 
+@pytest.mark.parametrize("s, p, q, T, dt_out", [
+    (0.3, 1.5, 0.5, 0.5, 1e-3), (0.5, 2.0, 1.0, 15.0, 0.05)], ids=["p1.5", "p2"])
+def test_snap_record(s, p, q, T, dt_out):
+    # the snap records the spread it discards, 669 step tolerances at p = 1.5 and
+    # 5.2 at p = 2; the exact flow stays within that spread of the snap constant,
+    # plus the error the samples carry up to the snap.  Fails under config.atol for
+    # the tolerance the snap records, and at p = 2 under spread / 10 for the spread
+    traj, exact, quotient, tol = solve(s, p, q, T, dt_out)
+    stats = traj.stats
+    assert 0.0 < stats.snap_tolerance <= tol
+    assert 0.0 < stats.snap_spread <= (10.0 if p >= 2.0 else 1e3) * stats.snap_tolerance
+    error = np.max(np.abs(traj.values - quotient.lift(exact)), axis=1)
+    post = traj.times >= stats.snap_time
+    assert np.all(error[post] <= stats.snap_spread + np.max(error[before_snap(traj)]))
+    telemetry = stats.telemetry()
+    assert (telemetry["snap_spread"], telemetry["snap_tolerance"]) == (stats.snap_spread,
+                                                                       stats.snap_tolerance)
+
+
 @pytest.mark.parametrize("s, p, q", AUDIT)
 def test_mass_and_energy(s, p, q):
     traj, exact, quotient, tol = solve(s, p, q)
