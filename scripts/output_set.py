@@ -14,13 +14,15 @@ steady state (at p < 2, t ~ 0.45), `evolve --solver picard --emit-plots`,
 `kernel --s 0.5` on K2, on the first 500-vertex graph and on a three-vertex
 path with w(a, b) = 1e20 (eigenvalues 0, 16384 and 2e20 in floats), a stiff
 path that exhausts the step budget (exit 1), an unknown solver in a config
-file, a `sweep` with a fractional `--picard-max` (exit 2), and a `sweep` on a
+file, a `sweep` with `--atol 0` (exit 2), and a `sweep` on a
 three-vertex star whose kernel fails positivity at s = 0.7 but not at s = 0.3
 (that s's tags FAIL, the others run, exit 1).
 
 `compare` prints one line per file that either run holds: "identical", or for
 CSV and JSON the largest absolute difference of each numeric column or field
-that differs, or else the first differing line.  Next to it stands, for a CSV
+that differs, or else the first differing line.  For JSON it first names the
+keys that one run only has and the lists whose length differs, and compares
+the leaves that both hold (a list's first entries).  Next to it stands, for a CSV
 column or a JSON list, the difference scaled by the column's or list's largest
 magnitude in either run, and for any other JSON field the relative difference.
 A last line gives the largest scaled difference over all CSV columns (inf when
@@ -104,8 +106,8 @@ def commands():
     yield ("stiff-path", ["verify", "graphs/path3.json", "--s", "0.99", "--T", "1e6",
                           "--u0-random", "0.5", "2"])
     yield "unknown-solver", ["evolve", "graphs/k2.json", "--config", "graphs/rk4.json"]
-    yield ("sweep-picard-max", ["sweep", "graphs/k2.json", "--s-list", "0.3,0.5", "--p-list", "2",
-                                "--q-list", "1", "--picard-max", "2.5", "--workers", "1"])
+    yield ("sweep-atol-zero", ["sweep", "graphs/k2.json", "--s-list", "0.3,0.5", "--p-list", "2",
+                               "--q-list", "1", "--atol", "0", "--workers", "1"])
     # one worker, so that the order of the failed tags' stderr lines is fixed
     yield ("sweep-positivity", ["sweep", "graphs/star3.json", "--s-list", "0.7,0.3",
                                 "--p-list", "1.5,2.5", "--q-list", "1", "--T", "0.01",
@@ -159,8 +161,8 @@ def _widen(scales: dict, key: str, *values) -> None:
 
 
 def _csv_pairs(a: str, b: str):
-    """{column: ([(x, y), ...] of its differing cells, its largest magnitude in
-    either run)}, or None unless all else is equal."""
+    """({column: ([(x, y), ...] of its differing cells, its largest magnitude in
+    either run)}, no notes), or None unless all else is equal."""
     rows_a = [line.split(",") for line in a.splitlines()]
     rows_b = [line.split(",") for line in b.splitlines()]
     if [len(r) for r in rows_a] != [len(r) for r in rows_b] or rows_a[0] != rows_b[0]:
@@ -175,32 +177,46 @@ def _csv_pairs(a: str, b: str):
                 if nx is None or ny is None:
                     return None
                 pairs.setdefault(col, []).append((nx, ny))
-    return {col: (values, scales.get(col, 0.0)) for col, values in pairs.items()}
+    return {col: (values, scales.get(col, 0.0)) for col, values in pairs.items()}, []
 
 
-def _leaves(obj, path=""):
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            yield from _leaves(value, f"{path}.{key}" if path else key)
-    elif isinstance(obj, list):
-        for value in obj:  # every element of a list counts toward one field
-            yield from _leaves(value, f"{path}[]")
-    else:
-        yield path, obj
+def _walk(x, y, path: str, shape: dict, leaves: list) -> bool:
+    """Walk two JSON values side by side: the keys that one side only has go to
+    shape["a"] or shape["b"], each list whose length differs to shape["lengths"],
+    and (path, x, y) of each leaf that both hold to leaves.  False when the two
+    differ in kind at a shared place, such as a list against an object."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        for side, one, other in (("a", x, y), ("b", y, x)):
+            shape[side] += [f"{path}.{key}" if path else key for key in one if key not in other]
+        return all(_walk(x[key], y[key], f"{path}.{key}" if path else key, shape, leaves)
+                   for key in x if key in y)
+    if isinstance(x, list) and isinstance(y, list):
+        if len(x) != len(y):
+            shape["lengths"].append(f"{path}[] {len(x)} != {len(y)}")
+        # every element of a list counts toward one field
+        return all(_walk(u, v, f"{path}[]", shape, leaves) for u, v in zip(x, y))
+    if isinstance(x, (dict, list)) or isinstance(y, (dict, list)):
+        return False
+    leaves.append((path, x, y))
+    return True
 
 
 def _json_pairs(a: str, b: str):
-    """{field: ([(x, y), ...] of its differing numeric leaves, its largest
-    magnitude in either run if it is in a list, else None)}, or None unless
+    """({field: ([(x, y), ...] of its differing numeric leaves, its largest
+    magnitude in either run if it is in a list, else None)}, notes naming the
+    keys of one run only and the lists whose length differs), or None unless
     all else is equal."""
+    shape, leaves = {"a": [], "b": [], "lengths": []}, []
     try:
-        leaves_a, leaves_b = list(_leaves(json.loads(a))), list(_leaves(json.loads(b)))
+        if not _walk(json.loads(a), json.loads(b), "", shape, leaves):
+            return None
     except ValueError:
         return None
-    if [p for p, _ in leaves_a] != [p for p, _ in leaves_b]:
-        return None
+    notes = [f"keys only in {side}: {', '.join(shape[side])}" for side in "ab" if shape[side]]
+    if shape["lengths"]:
+        notes.append("list lengths differ: " + ", ".join(shape["lengths"]))
     pairs, scales = {}, {}
-    for (path, x), (_, y) in zip(leaves_a, leaves_b):
+    for path, x, y in leaves:
         numbers = [float(v) for v in (x, y) if type(v) in (int, float)]
         _widen(scales, path, *numbers)
         if x != y or type(x) is not type(y):
@@ -208,7 +224,7 @@ def _json_pairs(a: str, b: str):
                 return None
             pairs.setdefault(path, []).append(tuple(numbers))
     return {path: (values, scales.get(path, 0.0) if "[]" in path else None)
-            for path, values in pairs.items()}
+            for path, values in pairs.items()}, notes
 
 
 def _describe(name: str, a: bytes, b: bytes) -> tuple[str, float]:
@@ -218,8 +234,8 @@ def _describe(name: str, a: bytes, b: bytes) -> tuple[str, float]:
     text_a, text_b = a.decode(errors="replace"), b.decode(errors="replace")
     suffix = Path(name).suffix
     parse, csv = {".csv": _csv_pairs, ".json": _json_pairs}.get(suffix), suffix == ".csv"
-    pairs = parse(text_a, text_b) if parse else None
-    if pairs:
+    pairs, notes = (parse(text_a, text_b) if parse else None) or ({}, [])
+    if pairs or notes:
         figures = []
         for col, (values, scale) in pairs.items():
             d = max(_gap(x, y)[0] for x, y in values)
@@ -230,8 +246,10 @@ def _describe(name: str, a: bytes, b: bytes) -> tuple[str, float]:
         figures.sort(reverse=True)
         parts = [f"{col} abs {d:.3e} {kind} {r:.3e}" for r, d, col, kind in figures[:8]]
         more = f"; {len(figures) - 8} more" if len(figures) > 8 else ""
-        return (f"{len(figures)} numeric columns or fields differ: " + "; ".join(parts) + more,
-                figures[0][0] if csv else 0.0)
+        if figures:
+            notes = [*notes, f"{len(figures)} numeric columns or fields differ: "
+                     + "; ".join(parts) + more]
+        return "; ".join(notes), figures[0][0] if csv else 0.0
     lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
     worst = math.inf if csv else 0.0
     for i, (x, y) in enumerate(zip(lines_a, lines_b), 1):

@@ -402,7 +402,7 @@ def _float_list(text: str) -> list[float]:
 
 
 def _add_flow_flags(sub, skip=()):
-    # a float flag per FlowConfig field; FlowConfig stores an integral picard_max as an int
+    # a float flag per FlowConfig field
     for key in _FLOW_KEYS:
         if key not in skip:
             sub.add_argument("--" + key.replace("_", "-"), type=float, default=None)

@@ -15,9 +15,9 @@ Two solvers:
   in-coefficient flow  a(x,t) du/dt + (-Delta)_p^s u = 0, where the
   coefficient is a function of t: a = q u_prev(t)^(q-1), u_prev the previous
   sweep's continuous extension (the first sweep freezes a at the initial
-  datum); sweeps stop when consecutive trajectories agree in the sup norm on
-  the output grid.  The extension is C^1 across steps, so a sweep steps on
-  the error test alone, as evolve_direct does.
+  datum); sweeps stop once their iteration error is a tenth of the step
+  tolerance (picard_solve), or fail after MAX_SWEEPS.  The extension is C^1
+  across steps, so a sweep steps on the error test alone, as evolve_direct does.
 
 Both preserve mass int u^q dmu and obey the maximum principle
 min u_0 <= u(x,t) <= max u_0 up to solver tolerance.
@@ -90,9 +90,10 @@ _DP_P = np.array([
 # Largest number of values, samples x vertices, one run stores: 128 MiB of floats.
 MAX_SAMPLE_VALUES = 2**24
 # Largest number of steps, accepted plus rejected, of one solve, the sweeps of a
-# Picard solve together; the most that a test or a benchmark solve takes is 778,
-# and the most that a Picard solve in the tests takes is 668 over 10 sweeps.
+# Picard solve together; the most that a direct solve of a test or a benchmark
+# takes is 778, and that a Picard solve in the tests takes, 2230 over 11 sweeps.
 MAX_STEPS = 10_000
+MAX_SWEEPS = 100  # most sweeps of a Picard solve; the tests take at most 14
 # How far a trajectory may leave [min u0, max u0] before it violates the
 # maximum principle; the solvers enforce it and verify reports it.
 MAX_PRINCIPLE_SLACK = 1e-9
@@ -105,7 +106,7 @@ _ORDER_EXP = 0.2  # 1/5 for a 5(4) pair
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """All solver parameters of a flow run."""
+    """All solver parameters of a flow run; atol and rtol also set Picard's stop."""
 
     s: float
     p: float
@@ -114,8 +115,6 @@ class FlowConfig:
     dt_out: float | None = None
     atol: float = 1e-9
     rtol: float = 1e-9
-    picard_tol: float = 1e-10
-    picard_max: int = 100
 
     def __post_init__(self):
         for f in fields(self):
@@ -138,11 +137,6 @@ class FlowConfig:
         if not (0.0 < self.dt_out < math.inf and 0.0 < self.atol < math.inf
                 and 0.0 <= self.rtol < math.inf):
             raise DomainError("dt_out and atol must be positive, rtol nonnegative, all finite")
-        if not 0.0 < self.picard_tol < math.inf:
-            raise DomainError(f"picard_tol = {self.picard_tol}, need finite picard_tol > 0")
-        if not (1 <= self.picard_max < math.inf and float(self.picard_max).is_integer()):
-            raise DomainError(f"picard_max = {self.picard_max}, need an integer >= 1")
-        object.__setattr__(self, "picard_max", int(self.picard_max))
         if not (intervals := self.T / self.dt_out) < math.inf:
             raise DomainError(f"T/dt_out = {intervals:g} output intervals, need a finite count")
         self._require_size(2)  # a graph has at least 2 vertices
@@ -471,7 +465,11 @@ def picard_solve(
 
     Returns (trajectory, iteration count, sup-distance history).  The first
     sweep freezes the coefficient at the initial datum; at q = 1 the
-    coefficient does not depend on the iterate, so one sweep is exact.  The
+    coefficient does not depend on the iterate, so one sweep is exact.  Sweep k
+    is d_k from the last in the sup norm (the first from the constant u0), and
+    from the third, with theta_k = d_k/d_(k-1), the solve stops once
+    theta_k/(1-theta_k) d_k <= 0.1 (atol + rtol max u0) (simplified Newton's
+    test, Hairer-Wanner II, IV.8); MAX_SWEEPS sweeps raise PicardNotConverged.  The
     sweeps count into one stats record, the trajectory's: it holds the work of
     the whole solve and the last sweep's snap record, and MAX_STEPS bounds all
     sweeps together.  A sweep holds three output grids as it takes its distance,
@@ -482,9 +480,10 @@ def picard_solve(
     p, q = config.p, config.q
     a0 = q * u0 ** (q - 1.0)
     a, prev = (lambda t: a0), u0
+    tol = 0.1 * config._step_tolerance(float(np.max(u0)))
     history: list[float] = []
     stats = StepStats()
-    for it in range(1, config.picard_max + 1):
+    for it in range(1, MAX_SWEEPS + 1):
         steps: list = []
         traj = _integrate(lambda t, u: -frac_p_laplacian(kernel, u, p) / a(t), u0, config,
                           kernel.graph, steps, stats)
@@ -493,7 +492,7 @@ def picard_solve(
         del diff  # so that the next sweep does not hold it
         history.append(dist)
         # a sweep that snaps before its first step does not depend on a
-        if q == 1.0 or dist < config.picard_tol or not steps:
+        if q == 1.0 or not steps or it >= 3 and dist * dist <= tol * (history[-2] - dist):
             return traj, it, history
         a, prev = _swept_coefficient(steps, q), traj.values
     raise PicardNotConverged(history)

@@ -375,7 +375,7 @@ class TestEvolveCommand:
          {"u0": {"kind": "constant"}}, 3, {"picard_max": 2.5, "solver": "picard", "q": 2},
          {"u0": {"kind": "random-uniform", "low": 0.5, "high": 2.0, "seed": math.inf}},
          {"T": True}, {"q": True}, {"eps_reg": True}, {"picard_max": True},
-         {"T": True, "q": True, "picard_tol": True},
+         {"T": True, "q": True, "atol": True},
          {"u0": {"kind": "constant", "value": True}},
          {"u0": {"kind": "constant", "value": "1.5"}},
          {"u0": ["1", 2]},
@@ -397,8 +397,9 @@ class TestEvolveCommand:
     @pytest.mark.parametrize("command", ["evolve", "verify", "sweep"])
     @pytest.mark.parametrize("config, keys", [
         ({"eps_reg": 1e-12}, "eps_reg"), ({"atoll": 1e-12, "T": 0.1}, "atoll"),
-        ({"eps_reg": 0.0, "atoll": 1e-12, "s_list": [0.5], "q": 2}, "atoll, eps_reg, s_list")],
-        ids=["eps-reg", "typo", "three"])
+        ({"eps_reg": 0.0, "atoll": 1e-12, "s_list": [0.5], "q": 2}, "atoll, eps_reg, s_list"),
+        ({"picard_tol": 1e-7}, "picard_tol"), ({"picard_max": 30}, "picard_max")],
+        ids=["eps-reg", "typo", "three", "picard-tol", "picard-max"])
     def test_unknown_config_key_is_usage_error(self, k2_path, tmp_path, capsys, monkeypatch,
                                                serial_pools, command, config, keys):
         # a dropped key would run at the default without a word
@@ -414,7 +415,7 @@ class TestEvolveCommand:
 
     def test_config_file_may_set_every_flow_field(self, k2_path, tmp_path, monkeypatch):
         values = {"s": 0.3, "p": 2.5, "q": 2.0, "T": 0.1, "dt_out": 0.02, "atol": 1e-8,
-                  "rtol": 1e-7, "picard_tol": 1e-7, "picard_max": 30}
+                  "rtol": 1e-7}
         assert set(values) == {f.name for f in fields(fg.FlowConfig)}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**values, "solver": "picard", "u0": [1.0, 2.0]}))
@@ -434,10 +435,9 @@ class TestEvolveCommand:
     def test_summary_records_every_flow_field(self, k2_path, tmp_path):
         out = tmp_path / "o"
         assert main(["evolve", k2_path, "--T", "0.1", "--solver", "picard", "--q", "2",
-                     "--picard-tol", "1e-7", "--picard-max", "30",
-                     "--output-dir", str(out)]) == 0
+                     "--atol", "1e-7", "--output-dir", str(out)]) == 0
         recorded = json.loads((out / "summary.json").read_text())["config"]
-        expected = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=0.1, picard_tol=1e-7, picard_max=30)
+        expected = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=0.1, atol=1e-7)
         assert recorded == {f.name: getattr(expected, f.name) for f in fields(fg.FlowConfig)}
 
     @pytest.mark.parametrize("file_seed", [{}, {"seed": 3}], ids=["unseeded", "seeded"])
@@ -558,22 +558,6 @@ class TestEvolveCommand:
                      "--output-dir", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err == f"error: bad u0 {u0!r}: {refused.value}\n"
-        assert not (tmp_path / "o").exists()
-
-    def test_picard_max_flag_takes_an_integral_float(self, k2_path, tmp_path):
-        out = tmp_path / "o"
-        assert main(["evolve", k2_path, "--T", "0.1", "--solver", "picard", "--q", "2",
-                     "--picard-max", "1e2", "--output-dir", str(out)]) == 0
-        recorded = json.loads((out / "summary.json").read_text())["config"]["picard_max"]
-        assert recorded == 100 and type(recorded) is int
-
-    @pytest.mark.parametrize("command", ["evolve", "verify"])
-    def test_fractional_picard_max_flag_is_usage_error(self, k2_path, tmp_path, capsys,
-                                                       command):
-        code = main([command, k2_path, "--T", "0.1", "--picard-max", "2.5",
-                     "--output-dir", str(tmp_path / "o")])
-        assert code == 2
-        assert capsys.readouterr().err == "error: picard_max = 2.5, need an integer >= 1\n"
         assert not (tmp_path / "o").exists()
 
 
@@ -936,9 +920,9 @@ class TestSweepCommand:
         assert [len(share[3]) for share in serial_pools[0].shares] == [2, 2]
 
     @pytest.mark.parametrize("flags, message", [
-        (["--picard-max", "2.5"], "picard_max = 2.5, need an integer >= 1"),
+        (["--atol", "0"], "dt_out and atol must be positive, rtol nonnegative, all finite"),
         (["--dt-out", "0.005"], "402 output values, at most 401 allowed")],
-        ids=["picard-max", "stored-values"])
+        ids=["atol", "stored-values"])
     def test_run_wide_fault_is_one_usage_error(self, k2_path, tmp_path, capsys, monkeypatch,
                                                serial_pools, flags, message):
         monkeypatch.setattr(flow, "MAX_SAMPLE_VALUES", 401)
@@ -1097,7 +1081,6 @@ class TestSweepCommand:
 _FUZZ_VALID = {
     "s": [0.3, 0.7], "p": [1.5, 2.0, 3.0], "q": [0.5, 1.0, 2.0], "T": [0.05, 0.1, 10.0, 1e6],
     "dt_out": [0.01, 0.05], "atol": [1e-6, 1e-12, 1e-14], "rtol": [0.0, 1e-9, 1e-14],
-    "picard_tol": [1e-6], "picard_max": [1, 20],
     "solver": ["direct", "picard"],
     "u0": [[1.0, 2.0], {"kind": "constant", "value": 1.5},
            {"kind": "random-uniform", "low": 0.5, "high": 2.0, "seed": 3}],
@@ -1118,7 +1101,8 @@ def fuzz_configs(draw):
 
 class TestConfigFuzz:
     @given(config=fuzz_configs())
-    @example(config={"T": 0.1, "picard_max": 2.5, "solver": "picard", "q": 2.0})
+    @example(config={"T": 0.1, "atol": 1e-14, "rtol": 0.0, "solver": "picard", "q": 2.0,
+                     "u0": [1.0, 2.0]})
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_config_exits_0_1_or_2(self, k2_path, tmp_path, config):
@@ -1251,9 +1235,8 @@ class TestMisc:
 
     def test_flag_sets(self):
         commands = self.subcommands()
-        flow_flags = {"--T", "--dt-out", "--atol", "--rtol", "--picard-tol",
-                      "--picard-max", "--config", "--solver", "--u0-constant", "--u0-random",
-                      "--seed", "--output-dir", "-h", "--help"}
+        flow_flags = {"--T", "--dt-out", "--atol", "--rtol", "--config", "--solver",
+                      "--u0-constant", "--u0-random", "--seed", "--output-dir", "-h", "--help"}
         expected = {
             "kernel": {"--s", "--output-dir", "-h", "--help"},
             "evolve": flow_flags | {"--s", "--p", "--q", "--emit-plots"},

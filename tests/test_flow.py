@@ -401,6 +401,16 @@ class TestPicard:
         assert iters <= 100
         assert all(b < a for a, b in zip(history[2:], history[3:]))
 
+    def test_sweeps_follow_the_step_tolerance(self, k5_kernel):
+        # criterion 10's instance: the solve stops once its iteration error is
+        # below the step tolerance, so a tighter tolerance takes more sweeps
+        # (5, 7 and 9)
+        u0 = np.random.default_rng(10).uniform(0.5, 2.0, 5)
+        sweeps = [fg.picard_solve(k5_kernel, u0, fg.FlowConfig(s=0.5, p=2.5, q=1.5, T=1.0,
+                                                                atol=tol, rtol=tol))[1]
+                  for tol in (1e-5, 1e-9, 1e-12)]
+        assert sweeps[0] < sweeps[1] < sweeps[2]
+
     def test_datum_inside_the_snap_band_converges(self, k2_kernel):
         # the first sweep snaps before its first step, so it keeps no step
         # to freeze a coefficient on, and every later sweep would repeat it
@@ -447,7 +457,7 @@ class TestPicard:
     def test_sweep_distance_holds_one_grid(self, k2_kernel, monkeypatch):
         # each sweep's distance to the last is taken from one difference of their
         # output grids, not from that difference and its absolute value
-        cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0, dt_out=1e-5, picard_max=2)
+        cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0, dt_out=1e-5)
         times = cfg.output_times()
         grids = [np.full((len(times), 2), 1.0), np.full((len(times), 2), 1.25)]
         sweeps = iter(grids)
@@ -457,6 +467,7 @@ class TestPicard:
             return fg.Trajectory(times=times, values=next(sweeps), stats=stats)
 
         monkeypatch.setattr(flow, "_integrate", sweep)
+        monkeypatch.setattr(flow, "MAX_SWEEPS", 2)
         tracemalloc.start()
         try:
             with pytest.raises(fg.PicardNotConverged) as exc_info:
@@ -467,8 +478,9 @@ class TestPicard:
         assert peak < 1.5 * grids[0].nbytes
         assert exc_info.value.history == [0.5, 0.25]
 
-    def test_not_converged_raises_with_history(self, k2_kernel):
-        cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0, picard_max=2, picard_tol=1e-16)
+    def test_not_converged_raises_with_history(self, k2_kernel, monkeypatch):
+        monkeypatch.setattr(flow, "MAX_SWEEPS", 2)
+        cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0)
         with pytest.raises(fg.PicardNotConverged) as exc_info:
             fg.picard_solve(k2_kernel, np.array([1.5, 0.5]), cfg)
         assert len(exc_info.value.history) == 2
@@ -534,31 +546,27 @@ class TestFlowConfig:
             {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "dt_out": float("nan")},
             {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "atol": float("nan")},
             {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "rtol": float("inf")},
-            {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "picard_tol": 0.0},
-            {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "picard_tol": float("nan")},
-            {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "picard_max": float("inf")},
-            {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "picard_max": 2.5},
+            {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "atol": 0.0},
+            {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "rtol": -1e-9},
+            {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "dt_out": 0.0},
+            {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, "dt_out": -0.1},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises((fg.ExponentOutOfRange, fg.DomainError)):
             fg.FlowConfig(**kwargs)
 
-    @pytest.mark.parametrize("field", ["s", "p", "q", "T", "dt_out", "atol", "picard_max"])
+    @pytest.mark.parametrize("field", ["s", "p", "q", "T", "dt_out", "atol"])
     def test_non_numeric_parameter_is_domain_error(self, field):
         kwargs = {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, field: "0.5"}
         with pytest.raises(fg.DomainError, match="not a number"):
             fg.FlowConfig(**kwargs)
 
-    @pytest.mark.parametrize("field", ["T", "q", "picard_tol", "picard_max", "dt_out"])
+    @pytest.mark.parametrize("field", ["T", "q", "dt_out"])
     def test_bool_parameter_is_domain_error(self, field):
         kwargs = {"s": 0.5, "p": 2.0, "q": 1.0, "T": 1.0, field: True}
         with pytest.raises(fg.DomainError, match="not a number"):
             fg.FlowConfig(**kwargs)
-
-    def test_integral_picard_max_becomes_an_int(self):
-        cfg = fg.FlowConfig(s=0.5, p=2.0, q=1.0, T=1.0, picard_max=3.0)
-        assert cfg.picard_max == 3 and isinstance(cfg.picard_max, int)
 
     def test_output_grid_is_bounded(self):
         # the most intervals whose samples fit MAX_SAMPLE_VALUES on 2 vertices

@@ -65,3 +65,17 @@ def test_csv_text_difference_is_unbounded(run_a, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2] == "evolve/out/trajectory.csv: line 1: 't,u_1,mass' != 't,u_1,volume'"
     assert lines[-1] == "largest scaled difference of a CSV column: inf"
+
+
+def test_json_keys_and_list_lengths_that_differ_are_named(run_a, tmp_path, capsys):
+    # b drops solver, adds h_max and has a shorter picard_history, whose shared
+    # entry stays equal; h_min still compares as a shared numeric field
+    summary = {"h_min": 0.0125, "picard_history": [1e-3], "h_max": 0.5}
+    b = copy_run(run_a, tmp_path, {"summary.json": json.dumps(summary, indent=2) + "\n"})
+    assert output_set.compare(run_a, b) == 1
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert lines["evolve/out/summary.json"] == (
+        "keys only in a: solver; keys only in b: h_max; "
+        "list lengths differ: picard_history[] 2 != 1; "
+        "1 numeric columns or fields differ: h_min abs 2.500e-03 rel 2.000e-01")
+    assert lines["largest scaled difference of a CSV column"] == "0.000e+00"
