@@ -12,7 +12,9 @@ from SRC (default: the src/ of the checkout holding this script).  The set:
 random graphs of 500 vertices, two `verify` runs to T = 2 that snap to the
 steady state (at p < 2, t ~ 0.45), `evolve --solver picard --emit-plots`,
 `kernel --s 0.5` on K2, on the first 500-vertex graph and on a three-vertex
-path with w(a, b) = 1e20 (eigenvalues 0, 16384 and 2e20 in floats), a stiff
+path with w(a, b) = 1e20 (eigenvalues 0, 16384 and 2e20 in floats),
+`kernel --s 0.99` on the same path with w(a, b) = 1e301, whose eigenvalue
+2e301 the quadrature oracle cannot follow (exit 1, no output directory), a stiff
 path that exhausts the step budget (exit 1), an unknown solver in a config
 file, a `sweep` with `--atol 0` (exit 2), and a `sweep` on a
 three-vertex star whose kernel fails positivity at s = 0.7 but not at s = 0.3
@@ -71,6 +73,9 @@ DOCS = {
     # an eigenvalue of 2e20, far from 1, for the kernel's quadrature oracle
     "path20.json": {"vertices": [{"id": v, "mu": 1.0} for v in "abc"],
                     "edges": [{"u": "a", "v": "b", "w": 1e20}, {"u": "b", "v": "c", "w": 1.0}]},
+    # an eigenvalue of 2e301: the oracle raises QuadratureNotConverged after the kernel
+    "path301.json": {"vertices": [{"id": v, "mu": 1.0} for v in "abc"],
+                     "edges": [{"u": "a", "v": "b", "w": 1e301}, {"u": "b", "v": "c", "w": 1.0}]},
     # measures 1e6, 1e6 and 1e-6: the kernel's least entry is -5.6e-8 at s = 0.7, a round-off
     # whose sign may differ by BLAS build, and positive at s = 0.3
     "star3.json": {"vertices": [{"id": "a", "mu": 1e6}, {"id": "b", "mu": 1e6},
@@ -103,6 +108,7 @@ def commands():
             "--u0-random", "0.5", "2", "--seed", "1", "--emit-plots"])
     for name in ("k2", "n500-seed1", "path20"):
         yield f"kernel-{name}", ["kernel", f"graphs/{name}.json", "--s", "0.5"]
+    yield "kernel-path301", ["kernel", "graphs/path301.json", "--s", "0.99"]
     yield ("stiff-path", ["verify", "graphs/path3.json", "--s", "0.99", "--T", "1e6",
                           "--u0-random", "0.5", "2"])
     yield "unknown-solver", ["evolve", "graphs/k2.json", "--config", "graphs/rk4.json"]

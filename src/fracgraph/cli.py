@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__, operators
 from .diagnostics import build_report, mass
 from .errors import FracGraphError, PositivityViolation
-from .flow import FlowConfig, _check_state, _span, evolve_direct, picard_solve, steady_state
+from .flow import (FlowConfig, Trajectory, _check_state, _span, evolve_direct, picard_solve,
+                   steady_state)
 from .graph import Graph, _json_number, graph_from_json
 from .operators import FractionalKernel, _row_blocks, build_kernel, dirichlet_p_energy
 from .spectral import kernel_weights_oracle
@@ -229,14 +230,7 @@ def cmd_kernel(args) -> int:
     except PositivityViolation as exc:
         print(f"FAIL kernel positivity: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    out = _output_dir(args.output_dir)
     w, dec = kernel.w, kernel.dec
-    labels = tuple(map(_csv_field, graph.labels))
-    _write_table(out / "kernel.csv", ["", *labels], [w], labels)
-    (out / "eigenvalues.json").write_text(
-        json.dumps({"eigenvalues": [float(v) for v in dec.eigenvalues]}, indent=2) + "\n"
-    )
-
     w_oracle = kernel_weights_oracle(dec, args.s)
     offdiag = ~np.eye(graph.n, dtype=bool)
     # relative to W's entry, or to the oracle's where W's is 0; where both are, as on the
@@ -249,6 +243,12 @@ def cmd_kernel(args) -> int:
         "min_offdiagonal": float(np.min(w[offdiag])),
         "oracle_max_relative_deviation": dev,
     }
+    # the directory comes after the oracle, so a failed oracle, like a refused kernel, leaves none
+    out = _output_dir(args.output_dir)
+    labels = tuple(map(_csv_field, graph.labels))
+    _write_table(out / "kernel.csv", ["", *labels], [w], labels)
+    (out / "eigenvalues.json").write_text(json.dumps(
+        {"eigenvalues": [float(v) for v in dec.eigenvalues]}, indent=2) + "\n")
     (out / "kernel_report.json").write_text(json.dumps(report, indent=2) + "\n")
 
     # _assemble_kernel returns -C^T C from a symmetric rank-k update, exactly symmetric
@@ -272,17 +272,30 @@ def _setup(graph: Graph, values: dict, out: str | Path, kernel: FractionalKernel
     return kernel, config, values["solver"], u0, u0_meta, _output_dir(out)
 
 
-def _evolve_and_write(kernel: FractionalKernel, config: FlowConfig, solver: str,
-                      u0: np.ndarray, u0_meta: dict, out: Path, emit_plots: bool) -> int:
-    """Solve, then write summary.json, trajectory.csv and, with emit_plots, flow.svg."""
-    summary = {"solver": solver, "config": asdict(config), "u0": u0_meta}
+def _solve(kernel: FractionalKernel, config: FlowConfig, solver: str, u0: np.ndarray,
+           u0_meta: dict) -> tuple[Trajectory | None, dict]:
+    """Solve; returns the trajectory (None on a solver fault, which it prints as FAIL
+    solver) and the run record that summary.json and report.json hold.  verify writes
+    no report.json on a fault: its readers, perfbench's audit among them, take one to
+    hold a trajectory's diagnostics."""
+    record = {"solver": solver, "config": asdict(config), "u0": u0_meta}
     try:
         traj, iters, history = _SOLVERS[solver](kernel, u0, config)
     except FracGraphError as exc:
-        summary["error"] = type(exc).__name__
-        summary["message"] = str(exc)
-        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
         print(f"FAIL solver: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return None, {**record, "error": type(exc).__name__, "message": str(exc)}
+    c = steady_state(kernel.graph, u0, config.q)
+    return traj, {**record, "steady_state": c,
+                  "steady_state_error": float(np.max(np.abs(traj.final - c))),
+                  "picard_iterations": iters, "picard_history": history, **traj.stats.telemetry()}
+
+
+def _evolve_and_write(kernel: FractionalKernel, config: FlowConfig, solver: str,
+                      u0: np.ndarray, u0_meta: dict, out: Path, emit_plots: bool) -> int:
+    """Write summary.json and, from a trajectory, trajectory.csv and flow.svg if emit_plots."""
+    traj, record = _solve(kernel, config, solver, u0, u0_meta)
+    (out / "summary.json").write_text(json.dumps(record, indent=2) + "\n")
+    if traj is None:
         return EXIT_CHECK_FAILED
 
     values = traj.values
@@ -295,16 +308,6 @@ def _evolve_and_write(kernel: FractionalKernel, config: FlowConfig, solver: str,
     _write_table(out / "trajectory.csv",
                  ["t", *(f"u_{i+1}" for i in range(kernel.n)), *columns],
                  [traj.times, values, *columns.values()])
-    c = steady_state(kernel.graph, u0, config.q)
-    summary.update({
-        "steady_state": c,
-        "steady_state_error": float(np.max(np.abs(traj.final - c))),
-        "picard_iterations": iters,
-        "picard_history": history,
-        **traj.stats.telemetry(),
-    })
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-
     if emit_plots:
         _svg_lineplot(out / "flow.svg", traj.times, columns, title="flow diagnostics")
     return EXIT_OK
@@ -318,20 +321,15 @@ def cmd_evolve(args) -> int:
 
 def cmd_verify(args) -> int:
     values = _resolve(args)
-    kernel, config, solver, u0, u0_meta, out = _setup(_load_graph(args.graph), values,
-                                                      args.output_dir)
-
-    try:
-        traj, iters, _ = _SOLVERS[solver](kernel, u0, config)
-    except FracGraphError as exc:
-        print(f"FAIL solver: {type(exc).__name__}: {exc}", file=sys.stderr)
+    kernel, config, *run, out = _setup(_load_graph(args.graph), values, args.output_dir)
+    traj, record = _solve(kernel, config, *run)
+    if traj is None:
         return EXIT_CHECK_FAILED
 
     report = build_report(traj, kernel, config)
     checks = {row.name: row.passed for row in report.check_table}
     (out / "report.json").write_text(report.to_json(
-        checks=checks, initial_mass=mass(kernel.graph, u0, config.q), u0=u0_meta,
-        solver=solver, picard_iterations=iters, **traj.stats.telemetry()) + "\n")
+        **record, checks=checks, initial_mass=mass(kernel.graph, traj.u0, config.q)) + "\n")
     for row in report.check_table:
         print(f"{'PASS' if row.passed else 'FAIL'} {row.name} (measured {row.measured:.3e}, "
               f"threshold {row.threshold:.3e}, margin {row.threshold - row.measured:.3e})")

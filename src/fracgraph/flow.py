@@ -475,6 +475,7 @@ def picard_solve(
     sweeps together.  A sweep holds three output grids as it takes its distance,
     and both sweeps' accepted steps, 8n floats each, at most MAX_STEPS in all.
     A u0 whose flow overflows a float is a DomainError, raised before any sweep.
+    At q = 3 its error is up to 14x evolve_direct's at one tolerance; ROADMAP item 8 mends it.
     """
     u0 = _check_state(kernel.graph, u0, config._require_size(kernel.n).q)
     p, q = config.p, config.q

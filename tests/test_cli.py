@@ -151,6 +151,19 @@ class TestKernelCommand:
         report = json.loads((out / "kernel_report.json").read_text(), parse_constant=reject)
         assert report["oracle_max_relative_deviation"] <= 1e-12
 
+    def test_failed_oracle_leaves_no_directory(self, tmp_path, capsys):
+        # the eigenvalue 2e301 is past the quadrature's reach at s = 0.99; the kernel
+        # itself passes, so the fault comes after it and before any output
+        doc = {**PATH3_DOC, "edges": [{"u": "a", "v": "b", "w": 1e301},
+                                      {"u": "b", "v": "c", "w": 1.0}]}
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["kernel", str(path), "--s", "0.99", "--output-dir", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: QuadratureNotConverged: lam=2e+301, s=0.99\n")
+        assert not out.exists()
+
     def test_oracle_deviation_needs_no_offdiagonal_copies(self, tmp_path, monkeypatch):
         # both kernels are an exact 0 on the diagonal, so the deviation over the whole
         # matrix is the off-diagonal one, and the report needs no off-diagonal copy: its
@@ -684,21 +697,23 @@ class TestVerifyCommand:
                                             + report["steps_rejected_positivity"])
 
     def test_report_and_summary_record_run_telemetry(self, k5_path, tmp_path):
-        flags = ["--T", "0.5", "--u0-random", "0.5", "2.0"]
-        assert main(["verify", k5_path, *flags, "--output-dir", str(tmp_path / "v")]) == 0
-        assert main(["evolve", k5_path, *flags, "--output-dir", str(tmp_path / "e")]) == 0
-        report = json.loads((tmp_path / "v" / "report.json").read_text())
-        summary = json.loads((tmp_path / "e" / "summary.json").read_text())
-        for doc in (report, summary):
-            assert doc["steps_rejected"] == (doc["steps_rejected_error"]
-                                             + doc["steps_rejected_positivity"])
-            assert doc["rhs_evaluations"] > 6 * doc["steps_accepted"] > 0
-            assert 0.0 < doc["h_min"] <= doc["h_max"]
-            assert doc["snap_time"] is doc["snap_spread"] is doc["snap_tolerance"] is None
-        # the same solve, so the same telemetry in both files
-        fields = ("steps_accepted", "steps_rejected", "steps_rejected_error",
-                  "steps_rejected_positivity", "rhs_evaluations", "h_min", "h_max")
-        assert [report[k] for k in fields] == [summary[k] for k in fields]
+        for solver in (["--solver", "direct"], ["--solver", "picard", "--q", "2"]):
+            flags = ["--T", "0.5", "--u0-random", "0.5", "2.0", *solver]
+            verify_out, evolve_out = tmp_path / f"v-{solver[1]}", tmp_path / f"e-{solver[1]}"
+            assert main(["verify", k5_path, *flags, "--output-dir", str(verify_out)]) == 0
+            assert main(["evolve", k5_path, *flags, "--output-dir", str(evolve_out)]) == 0
+            report = json.loads((verify_out / "report.json").read_text())
+            summary = json.loads((evolve_out / "summary.json").read_text())
+            for doc in (report, summary):
+                assert doc["steps_rejected"] == (doc["steps_rejected_error"]
+                                                 + doc["steps_rejected_positivity"])
+                assert doc["rhs_evaluations"] > 6 * doc["steps_accepted"] > 0
+                assert 0.0 < doc["h_min"] <= doc["h_max"]
+                assert doc["snap_time"] is doc["snap_spread"] is doc["snap_tolerance"] is None
+            # the same solve, so the same run record: verify's report holds all of
+            # evolve's summary, config, steady state and Picard history included
+            assert summary.keys() - report.keys() == set()
+            assert {k: report[k] for k in summary} == summary
 
     def test_emit_plots_is_usage_error(self, k2_path, tmp_path, capsys):
         # only evolve writes plots
