@@ -14,9 +14,10 @@ steady state (at p < 2, t ~ 0.45), `evolve --solver picard --emit-plots`,
 `kernel --s 0.5` on K2, on the first 500-vertex graph and on a three-vertex
 path with w(a, b) = 1e20 (eigenvalues 0, 16384 and 2e20 in floats),
 `kernel --s 0.99` on the same path with w(a, b) = 1e301, whose eigenvalue
-2e301 the quadrature oracle cannot follow (exit 1, no output directory), a stiff
-path that exhausts the step budget (exit 1), an unknown solver in a config
-file, a `sweep` with `--atol 0` (exit 2), and a `sweep` on a
+2e301 the quadrature oracle cannot follow (exit 1, no output directory),
+`verify` on a stiff path that exhausts the step budget (exit 1, and no output
+directory, since a failed solve has no report to write), an unknown solver in
+a config file, a `sweep` with `--atol 0` (exit 2), and a `sweep` on a
 three-vertex star whose kernel fails positivity at s = 0.7 but not at s = 0.3
 (that s's tags FAIL, the others run, exit 1).
 

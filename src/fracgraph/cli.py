@@ -48,6 +48,7 @@ def _load_graph(path: str) -> Graph:
 
 
 def _output_dir(path: str | Path) -> Path:
+    """path, made now; a command calls this just before it writes its first file."""
     path = Path(path)
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -232,18 +233,17 @@ def cmd_kernel(args) -> int:
         return EXIT_CHECK_FAILED
     w, dec = kernel.w, kernel.dec
     w_oracle = kernel_weights_oracle(dec, args.s)
-    offdiag = ~np.eye(graph.n, dtype=bool)
     # relative to W's entry, or to the oracle's where W's is 0; where both are, as on the
     # diagonal, diff is 0 and stays so
     diff = np.abs(w - w_oracle)
-    scale = np.abs(np.where(w != 0, w, w_oracle))
+    scale = np.where(w != 0, w, w_oracle)
+    np.abs(scale, out=scale)
     dev = float(np.max(np.divide(diff, scale, out=diff, where=scale > 0)))
     report = {
         "s": args.s,
-        "min_offdiagonal": float(np.min(w[offdiag])),
+        "min_offdiagonal": float(np.min(w, where=~np.eye(graph.n, dtype=bool), initial=np.inf)),
         "oracle_max_relative_deviation": dev,
     }
-    # the directory comes after the oracle, so a failed oracle, like a refused kernel, leaves none
     out = _output_dir(args.output_dir)
     labels = tuple(map(_csv_field, graph.labels))
     _write_table(out / "kernel.csv", ["", *labels], [w], labels)
@@ -259,17 +259,14 @@ def cmd_kernel(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _setup(graph: Graph, values: dict, out: str | Path, kernel: FractionalKernel | None = None,
-           dec=None):
-    """Admit a flow run in evolve's order (config, u0, kernel), then make its output
-    directory, so that a refused run leaves none; returns (kernel, config, solver, u0,
-    u0's record, directory).  A given kernel of the config's s is kept; another s's is
-    built from dec(), the graph's decomposition, if dec is given."""
+def _setup(graph: Graph, values: dict, kernel_of=None):
+    """Admit a flow run in evolve's order (config, u0, kernel); returns (kernel, config,
+    solver, u0, u0's record).  The kernel is kernel_of(s) if kernel_of is given, else
+    built from the graph.  It makes no directory, so a refused run leaves none."""
     config = _flow_config(values, graph.n)
     u0, u0_meta = _make_u0(graph, values["u0"], config.q)
-    if kernel is None or kernel.s != config.s:
-        kernel = build_kernel(graph, config.s, dec and dec())
-    return kernel, config, values["solver"], u0, u0_meta, _output_dir(out)
+    kernel = kernel_of(config.s) if kernel_of else build_kernel(graph, config.s)
+    return kernel, config, values["solver"], u0, u0_meta
 
 
 def _solve(kernel: FractionalKernel, config: FlowConfig, solver: str, u0: np.ndarray,
@@ -291,9 +288,10 @@ def _solve(kernel: FractionalKernel, config: FlowConfig, solver: str, u0: np.nda
 
 
 def _evolve_and_write(kernel: FractionalKernel, config: FlowConfig, solver: str,
-                      u0: np.ndarray, u0_meta: dict, out: Path, emit_plots: bool) -> int:
-    """Write summary.json and, from a trajectory, trajectory.csv and flow.svg if emit_plots."""
+                      u0: np.ndarray, u0_meta: dict, out: str | Path, emit_plots: bool) -> int:
+    """Solve; write summary.json and, from a trajectory, trajectory.csv and flow.svg if asked."""
     traj, record = _solve(kernel, config, solver, u0, u0_meta)
+    out = _output_dir(out)
     (out / "summary.json").write_text(json.dumps(record, indent=2) + "\n")
     if traj is None:
         return EXIT_CHECK_FAILED
@@ -315,20 +313,20 @@ def _evolve_and_write(kernel: FractionalKernel, config: FlowConfig, solver: str,
 
 def cmd_evolve(args) -> int:
     values = _resolve(args)
-    return _evolve_and_write(*_setup(_load_graph(args.graph), values, args.output_dir),
+    return _evolve_and_write(*_setup(_load_graph(args.graph), values), args.output_dir,
                              args.emit_plots)
 
 
 def cmd_verify(args) -> int:
     values = _resolve(args)
-    kernel, config, *run, out = _setup(_load_graph(args.graph), values, args.output_dir)
+    kernel, config, *run = _setup(_load_graph(args.graph), values)
     traj, record = _solve(kernel, config, *run)
     if traj is None:
         return EXIT_CHECK_FAILED
 
     report = build_report(traj, kernel, config)
     checks = {row.name: row.passed for row in report.check_table}
-    (out / "report.json").write_text(report.to_json(
+    (_output_dir(args.output_dir) / "report.json").write_text(report.to_json(
         **record, checks=checks, initial_mass=mass(kernel.graph, traj.u0, config.q)) + "\n")
     for row in report.check_table:
         print(f"{'PASS' if row.passed else 'FAIL'} {row.name} (measured {row.measured:.3e}, "
@@ -343,21 +341,21 @@ def _sweep_tag(s: float, p: float, q: float) -> str:
 def _sweep_worker(share) -> list[tuple[str, int]]:
     """Evolve a contiguous share of the grid; returns each point's (tag, exit code).
 
-    Each point is set up as an evolve run, with the last point's kernel, so a tag
-    reports its first fault in evolve's order.  The graph is loaded at the first
-    point and kept; a fault in it fails each tag.  Its one decomposition, made at the
-    first kernel, builds every kernel, so an s failing positivity fails all its tags.
+    Each point is set up as an evolve run, so a tag reports its first fault in
+    evolve's order.  The graph is loaded at the first point and kept; a fault in it
+    fails each tag.  Its one decomposition, made at the first kernel, builds each s's
+    kernel, kept while s repeats; a kernel failing positivity fails all its s's tags.
     """
     graph_path, outdir, values, points = share
-    results, graph, kernel = [], None, None
+    results, graph = [], None
     dec = functools.cache(lambda: operators.decompose(graph))  # of the graph loaded below
+    kernel_of = functools.lru_cache(maxsize=1)(lambda s: build_kernel(graph, s, dec()))
     for s, p, q in points:
         tag = _sweep_tag(s, p, q)
         try:
             graph = graph or _load_graph(graph_path)
-            kernel, *run = _setup(graph, {**values, "s": s, "p": p, "q": q},
-                                  Path(outdir) / tag, kernel, dec)
-            results.append((tag, _evolve_and_write(kernel, *run, emit_plots=False)))
+            run = _setup(graph, {**values, "s": s, "p": p, "q": q}, kernel_of)
+            results.append((tag, _evolve_and_write(*run, Path(outdir) / tag, emit_plots=False)))
         except UsageError as exc:
             print(f"sweep {tag}: {exc}", file=sys.stderr)
             results.append((tag, EXIT_USAGE))

@@ -167,7 +167,9 @@ class TestKernelCommand:
     def test_oracle_deviation_needs_no_offdiagonal_copies(self, tmp_path, monkeypatch):
         # both kernels are an exact 0 on the diagonal, so the deviation over the whole
         # matrix is the off-diagonal one, and the report needs no off-diagonal copy: its
-        # temporaries peak at 3.2 kernel matrices (4.3 with two such copies)
+        # temporaries, the difference, the scale made absolute in place and boolean masks,
+        # peak at 2.33 kernel matrices (3.13 with an absolute copy of the scale, 4.3 with
+        # boolean-indexed copies of the off-diagonal entries)
         g = fg.random_connected_graph(np.random.default_rng(6), 300)
         kernel = fg.build_kernel(g, 0.5)
         w, oracle = kernel.w, fg.kernel_weights_oracle(kernel.dec, 0.5)
@@ -182,7 +184,7 @@ class TestKernelCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.75 * w.nbytes
+        assert peak < 2.5 * w.nbytes
         # the report the off-diagonal copies gave, byte for byte
         offdiag = ~np.eye(g.n, dtype=bool)
         diff = np.abs(w - oracle)[offdiag]
@@ -298,7 +300,8 @@ class TestEvolveCommand:
         assert code == 1
         # the line that evolve prints for a failed solve
         assert capsys.readouterr() == ("", "FAIL solver: StepBudgetExceeded: forced\n")
-        assert list(out.iterdir()) == []
+        # verify makes its directory at its first write, so a failed solve leaves none
+        assert not out.exists()
 
     def test_deterministic_for_fixed_seed(self, k5_path, tmp_path):
         outputs = []
