@@ -125,7 +125,6 @@ def child(src: str, sizes: list[int]) -> dict:
     """Time every layer at every size in this process, with BLAS on one thread."""
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     os.environ["OMP_NUM_THREADS"] = "1"
-    os.environ.pop("FRACGRAPH_OUTPUT_DIR", None)
     sys.path.insert(0, src)
     import numpy as np
 

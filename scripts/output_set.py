@@ -126,7 +126,6 @@ def run(root: Path, src: Path) -> int:
         sys.exit(f"error: {root} is not empty")
     (root / "graphs").mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
-    env.pop("FRACGRAPH_OUTPUT_DIR", None)  # it would redirect every command's output
     for name, doc in DOCS.items():
         (root / "graphs" / name).write_text(json.dumps(doc) + "\n")
     for seed in SEEDS:

@@ -155,7 +155,7 @@ def build_report(
     traj: Trajectory, kernel: FractionalKernel, config: FlowConfig
 ) -> DiagnosticsReport:
     """Run every check on a finished trajectory."""
-    p, q, graph = config.p, config.q, kernel.graph
+    p, q, graph = config._require_kernel(kernel).p, config.q, kernel.graph
     masses = mass(graph, traj.values, q)
     mass0 = float(masses[0])
     drift = float(np.max(np.abs(masses - mass0)))

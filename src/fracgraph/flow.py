@@ -154,6 +154,12 @@ class FlowConfig:
             raise DomainError(f"{values:.15g} output values, at most {MAX_SAMPLE_VALUES} allowed")
         return self
 
+    def _require_kernel(self, kernel: FractionalKernel) -> "FlowConfig":
+        """This config, if its s is the kernel's and its samples fit the kernel's graph."""
+        if self.s != kernel.s:
+            raise DomainError(f"config s = {self.s}, but the kernel's s = {kernel.s}")
+        return self._require_size(kernel.n)
+
     def _step_tolerance(self, u_max: float) -> float:
         """atol + rtol max|u| of a positive state u whose largest value is u_max."""
         return self.atol + self.rtol * u_max
@@ -434,7 +440,7 @@ def evolve_direct(kernel: FractionalKernel, u0: np.ndarray, config: FlowConfig) 
 
     A u0 whose flow overflows a float is a DomainError, raised before any step.
     """
-    u0 = _check_state(kernel.graph, u0, config._require_size(kernel.n).q)
+    u0 = _check_state(kernel.graph, u0, config._require_kernel(kernel).q)
     p, q = config.p, config.q
     return _integrate(lambda t, u: rhs_direct(kernel, u, p, q), u0, config, kernel.graph)
 
@@ -477,7 +483,7 @@ def picard_solve(
     A u0 whose flow overflows a float is a DomainError, raised before any sweep.
     At q = 3 its error is up to 14x evolve_direct's at one tolerance; ROADMAP item 8 mends it.
     """
-    u0 = _check_state(kernel.graph, u0, config._require_size(kernel.n).q)
+    u0 = _check_state(kernel.graph, u0, config._require_kernel(kernel).q)
     p, q = config.p, config.q
     a0 = q * u0 ** (q - 1.0)
     a, prev = (lambda t: a0), u0

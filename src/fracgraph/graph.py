@@ -214,9 +214,7 @@ def integrate(graph: Graph, f: np.ndarray) -> float:
 
 def mu_inner(graph: Graph, f: np.ndarray, g: np.ndarray) -> float:
     """mu-weighted inner product <f, g>_mu = sum_x f(x) g(x) mu(x)."""
-    f = _check_length(graph, f)
-    g = _check_length(graph, g, "g")
-    return math.fsum(f * g * graph.mu)
+    return integrate(graph, _check_length(graph, f) * _check_length(graph, g, "g"))
 
 
 def laplacian_matrix(graph: Graph) -> np.ndarray:

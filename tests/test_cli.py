@@ -215,7 +215,7 @@ class TestKernelCommand:
         monkeypatch.setattr(cli, "build_kernel", violating)
         code = main(["kernel", k2_path, "--s", "0.5", "--output-dir", str(tmp_path / "o")])
         assert code == 1
-        assert capsys.readouterr().err == "FAIL kernel positivity: forced\n"
+        assert capsys.readouterr().err == "error: PositivityViolation: forced\n"
         assert not (tmp_path / "o").exists()
 
     def test_malformed_graph_json(self, tmp_path):

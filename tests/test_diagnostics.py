@@ -254,6 +254,11 @@ class TestBuildReport:
         report = fg.build_report(traj, kern, cfg)
         assert {row.name: row.passed for row in report.check_table}["mass_conservation"]
 
+    def test_refuses_a_config_of_another_s(self, k5_kernel):
+        traj, cfg = run_flow(k5_kernel, np.full(5, 1.5), s=0.5, p=2.0, q=1.0, T=0.1)
+        with pytest.raises(fg.DomainError, match=r"config s = 0.7, but the kernel's s = 0.5"):
+            fg.build_report(traj, k5_kernel, fg.FlowConfig(s=0.7, p=2.0, q=1.0, T=0.1))
+
     def test_check_passes_up_to_its_threshold(self):
         assert diagnostics.Check("c", 1.0, 1.0).passed
         assert not diagnostics.Check("c", 1.0 + 2**-52, 1.0).passed

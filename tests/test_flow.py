@@ -204,6 +204,11 @@ class TestEvolveDirect:
         with pytest.raises(fg.NonPositiveState):
             fg.evolve_direct(k2_kernel, np.array([1.0, -0.5]), cfg)
 
+    def test_refuses_a_config_of_another_s(self, k2_kernel):
+        cfg = fg.FlowConfig(s=0.7, p=2.0, q=2.0, T=1.0)
+        with pytest.raises(fg.DomainError, match=r"config s = 0.7, but the kernel's s = 0.5"):
+            fg.evolve_direct(k2_kernel, np.array([1.0, 0.5]), cfg)
+
 
 # The linear flow's inputs: K2 (n = 2) with the datum (1.5, 0.5), and random
 # graphs of n vertices with a random datum, each at two orders s.
@@ -385,6 +390,11 @@ class TestPicard:
         assert iters == 1
         direct = fg.evolve_direct(k2_kernel, u0, cfg)
         np.testing.assert_array_equal(traj.values, direct.values)
+
+    def test_refuses_a_config_of_another_s(self, k2_kernel):
+        cfg = fg.FlowConfig(s=0.3, p=2.0, q=2.0, T=1.0)
+        with pytest.raises(fg.DomainError, match=r"config s = 0.3, but the kernel's s = 0.5"):
+            fg.picard_solve(k2_kernel, np.array([1.0, 0.5]), cfg)
 
     def test_constant_initial_datum_one_iteration(self, k2_kernel):
         cfg = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=1.0)
