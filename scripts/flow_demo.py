@@ -7,6 +7,7 @@ Usage: python3 scripts/flow_demo.py [--T 10] [--s 0.5] [--outdir out/demo]
 
 import argparse
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,8 @@ def main():
         traj = fg.evolve_direct(kernel, u0, cfg)
         report = fg.build_report(traj, kernel, cfg)
         tag = f"p{p}_q{q}"
-        (outdir / f"report_{tag}.json").write_text(report.to_json(p=p, q=q) + "\n")
+        (outdir / f"report_{tag}.json").write_text(
+            json.dumps({**asdict(report), "p": p, "q": q}, indent=2) + "\n")
         print(
             f"{p:>4} {q:>4} {traj.stats.accepted:>6} "
             f"{report.mass_drift:>11.3e} {report.steady_state_error:>11.3e} "

@@ -274,10 +274,21 @@ def _solve(kernel: FractionalKernel, config: FlowConfig, solver: str, u0: np.nda
     except FracGraphError as exc:
         print(f"FAIL solver: {type(exc).__name__}: {exc}", file=sys.stderr)
         return None, {**record, "error": type(exc).__name__, "message": str(exc)}
-    c = steady_state(kernel.graph, u0, config.q)
+    c, stats = steady_state(kernel.graph, u0, config.q), traj.stats
     return traj, {**record, "steady_state": c,
                   "steady_state_error": float(np.max(np.abs(traj.final - c))),
-                  "picard_iterations": iters, "picard_history": history, **traj.stats.telemetry()}
+                  "picard_iterations": iters,
+                  "picard_history": history,
+                  "steps_accepted": stats.accepted,
+                  "steps_rejected": stats.rejected,
+                  "steps_rejected_error": stats.rejected_error,
+                  "steps_rejected_positivity": stats.rejected_positivity,
+                  "rhs_evaluations": stats.rhs_evals,
+                  "h_min": stats.h_min if stats.accepted else None,  # null without a step
+                  "h_max": stats.h_max if stats.accepted else None,
+                  "snap_time": stats.snap_time,
+                  "snap_spread": stats.snap_spread,
+                  "snap_tolerance": stats.snap_tolerance}
 
 
 def _evolve_and_write(kernel: FractionalKernel, config: FlowConfig, solver: str,
@@ -319,8 +330,9 @@ def cmd_verify(args) -> int:
 
     report = build_report(traj, kernel, config)
     checks = {row.name: row.passed for row in report.check_table}
-    (_output_dir(args.output_dir) / "report.json").write_text(report.to_json(
-        **record, checks=checks, initial_mass=mass(kernel.graph, traj.u0, config.q)) + "\n")
+    (_output_dir(args.output_dir) / "report.json").write_text(json.dumps(
+        {**asdict(report), **record, "checks": checks,
+         "initial_mass": mass(kernel.graph, traj.u0, config.q)}, indent=2) + "\n")
     for row in report.check_table:
         print(f"{'PASS' if row.passed else 'FAIL'} {row.name} (measured {row.measured:.3e}, "
               f"threshold {row.threshold:.3e}, margin {row.threshold - row.measured:.3e})")

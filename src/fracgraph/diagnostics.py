@@ -26,9 +26,8 @@ memory does not grow with the number of samples.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,11 +74,6 @@ class DiagnosticsReport:
     steady_state_error: float
     final_time_derivative_sup: float
     check_table: tuple[Check, ...]
-
-    def to_json(self, **extra) -> str:
-        payload = asdict(self)
-        payload.update(extra)
-        return json.dumps(payload, indent=2)
 
 
 def mass(graph: Graph, u: np.ndarray, q: float) -> float | np.ndarray:

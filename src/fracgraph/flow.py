@@ -190,22 +190,6 @@ class StepStats:
         """Rejected steps of both kinds."""
         return self.rejected_error + self.rejected_positivity
 
-    def telemetry(self) -> dict:
-        """The run's counts as JSON fields; step sizes are null without a step."""
-        stepped = self.accepted > 0
-        return {
-            "steps_accepted": self.accepted,
-            "steps_rejected": self.rejected,
-            "steps_rejected_error": self.rejected_error,
-            "steps_rejected_positivity": self.rejected_positivity,
-            "rhs_evaluations": self.rhs_evals,
-            "h_min": self.h_min if stepped else None,
-            "h_max": self.h_max if stepped else None,
-            "snap_time": self.snap_time,
-            "snap_spread": self.snap_spread,
-            "snap_tolerance": self.snap_tolerance,
-        }
-
 
 @dataclass(frozen=True)
 class Trajectory:

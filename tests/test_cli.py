@@ -43,6 +43,12 @@ K5_DOC = {
     ],
 }
 
+# summary.json's keys in the order the CLI writes them; report.json holds them too
+SUMMARY_KEYS = ["solver", "config", "u0", "steady_state", "steady_state_error",
+                "picard_iterations", "picard_history", "steps_accepted", "steps_rejected",
+                "steps_rejected_error", "steps_rejected_positivity", "rhs_evaluations",
+                "h_min", "h_max", "snap_time", "snap_spread", "snap_tolerance"]
+
 
 @pytest.fixture
 def k2_path(tmp_path):
@@ -456,6 +462,42 @@ class TestEvolveCommand:
         expected = fg.FlowConfig(s=0.5, p=2.0, q=2.0, T=0.1, atol=1e-7)
         assert recorded == {f.name: getattr(expected, f.name) for f in fields(fg.FlowConfig)}
 
+    def test_summary_keys_in_order(self, k2_path, tmp_path):
+        # the CLI alone lays out the run record, and a moved key changes every file's bytes
+        out = tmp_path / "o"
+        assert main(["evolve", k2_path, "--T", "0.1", "--output-dir", str(out)]) == 0
+        assert list(json.loads((out / "summary.json").read_text())) == SUMMARY_KEYS
+
+    @pytest.mark.parametrize("flags, snaps", [
+        (["--p", "2.5", "--q", "1.5", "--T", "0.5"], False),
+        (["--p", "1.5", "--q", "0.5", "--T", "2"], True)], ids=["stepped", "snapped"])
+    def test_step_fields_are_the_solves_stats(self, k2_path, k2_kernel, tmp_path, flags, snaps):
+        out = tmp_path / "o"
+        assert main(["evolve", k2_path, *flags, "--u0-random", "0.5", "2", "--seed", "7",
+                     "--output-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        u0 = np.random.Generator(np.random.Philox(7)).uniform(0.5, 2.0, 2)
+        st = fg.evolve_direct(k2_kernel, u0, fg.FlowConfig(**summary["config"])).stats
+        assert (st.snap_time is not None) == snaps
+        expected = {
+            "steps_accepted": st.accepted, "steps_rejected": st.rejected,
+            "steps_rejected_error": st.rejected_error,
+            "steps_rejected_positivity": st.rejected_positivity,
+            "rhs_evaluations": st.rhs_evals, "h_min": st.h_min, "h_max": st.h_max,
+            "snap_time": st.snap_time, "snap_spread": st.snap_spread,
+            "snap_tolerance": st.snap_tolerance}
+        assert {key: summary[key] for key in expected} == expected
+
+    def test_constant_datum_records_no_step_size(self, k2_path, tmp_path):
+        # the datum snaps at t = 0, before any step, so it has no step sizes to record
+        out = tmp_path / "o"
+        assert main(["evolve", k2_path, "--T", "1", "--u0-constant", "1.2",
+                     "--output-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["steps_accepted"] == 0
+        assert summary["h_min"] is summary["h_max"] is None
+        assert summary["snap_time"] == 0.0
+
     @pytest.mark.parametrize("file_seed", [{}, {"seed": 3}], ids=["unseeded", "seeded"])
     def test_seed_sets_the_seed_of_a_config_u0(self, k2_path, tmp_path, file_seed):
         cfg = tmp_path / "cfg.json"
@@ -717,6 +759,16 @@ class TestVerifyCommand:
             # evolve's summary, config, steady state and Picard history included
             assert summary.keys() - report.keys() == set()
             assert {k: report[k] for k in summary} == summary
+
+    def test_report_keys_in_order(self, k5_path, tmp_path):
+        # the report's fields in field order, then the run record's keys, whose
+        # steady_state_error keeps the report field's place, then the verdicts
+        out = tmp_path / "o"
+        assert main(["verify", k5_path, "--T", "0.5", "--u0-random", "0.5", "2",
+                     "--output-dir", str(out)]) == 0
+        names = [f.name for f in fields(fg.DiagnosticsReport)]
+        assert list(json.loads((out / "report.json").read_text())) == [
+            *names, *(key for key in SUMMARY_KEYS if key not in names), "checks", "initial_mass"]
 
     def test_emit_plots_is_usage_error(self, k2_path, tmp_path, capsys):
         # only evolve writes plots

@@ -263,20 +263,3 @@ class TestBuildReport:
         assert diagnostics.Check("c", 1.0, 1.0).passed
         assert not diagnostics.Check("c", 1.0 + 2**-52, 1.0).passed
         assert not diagnostics.Check("c", float("nan"), 1.0).passed
-
-    def test_json_round_trip_with_extras(self, k2_kernel):
-        import json
-
-        traj, cfg = run_flow(k2_kernel, [1.0, 2.0], s=0.5, p=2.0, q=1.0, T=1.0)
-        report = fg.build_report(traj, k2_kernel, cfg)
-        doc = json.loads(report.to_json(seed=7))
-        assert doc["seed"] == 7
-        rows = {row["name"]: row for row in doc["check_table"]}
-        assert rows["dissipation_bound"]["measured"] <= rows["dissipation_bound"]["threshold"]
-        assert "dissipation_satisfied" not in doc
-        assert set(doc) >= {
-            "energy_identity_residual",
-            "mass_drift",
-            "bound_violation",
-            "steady_state_error",
-        }

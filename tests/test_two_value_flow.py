@@ -1,8 +1,9 @@
 """The solvers and the audit against the exact two-valued flow on K_n.
 
 tests/two_value_reference.py gives u(t), T*, E(t) and the dissipation of the
-flow at every (p, q) from two-valued data on a complete graph.  Step
-tolerance below means atol + rtol max u0.
+flow at every (p, q) from two-valued data on a complete graph, whose two
+blocks may have measures of their own.  Step tolerance below means atol +
+rtol max u0.
 """
 
 import functools
@@ -123,6 +124,27 @@ class TestSolvers:
         pre = before_snap(traj)
         error = np.max(np.abs(traj.values[pre] - exact.samples(traj.times[pre])))
         assert error <= sample_bound(config.q) * tol
+
+    @pytest.mark.parametrize("q", [0.5, 2.0])
+    def test_picard_samples_with_two_measures(self, q):
+        # K9 whose first 4 vertices have measure 0.7 and the other 5 measure 2.3.  At
+        # p = 1.5 the gap closes, so the sweeps snap; the worst measured errors were
+        # 0.14 (q = 0.5) and 3.65 (q = 2) step tolerances before the snap, and 0.072
+        # after it.  Fails when the sweeps snap to the power mean of a unit measure
+        # (picard_solve handing _integrate the graph with mu = 1), 59 after the snap
+        n, k, s, mu_a, mu_b = 9, 4, 0.6, 0.7, 2.3
+        graph = fg.Graph(np.repeat([mu_a, mu_b], [k, n - k]), np.ones((n, n)) - np.eye(n))
+        config = fg.FlowConfig(s=s, p=1.5, q=q, T=T)
+        kern, u0 = fg.build_kernel(graph, s), np.repeat([A0, B0], [k, n - k])
+        exact = TwoValueFlow(n, k, s, config.p, q, A0, B0, mu_a=mu_a, mu_b=mu_b)
+        # the reference's kernel between the blocks (worst measured: 3.3e-15 relative)
+        np.testing.assert_allclose(kern.w[:k, k:], exact.w, rtol=1e-13)
+        traj, tol = fg.picard_solve(kern, u0, config)[0], config.atol + config.rtol * A0
+        error = np.max(np.abs(traj.values - exact.samples(traj.times)), axis=1)
+        pre = before_snap(traj)
+        assert len(pre) < len(traj.times)
+        assert np.max(error[pre]) <= sample_bound(q) * tol
+        assert np.all(error[len(pre):] <= tol)
 
     @pytest.mark.parametrize("n, k", GRAPHS)
     def test_samples_after_a_snap_at_p2(self, n, k):
