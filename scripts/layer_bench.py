@@ -13,8 +13,17 @@ kernel_weights_oracle (the whole oracle at size n), one rhs_direct, one
 accepted step (flow._accept_step from u0 with the first step size),
 evolve_direct with its RHS count, picard_solve on the same flow with its sweep
 count and the RHS count of all its sweeps, build_report on evolve_direct's
-trajectory, and `fracgraph verify` through cli.main.  Each layer gets one
-warm-up call, then 10 timed calls.
+trajectory, and `fracgraph verify` through cli.main.  The long-flow layers
+follow, at n <= 200 only (at n = 1000 one long flow takes about 1.2 s a
+call): at each (s, p, q) of perfbench's audit cycle, (0.3, 1.5, 0.5),
+(0.5, 2, 1), (0.7, 2.5, 1.5) and (0.5, 3, 2), evolve_direct on the same
+graph and u0 to T = 20 with dt_out = 1e-2, then build_report on its
+trajectory; both report the flow's RHS calls, accepted and rejected steps
+and snap time (null without a snap).  These flows reach their tails, which
+the short flow does not, so a change to the stepper or to the report shows
+there.  The report's verdicts are not judged: at n = 200, (0.7, 2.5, 1.5)
+fails dissipation_bound, a known defect of the trapezoid row.  Each layer
+gets one warm-up call, then 10 timed calls.
 
 Each round runs one child process per tree (SRC holds the fracgraph package;
 default: the src/ of this checkout), in alternating order, so that trees are
@@ -23,8 +32,9 @@ loads, as perfbench/run.py does.  `--out` writes JSON: for each tree, size
 and layer, the median and the quartile distance (q3 - q1) of all timed
 repeats in microseconds and each round's median, with the Python and numpy
 versions, the BLAS thread count and nproc.  A table of medians goes to
-stdout, each with the figures its layer reports, such as its RHS count.  It
-is not a gate: timings depend on the machine and its load.
+stdout, each with the figures its layer reports, such as its RHS count.
+Those figures must repeat exactly, in every call and round of a tree, or the
+script stops.  It is not a gate: timings depend on the machine and its load.
 """
 
 import argparse
@@ -44,6 +54,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 S, P, Q, T, DT_OUT = 0.5, 2.5, 1.5, 0.05, 1e-3
 QUADRATURE_EIGENVALUES = 16
 REPEATS = 10
+LONG_FLOWS = ((0.3, 1.5, 0.5), (0.5, 2.0, 1.0), (0.7, 2.5, 1.5), (0.5, 3.0, 2.0))
+LONG_T, LONG_DT_OUT, LONG_MAX_N = 20.0, 1e-2, 200
 
 
 def _layers(n: int, workdir: Path):
@@ -104,6 +116,27 @@ def _layers(n: int, workdir: Path):
             fn(*args)
         return call
 
+    def figures(stats):
+        return {"rhs_calls": stats.rhs_evals, "steps_accepted": stats.accepted,
+                "steps_rejected": stats.rejected, "snap_time": stats.snap_time}
+
+    def long_flow(s, p, q):
+        """The evolve_direct and build_report layers of one long flow."""
+        kernel_s = fg.build_kernel(graph, s, dec)
+        long_config = fg.FlowConfig(s=s, p=p, q=q, T=LONG_T, dt_out=LONG_DT_OUT)
+        long_traj = fg.evolve_direct(kernel_s, u0, long_config)
+
+        def evolve_long():
+            return figures(fg.evolve_direct(kernel_s, u0, long_config).stats)
+
+        def report_long():
+            fg.build_report(long_traj, kernel_s, long_config)
+            return figures(long_traj.stats)
+
+        tag = f"s{s}_p{p}_q{q}"
+        return [(f"long_evolve_direct_{tag}", evolve_long),
+                (f"long_build_report_{tag}", report_long)]
+
     return [
         ("graph_to_json", discard(fg.graph_to_json, graph)),
         ("graph_from_json", discard(fg.graph_from_json, text)),
@@ -118,6 +151,7 @@ def _layers(n: int, workdir: Path):
         ("picard_solve", picard),
         ("build_report", discard(fg.build_report, traj, kernel, config)),
         ("verify", verify),
+        *(layer for spq in (LONG_FLOWS if n <= LONG_MAX_N else ()) for layer in long_flow(*spq)),
     ]
 
 
@@ -140,8 +174,10 @@ def child(src: str, sizes: list[int]) -> dict:
                 times = []
                 for _ in range(REPEATS):
                     start = time.perf_counter()
-                    call()
+                    again = call() or {}
                     times.append((time.perf_counter() - start) * 1e6 / per)
+                    if again != extra:
+                        raise RuntimeError(f"{name} at n = {n}: {extra}, then {again}")
                 layers[name] = {"times_us": times, **extra}
     return result
 
@@ -150,9 +186,12 @@ def _summary(rounds: list[dict]) -> dict:
     """One layer's timings over the rounds: median, quartile distance, round medians."""
     pooled = [x for r in rounds for x in r["times_us"]]
     q1, _, q3 = statistics.quantiles(pooled, n=4, method="inclusive")
-    extra = {k: v for k, v in rounds[0].items() if k != "times_us"}
+    extras = [{k: v for k, v in r.items() if k != "times_us"} for r in rounds]
+    if any(extra != extras[0] for extra in extras):
+        raise RuntimeError(f"figures differ between rounds: {extras}")
     return {"median_us": statistics.median(pooled), "quartile_distance_us": q3 - q1,
-            "round_medians_us": [statistics.median(r["times_us"]) for r in rounds], **extra}
+            "round_medians_us": [statistics.median(r["times_us"]) for r in rounds],
+            **extras[0]}
 
 
 def _figures(cell: dict) -> str:
@@ -202,7 +241,7 @@ def main() -> int:
         print(f"n = {n}: median us (quartile distance), one column per --src")
         for layer in out["trees"][trees[0]][n]:
             cells = [out["trees"][tree][n][layer] for tree in trees]
-            print(f"  {layer:26}" + "".join(f"{c['median_us']:14.1f} ({c['quartile_distance_us']:7.1f})"
+            print(f"  {layer:34}" + "".join(f"{c['median_us']:14.1f} ({c['quartile_distance_us']:7.1f})"
                                             + _figures(c) for c in cells))
     if args.out:
         args.out.write_text(json.dumps(out, indent=1) + "\n")

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveState
-from .flow import (MAX_PRINCIPLE_SLACK, FlowConfig, Trajectory, _band_excess, _span,
-                   rhs_direct, steady_state)
+from .flow import MAX_PRINCIPLE_SLACK, FlowConfig, Trajectory, _band_excess, _span, rhs_direct
 from .graph import Graph, _check_length, integrate
 from .operators import FractionalKernel, _row_blocks, dirichlet_p_energy
 
@@ -71,7 +70,6 @@ class DiagnosticsReport:
     bound_violation: float
     final_gradient_energy: float
     initial_gradient_energy: float
-    steady_state_error: float
     final_time_derivative_sup: float
     check_table: tuple[Check, ...]
 
@@ -167,7 +165,6 @@ def build_report(
         energy_identity_residual=residual, dissipation_lhs=lhs, dissipation_rhs=rhs,
         mass_drift=drift, bound_violation=excursion,
         final_gradient_energy=energy_final, initial_gradient_energy=energy0,
-        steady_state_error=float(np.max(np.abs(traj.final - steady_state(graph, traj.u0, q)))),
         final_time_derivative_sup=float(np.max(np.abs(dudt_final))),
         check_table=(
             Check("max_principle", excursion, MAX_PRINCIPLE_SLACK),

@@ -272,6 +272,24 @@ class TestEvolveCommand:
         assert summary["steady_state_error"] >= 0.0
         assert summary["steps_accepted"] > 0
 
+    def test_steady_state_error_of_the_final_sample(self, k5_path, tmp_path):
+        # the run record is the one place that measures the final state against the
+        # constant limit, and evolve and verify write the same two numbers
+        flags = ["--q", "2", "--T", "0.5", "--u0-random", "0.5", "2", "--seed", "7"]
+        assert main(["evolve", k5_path, *flags, "--output-dir", str(tmp_path / "e")]) == 0
+        summary = json.loads((tmp_path / "e" / "summary.json").read_text())
+        assert summary["snap_time"] is None
+        _, rows = read_csv_matrix(tmp_path / "e" / "trajectory.csv")
+        # %.17g round-trips, so the CSV holds the solve's u0 and final state exactly
+        u0, final = (np.array([float(v) for v in rows[i][1:6]]) for i in (0, -1))
+        c = fg.steady_state(fg.graph_from_json(json.dumps(K5_DOC)), u0, 2.0)
+        assert summary["steady_state"] == c
+        assert summary["steady_state_error"] == float(np.max(np.abs(final - c)))
+        assert main(["verify", k5_path, *flags, "--output-dir", str(tmp_path / "v")]) == 0
+        report = json.loads((tmp_path / "v" / "report.json").read_text())
+        assert (report["steady_state"], report["steady_state_error"]) == (
+            summary["steady_state"], summary["steady_state_error"])
+
     def test_finite_time_collapse_over_a_long_horizon(self, tmp_path):
         # at p near 1 the last steps before the snap are ~1e-8 long; the step
         # floor scales with t, not with T, so a long horizon takes them too
@@ -761,8 +779,8 @@ class TestVerifyCommand:
             assert {k: report[k] for k in summary} == summary
 
     def test_report_keys_in_order(self, k5_path, tmp_path):
-        # the report's fields in field order, then the run record's keys, whose
-        # steady_state_error keeps the report field's place, then the verdicts
+        # the report's fields in field order, then the run record's keys, then the
+        # verdicts
         out = tmp_path / "o"
         assert main(["verify", k5_path, "--T", "0.5", "--u0-random", "0.5", "2",
                      "--output-dir", str(out)]) == 0
